@@ -20,7 +20,6 @@ from .rings import (
 )
 from .lattices import (
     ComplexBasis,
-    RealBasis,
     RingMatrix,
     embed,
     hermite_factor,
@@ -46,10 +45,9 @@ from .cf import (
     cf_basis,
     computation_rate,
     design_relay,
-    dof_slope,
-    rank_failure_probability,
     rank_mod_p,
     transmission_rate,
 )
+from .experiments import dof_slope, rank_failure_probability
 
 __version__ = "0.1.0"

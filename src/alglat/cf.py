@@ -22,6 +22,7 @@ from .lattices import (
     RingMatrix,
     coeff_to_complex,
     embed,
+    fold_real_column,
     hermite_constant_2n,
 )
 from .reduction import NonEuclideanRingWarning, alll_reduce, real_lll, reduction_epsilon
@@ -33,6 +34,7 @@ __all__ = [
     "RelayDesign",
     "NetworkDesign",
     "STRATEGIES",
+    "STRATEGY_ALIASES",
     "cf_basis",
     "computation_rate",
     "design_relay",
@@ -40,13 +42,14 @@ __all__ = [
     "rank_mod_p",
     "det_mod_p",
     "default_morphism",
-    "dof_slope",
-    "rank_failure_probability",
     "random_channel",
     "db_to_linear",
 ]
 
+#: accepted strategy names; best_single is an alias of svp
 STRATEGIES = ("alll", "rlll", "svp", "best_single")
+#: the strategy whose design each alias runs
+STRATEGY_ALIASES = {"best_single": "svp"}
 
 
 def db_to_linear(p_db: float) -> float:
@@ -149,11 +152,6 @@ class NetworkDesign:
         return self.matrices[self.chosen_index]
 
 
-def _fold_real_column(col, ring: RingSpec):
-    n = len(col) // 2
-    return tuple(ring.elem(int(col[j]), int(col[j + n])) for j in range(n))
-
-
 def design_relay(
     ch: Channel,
     ring: RingSpec,
@@ -163,8 +161,8 @@ def design_relay(
     """Design candidate coefficient vectors for one relay.
 
     alll / rlll return every transform column sorted by descending rate (for
-    alll the columns form a unimodular ring matrix); svp and best_single
-    return the single highest-rate coefficient.
+    alll the columns form a unimodular ring matrix); svp and its alias
+    best_single return the single highest-rate coefficient.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -190,9 +188,8 @@ def design_relay(
         return RelayDesign(ch, ring, strategy, vectors, rates, matrix, rep.swaps, first_norm)
 
     if strategy == "rlll":
-        real = embed(basis)
-        _, T, swaps = real_lll(real.matrix, delta=delta)
-        cols = [_fold_real_column(T[:, j], ring) for j in range(T.shape[1])]
+        _, T, swaps = real_lll(embed(basis), delta=delta)
+        cols = [fold_real_column(T[:, j], ring) for j in range(T.shape[1])]
         rates = [rate_of(c) for c in cols]
         order = sorted(range(len(cols)), key=lambda i: -rates[i])
         vectors = [cols[i] for i in order]
@@ -200,53 +197,45 @@ def design_relay(
         first_norm = float(np.linalg.norm(basis.matrix @ coeff_to_complex(vectors[0])))
         return RelayDesign(ch, ring, strategy, vectors, rates, None, swaps, first_norm)
 
-    # svp / best_single: the single best equation
+    # svp and best_single: the single best equation
     res = shortest_vector(basis)
     vec = res.coefficient
     return RelayDesign(ch, ring, strategy, [vec], [rate_of(vec)], None, 0, res.norm)
 
 
-def rank_mod_p(matrix: RingMatrix, morphism: FieldMorphism) -> int:
-    """Rank of the entrywise-mapped matrix over F_p by Gaussian elimination."""
-    a = [[int(v) for v in row] for row in matrix.map_mod_p(morphism)]
+def _eliminate_mod_p(matrix: RingMatrix, morphism: FieldMorphism) -> tuple[int, int]:
+    """Forward elimination of the entrywise-mapped matrix over F_p: (rank, det)."""
     p = morphism.p
+    a = [[int(v) for v in row] for row in matrix.map_mod_p(morphism)]
     n = len(a)
     rank = 0
+    det = 1
     for col in range(n):
-        pivot = next((r for r in range(rank, n) if a[r][col] % p != 0), None)
+        pivot = next((r for r in range(rank, n) if a[r][col]), None)
         if pivot is None:
+            det = 0
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            det = -det
+        det = det * a[rank][col] % p
         inv = pow(a[rank][col], -1, p)
-        a[rank] = [(v * inv) % p for v in a[rank]]
-        for r in range(n):
-            if r != rank and a[r][col] % p != 0:
-                f = a[r][col]
-                a[r] = [(a[r][c] - f * a[rank][c]) % p for c in range(n)]
+        for r in range(rank + 1, n):
+            f = a[r][col] * inv % p
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
         rank += 1
-    return rank
+    return rank, det % p
+
+
+def rank_mod_p(matrix: RingMatrix, morphism: FieldMorphism) -> int:
+    """Rank of the entrywise-mapped matrix over F_p."""
+    return _eliminate_mod_p(matrix, morphism)[0]
 
 
 def det_mod_p(matrix: RingMatrix, morphism: FieldMorphism) -> int:
     """Determinant of the mapped matrix over F_p."""
-    a = [[int(v) for v in row] for row in matrix.map_mod_p(morphism)]
-    p = morphism.p
-    n = len(a)
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] % p != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = (-det) % p
-        det = (det * a[col][col]) % p
-        inv = pow(a[col][col], -1, p)
-        for r in range(col + 1, n):
-            if a[r][col] % p != 0:
-                f = (a[r][col] * inv) % p
-                a[r] = [(a[r][c] - f * a[col][c]) % p for c in range(n)]
-    return det % p
+    return _eliminate_mod_p(matrix, morphism)[1]
 
 
 def default_morphism(ring: RingSpec) -> FieldMorphism:
@@ -301,76 +290,6 @@ def transmission_rate(designs: list, morphism: FieldMorphism) -> NetworkDesign:
     A = candidates[chosen]
     commutes = morphism.apply(A.det()) == det_mod_p(A, morphism)
     return NetworkDesign(candidates, chosen, rates[chosen], True, commutes)
-
-
-# ---------------------------------------------------------------------------
-# experiment-level operations
-
-
-def dof_slope(
-    ring: RingSpec,
-    n: int,
-    strategy: str,
-    p_grid_db,
-    channels_per_point: int = 200,
-    seed: int = 0,
-) -> float:
-    """Least-squares slope of the mean computation rate vs log2(1 + P)."""
-    p_grid_db = list(p_grid_db)
-    if len(p_grid_db) < 2 or max(p_grid_db) - min(p_grid_db) < 30:
-        raise ValueError("the SNR grid must span at least 30 dB")
-    ss = np.random.SeedSequence(seed)
-    means = []
-    xs = []
-    for p_db, child in zip(p_grid_db, ss.spawn(len(p_grid_db))):
-        rng = np.random.default_rng(child)
-        p_lin = db_to_linear(p_db)
-        acc = 0.0
-        for _ in range(channels_per_point):
-            ch = random_channel(n, p_lin, rng)
-            acc += design_relay(ch, ring, strategy).best_rate
-        means.append(acc / channels_per_point)
-        xs.append(math.log2(1.0 + p_lin))
-    slope = np.polyfit(xs, means, 1)[0]
-    return float(slope)
-
-
-def rank_failure_probability(
-    ring: RingSpec,
-    morphism: FieldMorphism,
-    n: int,
-    p_linear: float,
-    trials: int,
-    strategy: str = "best_single",
-    seed: int = 0,
-):
-    """Fractions of trials whose stacked coefficient matrix is singular over
-    the ring and over F_p, respectively.
-
-    best_single stacks each relay's single best equation; the unimodular
-    (alll) scheme picks a whole unimodular matrix and never fails.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ring_fail = 0
-    field_fail = 0
-    for _ in range(trials):
-        designs = [
-            design_relay(random_channel(n, p_linear, rng), ring, strategy)
-            for _ in range(n)
-        ]
-        if strategy == "alll":
-            A = transmission_rate(designs, morphism).chosen_matrix
-        else:
-            A = RingMatrix.from_columns([d.best_vector for d in designs], ring)
-            if A.det().is_zero():
-                ring_fail += 1
-                field_fail += 1
-                continue
-        if rank_mod_p(A, morphism) < n:
-            field_fail += 1
-    return ring_fail / trials, field_fail / trials
 
 
 def mac_rate_floor(ring: RingSpec, ch: Channel, delta: float = 0.99) -> float:

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from . import experiments
-from .cf import Channel, design_relay
+from .cf import STRATEGIES, Channel, design_relay
 from .lattices import ComplexBasis, basis_from_json, basis_to_json, embed
 from .reduction import NonEuclideanRingWarning, alll_reduce, gauss_reduce, real_lll
 from .rings import morphism_new, parse_ring
@@ -68,8 +68,7 @@ def _cmd_reduce(args) -> int:
         elif args.algorithm == "alll":
             report = alll_reduce(basis, delta=args.delta)
         else:
-            real = embed(basis)
-            reduced, transform, swaps = real_lll(real.matrix, delta=args.delta)
+            reduced, transform, swaps = real_lll(embed(basis), delta=args.delta)
             payload = {
                 "algorithm": "rlll",
                 "ring": f"d={basis.ring.d}",
@@ -204,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--channel", required=True, help="JSON file with {\"h\": [[re,im],...]}")
     cr.add_argument("--ring", required=True)
     cr.add_argument("--snr-db", type=float, required=True)
-    cr.add_argument("--strategy", choices=("alll", "rlll", "svp", "best_single"), default="alll")
+    cr.add_argument("--strategy", choices=STRATEGIES, default="alll")
     cr.add_argument("--delta", type=float, default=0.99)
     cr.add_argument("--out")
     cr.set_defaults(func=_cmd_cf_rate)
@@ -220,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     rf.add_argument("--snr-db", type=float, required=True)
     rf.add_argument("--trials", type=int, required=True)
     rf.add_argument("--seed", type=int, required=True)
-    rf.add_argument("--strategy", choices=("alll", "rlll", "svp", "best_single"), default="best_single")
+    rf.add_argument("--strategy", choices=STRATEGIES, default="best_single")
     rf.add_argument("--modulus", help="prime-norm modulus as 'a,b'")
     rf.add_argument("--out")
     rf.set_defaults(func=_cmd_rank_failure)

@@ -1,7 +1,7 @@
 """Seeded Monte-Carlo harnesses with deterministic CSV output.
 
-Every experiment derives one child seed per trial from the master seed, so
-results are bit-identical however the trials are scheduled.  Complex Gaussian
+Every experiment draws trial k from child k of SeedSequence(seed), so results
+are bit-identical however the trials are scheduled.  Complex Gaussian
 channels use two independent N(0, 1/2) components per entry.
 """
 
@@ -15,23 +15,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cf import (
+    STRATEGIES,
+    STRATEGY_ALIASES,
     db_to_linear,
     default_morphism,
     design_relay,
-    rank_failure_probability,
     rank_mod_p,
     random_channel,
     transmission_rate,
 )
 from .lattices import ComplexBasis, RingMatrix, volume
 from .reduction import NonEuclideanRingWarning, gauss_reduce
-from .rings import RingSpec, morphism_new
+from .rings import FieldMorphism, RingSpec, morphism_new
 from .svp import shortest_vector
 
 __all__ = [
     "hermite_cdf",
     "hermite_cdf_rows",
     "cf_experiment",
+    "dof_slope",
+    "rank_failure_probability",
     "rank_failure_rows",
     "write_csv",
     "HERMITE_CSV_HEADER",
@@ -78,6 +81,16 @@ def write_csv(rows, header, out) -> None:
             out.close()
 
 
+def _trial_rng(seed: int, index: int) -> np.random.Generator:
+    """Generator of trial `index`: child `index` of SeedSequence(seed).
+
+    Harnesses number their trials (point, trial) -> point * trials + trial,
+    where a point is a ring or an SNR value, so each trial's draws depend only
+    on the seed and its own index.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
 # ---------------------------------------------------------------------------
 # Hermite factor CDF
 
@@ -93,20 +106,20 @@ def hermite_cdf(rings, trials: int, seed: int, n: int = 2) -> dict:
     if trials < 100:
         raise ValueError(f"need at least 100 trials for a meaningful CDF, got {trials}")
     out = {}
-    ss = np.random.SeedSequence(seed)
-    for ring, child in zip(rings, ss.spawn(len(rings))):
-        rng = np.random.default_rng(child)
+    for ri, ring in enumerate(rings):
         vals = np.empty(trials)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonEuclideanRingWarning)
             for t in range(trials):
+                rng = _trial_rng(seed, ri * trials + t)
                 m = math.sqrt(0.5) * (
                     rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                 )
-                basis = ComplexBasis(m, ring)
                 if ring.euclidean:
-                    lam1 = gauss_reduce(m[:, 0], m[:, 1], ring).norms[0]
+                    rep = gauss_reduce(m[:, 0], m[:, 1], ring)
+                    basis, lam1 = rep.reduced, rep.norms[0]
                 else:
+                    basis = ComplexBasis(m, ring)
                     lam1 = shortest_vector(basis).norm
                 vals[t] = lam1**2 / math.sqrt(volume(basis))
         vals.sort()
@@ -146,6 +159,24 @@ def _resolve_morphism(ring: RingSpec, modulus):
         return None
 
 
+def _rank_failures(designs, morphism: FieldMorphism | None) -> tuple[bool, bool]:
+    """Whether one network's coefficient matrix is singular over the ring and
+    over F_p.
+
+    The matrix is the chosen unimodular candidate for alll designs when a
+    morphism is given, and the stack of per-relay best equations otherwise;
+    a ring-singular matrix counts as a field failure too.
+    """
+    ring = designs[0].ring
+    if designs[0].strategy == "alll" and morphism is not None:
+        A = transmission_rate(designs, morphism).chosen_matrix
+    else:
+        A = RingMatrix.from_columns([d.best_vector for d in designs], ring)
+    if A.det().is_zero():
+        return True, True
+    return False, morphism is not None and rank_mod_p(A, morphism) < len(designs)
+
+
 def cf_experiment(
     ring: RingSpec,
     n: int,
@@ -158,47 +189,41 @@ def cf_experiment(
     """Network trials per (strategy, SNR): rates, swap counts, rank failures.
 
     Each trial draws one n-relay network; the same channels are replayed for
-    every strategy so the comparison columns are paired.  Rank failure uses
-    the chosen unimodular matrix for the alll strategy and the stack of
-    per-relay best equations otherwise; field-rank columns are empty when the
-    ring has no default morphism and none is supplied.
+    every strategy so the comparison columns are paired, and a strategy and
+    its aliases share one design.  Rank failure uses the chosen unimodular
+    matrix for the alll strategy and the stack of per-relay best equations
+    otherwise; field-rank columns are empty when the ring has no default
+    morphism and none is supplied.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     for s in strategies:
-        if s not in ("alll", "rlll", "svp", "best_single"):
+        if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
     morphism = _resolve_morphism(ring, modulus)
     snr_db_list = list(snr_db_list)
     acc = {(s, pi): _Acc([], [], []) for s in strategies for pi in range(len(snr_db_list))}
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(len(snr_db_list) * trials)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonEuclideanRingWarning)
         for pi, p_db in enumerate(snr_db_list):
             p_lin = db_to_linear(p_db)
             for t in range(trials):
-                rng = np.random.default_rng(children[pi * trials + t])
+                rng = _trial_rng(seed, pi * trials + t)
                 chans = [random_channel(n, p_lin, rng) for _ in range(n)]
+                outcomes = {}
                 for s in strategies:
-                    designs = [design_relay(ch, ring, s) for ch in chans]
+                    canonical = STRATEGY_ALIASES.get(s, s)
+                    if canonical not in outcomes:
+                        designs = [design_relay(ch, ring, canonical) for ch in chans]
+                        outcomes[canonical] = designs, _rank_failures(designs, morphism)
+                    designs, (ring_fail, field_fail) = outcomes[canonical]
                     a = acc[(s, pi)]
                     a.rates.extend(d.best_rate for d in designs)
                     a.swaps.extend(d.swaps for d in designs)
                     a.norms.extend(d.first_norm for d in designs)
                     a.fail_trials += 1
-                    if s == "alll" and morphism is not None:
-                        nd = transmission_rate(designs, morphism)
-                        A = nd.chosen_matrix
-                    else:
-                        A = RingMatrix.from_columns(
-                            [d.best_vector for d in designs], ring
-                        )
-                    if A.det().is_zero():
-                        a.ring_fail += 1
-                        a.field_fail += 1
-                    elif morphism is not None and rank_mod_p(A, morphism) < n:
-                        a.field_fail += 1
+                    a.ring_fail += ring_fail
+                    a.field_fail += field_fail
     rows = []
     for s in strategies:
         for pi, p_db in enumerate(snr_db_list):
@@ -219,8 +244,69 @@ def cf_experiment(
     return rows
 
 
+# ---------------------------------------------------------------------------
+# rank failure and degrees of freedom
+
+
+def rank_failure_probability(
+    ring: RingSpec,
+    morphism: FieldMorphism,
+    n: int,
+    p_linear: float,
+    trials: int,
+    strategy: str = "best_single",
+    seed: int = 0,
+):
+    """Fractions of trials whose stacked coefficient matrix is singular over
+    the ring and over F_p, respectively.
+
+    best_single stacks each relay's single best equation; the unimodular
+    (alll) scheme picks a whole unimodular matrix and never fails.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    ring_fail = 0
+    field_fail = 0
+    for t in range(trials):
+        rng = _trial_rng(seed, t)
+        designs = [
+            design_relay(random_channel(n, p_linear, rng), ring, strategy)
+            for _ in range(n)
+        ]
+        fails = _rank_failures(designs, morphism)
+        ring_fail += fails[0]
+        field_fail += fails[1]
+    return ring_fail / trials, field_fail / trials
+
+
 def rank_failure_rows(ring, morphism, n, snr_db, trials, strategy, seed):
     p_ring, p_field = rank_failure_probability(
         ring, morphism, n, db_to_linear(snr_db), trials, strategy, seed
     )
     return [[strategy, float(snr_db), trials, p_ring, p_field]]
+
+
+def dof_slope(
+    ring: RingSpec,
+    n: int,
+    strategy: str,
+    p_grid_db,
+    channels_per_point: int = 200,
+    seed: int = 0,
+) -> float:
+    """Least-squares slope of the mean computation rate vs log2(1 + P)."""
+    p_grid_db = list(p_grid_db)
+    if len(p_grid_db) < 2 or max(p_grid_db) - min(p_grid_db) < 30:
+        raise ValueError("the SNR grid must span at least 30 dB")
+    means = []
+    xs = []
+    for pi, p_db in enumerate(p_grid_db):
+        p_lin = db_to_linear(p_db)
+        acc = 0.0
+        for t in range(channels_per_point):
+            rng = _trial_rng(seed, pi * channels_per_point + t)
+            acc += design_relay(random_channel(n, p_lin, rng), ring, strategy).best_rate
+        means.append(acc / channels_per_point)
+        xs.append(math.log2(1.0 + p_lin))
+    slope = np.polyfit(xs, means, 1)[0]
+    return float(slope)

@@ -18,9 +18,9 @@ from .rings import RingElem, RingKind, RingSpec, parse_ring, quantize, units
 
 __all__ = [
     "ComplexBasis",
-    "RealBasis",
     "RingMatrix",
     "embed",
+    "fold_real_column",
     "embed_vector",
     "coeff_to_complex",
     "volume",
@@ -94,18 +94,6 @@ class ComplexBasis:
         return RingMatrix(tuple(rows), self.ring)
 
 
-@dataclass(frozen=True)
-class RealBasis:
-    """2n x 2n real generator matrix of the embedded Z-lattice."""
-
-    matrix: np.ndarray
-    ring: RingSpec
-    n: int
-
-    def volume(self) -> float:
-        return abs(np.linalg.det(self.matrix))
-
-
 def embed_vector(v: np.ndarray) -> np.ndarray:
     """Stack real parts over imaginary parts of a complex vector."""
     v = np.asarray(v, dtype=complex)
@@ -117,8 +105,8 @@ def coeff_to_complex(coeff) -> np.ndarray:
     return np.array([e.embed() for e in coeff], dtype=complex)
 
 
-def embed(basis: ComplexBasis) -> RealBasis:
-    """Real generator matrix: columns are the embeddings of b_j and xi*b_j.
+def embed(basis: ComplexBasis) -> np.ndarray:
+    """2n x 2n real generator matrix: columns are the embeddings of b_j and xi*b_j.
 
     Block layout [a-columns | b-columns] matches coefficient splitting
     x = x_a + xi*x_b: for any ring vector x,
@@ -133,7 +121,14 @@ def embed(basis: ComplexBasis) -> RealBasis:
     else:
         top = np.hstack([re, 0.5 * re - (root / 2.0) * im])
         bot = np.hstack([im, 0.5 * im + (root / 2.0) * re])
-    return RealBasis(np.vstack([top, bot]), basis.ring, basis.n)
+    return np.vstack([top, bot])
+
+
+def fold_real_column(col, ring: RingSpec) -> tuple:
+    """Ring coefficient vector x_a + xi*x_b from integer block coordinates
+    [x_a; x_b], the inverse of the embed layout."""
+    n = len(col) // 2
+    return tuple(ring.elem(int(col[j]), int(col[j + n])) for j in range(n))
 
 
 def volume(basis: ComplexBasis) -> float:

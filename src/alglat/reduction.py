@@ -118,16 +118,8 @@ def _exact_norms_squared(basis: ComplexBasis, transform: RingMatrix) -> list | N
 # Gauss reduction in two dimensions
 
 
-class ComplexBasisColumn:
-    """Mutable column wrapper so swaps stay cheap and explicit."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def norm2(self) -> float:
-        return float(np.vdot(self.v, self.v).real)
+def _norm2(v: np.ndarray) -> float:
+    return float(np.vdot(v, v).real)
 
 
 def gauss_reduce(b1, b2, ring: RingSpec) -> ReductionReport:
@@ -148,7 +140,7 @@ def gauss_reduce(b1, b2, ring: RingSpec) -> ReductionReport:
         warns.append(f"ring d={ring.d} is not norm-Euclidean; minima not guaranteed")
         warnings.warn(warns[-1], NonEuclideanRingWarning, stacklevel=2)
 
-    cols = [ComplexBasisColumn(b1.copy()), ComplexBasisColumn(b2.copy())]
+    cols = [b1, b2]
     ucols = [
         [ring.one, ring.zero],
         [ring.zero, ring.one],
@@ -163,26 +155,26 @@ def gauss_reduce(b1, b2, ring: RingSpec) -> ReductionReport:
         swaps += 1
         events.append("swap")
 
-    if cols[0].norm2() > cols[1].norm2():
+    if _norm2(cols[0]) > _norm2(cols[1]):
         do_swap()
 
     max_iters = GAUSS_ITER_FACTOR * max(2, len(b1))
     for _ in range(max_iters):
-        mu = np.vdot(cols[0].v, cols[1].v) / cols[0].norm2()
+        mu = np.vdot(cols[0], cols[1]) / _norm2(cols[0])
         c = quantize(mu, ring)
         if not c.is_zero():
-            cols[1].v = cols[1].v - c.embed() * cols[0].v
+            cols[1] = cols[1] - c.embed() * cols[0]
             ucols[1] = [ucols[1][i] - c * ucols[0][i] for i in range(2)]
             size_reductions += 1
             events.append("size_reduction")
-        if cols[1].norm2() >= cols[0].norm2():
+        if _norm2(cols[1]) >= _norm2(cols[0]):
             break
         do_swap()
     else:
         raise RuntimeError("gauss reduction exceeded its iteration budget")
 
     transform = RingMatrix.from_columns([tuple(ucols[0]), tuple(ucols[1])], ring)
-    reduced = ComplexBasis(np.column_stack([cols[0].v, cols[1].v]), ring)
+    reduced = ComplexBasis(np.column_stack(cols), ring)
     report = ReductionReport(
         reduced=reduced,
         transform=transform,
@@ -233,6 +225,7 @@ def _phase_normalize(Q: np.ndarray, R: np.ndarray, rows) -> None:
 
 
 def _qr_positive(B: np.ndarray):
+    """QR factors of a real or complex matrix with a real-positive diagonal in R."""
     Q, R = np.linalg.qr(B)
     _phase_normalize(Q, R, range(B.shape[0]))
     return Q, R
@@ -378,7 +371,11 @@ def _rows_from_cols(cols, n):
 
 
 def reduction_epsilon(ring: RingSpec, delta: float) -> float:
-    """eps = delta - rho^2, clamped to (0, 1]; <= 0 means no guarantees."""
+    """eps = delta - rho^2, capped at 1.
+
+    A value <= 0 (every non-Euclidean ring) is returned as is: it means the
+    quality bounds do not apply, and callers skip them.
+    """
     eps = delta - ring.covering_radius**2
     return min(eps, 1.0)
 
@@ -448,13 +445,7 @@ def real_lll(matrix: np.ndarray, delta: float = 0.99, max_steps: int | None = No
     if max_steps is None:
         max_steps = 20000 * m
 
-    def fresh_r():
-        _, r = np.linalg.qr(B)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        return r * signs[:, None]
-
-    R = fresh_r()
+    R = _qr_positive(B)[1]
     k = 1
     steps = 0
     while k < m:
@@ -484,7 +475,7 @@ def real_lll(matrix: np.ndarray, delta: float = 0.99, max_steps: int | None = No
             if R[k, k] < 0:
                 R[k, :] *= -1.0
             if swaps % REFACTOR_EVERY == 0:
-                R = fresh_r()
+                R = _qr_positive(B)[1]
             k = max(k - 1, 1)
         else:
             k += 1

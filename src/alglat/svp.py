@@ -5,7 +5,9 @@ preprocessing step), then embedded into R^(2n) with the two real coordinates
 of each ring coefficient kept adjacent, so the enumeration can exploit the
 unit group: only one representative per orbit under multiplication by units
 is visited (a quarter of the points for the Gaussian integers, a sixth for
-the Eisenstein integers, half elsewhere).
+the Eisenstein integers, half elsewhere).  One Schnorr-Euchner zig-zag
+kernel serves both the shortest-vector search and the collection of every
+point within a fixed radius.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import ComplexBasis, RingMatrix, coeff_to_complex
-from .reduction import NonEuclideanRingWarning, alll_reduce, gauss_reduce
+from .lattices import ComplexBasis, RingMatrix, coeff_to_complex, embed
+from .reduction import NonEuclideanRingWarning, _qr_positive, alll_reduce, gauss_reduce
 from .rings import RingElem, RingSpec, units
 
 __all__ = [
@@ -52,8 +54,8 @@ class SvpResult:
         return self.norm**2
 
 
-def _enum_shortest_py(R, best2, mode, budget, x_init):
-    """Depth-first enumeration of the shortest nonzero vector.
+def _enum_shortest_py(R, best2, mode, budget, x_init, collect):
+    """Depth-first Schnorr-Euchner enumeration of the shortest nonzero vector.
 
     R: upper triangular with positive diagonal, m = 2 * (ring rank).
     mode: 0 no symmetry pruning, 1 sign symmetry, 2 four/six-fold symmetry.
@@ -62,7 +64,12 @@ def _enum_shortest_py(R, best2, mode, budget, x_init):
     decided so far is zero, the current pair is restricted to one canonical
     sector of the unit-group action.
 
-    Returns (status, best_x, best_norm2, nodes); status 1 = budget exceeded.
+    With collect set, the radius stays at best2 and every nonzero point with
+    squared norm below it is recorded instead (one per unit orbit when
+    mode > 0), under the same pruning and node budget.
+
+    Returns (status, best_x, best_norm2, nodes, points); status 1 = budget
+    exceeded; points holds (squared norm, x) pairs in collect mode.
     """
     m = R.shape[0]
     x = np.zeros(m, dtype=np.int64)
@@ -73,6 +80,7 @@ def _enum_shortest_py(R, best2, mode, budget, x_init):
     constrained = np.zeros(m, dtype=np.uint8)
     nzsuf = np.zeros(m, dtype=np.int64)  # nonzero count at levels > i
     nodes = 0
+    points = []
 
     def init_level(i):
         lo_active = False
@@ -115,14 +123,17 @@ def _enum_shortest_py(R, best2, mode, budget, x_init):
     while True:
         nodes += 1
         if nodes > budget:
-            return 1, best_x, cur_best2, nodes
+            return 1, best_x, cur_best2, nodes, points
         y = R[i, i] * (x[i] - center[i])
         d = pdist[i] + y * y
         if d < cur_best2:
             if i == 0:
                 if nzsuf[0] + (1 if x[0] != 0 else 0) > 0:
-                    cur_best2 = d
-                    best_x[:] = x
+                    if collect:
+                        points.append((d, x.copy()))
+                    else:
+                        cur_best2 = d
+                        best_x[:] = x
                 advance(0)
             else:
                 nzsuf[i - 1] = nzsuf[i] + (1 if x[i] != 0 else 0)
@@ -140,7 +151,7 @@ def _enum_shortest_py(R, best2, mode, budget, x_init):
                 continue
             i += 1
             if i == m:
-                return 0, best_x, cur_best2, nodes
+                return 0, best_x, cur_best2, nodes, points
             advance(i)
 
 
@@ -152,26 +163,16 @@ except ImportError:  # pragma: no cover
     _enum_shortest = _enum_shortest_py
 
 
-def _interleaved_embedding(matrix: np.ndarray, ring: RingSpec) -> np.ndarray:
-    """Real generator with columns [stack(b_j), stack(xi*b_j)] interleaved."""
-    n = matrix.shape[0]
-    M = np.empty((2 * n, 2 * n))
-    xi = ring.xi
-    for j in range(n):
-        col = matrix[:, j]
-        xcol = xi * col
-        M[:n, 2 * j] = col.real
-        M[n:, 2 * j] = col.imag
-        M[:n, 2 * j + 1] = xcol.real
-        M[n:, 2 * j + 1] = xcol.imag
-    return M
+def _enumeration_r(basis: ComplexBasis) -> np.ndarray:
+    """R factor of the embedding with the two real columns of each ring
+    coordinate adjacent: embed's columns in the order [0, n, 1, n+1, ...]."""
+    pair_order = np.arange(2 * basis.n).reshape(2, basis.n).T.ravel()
+    return np.ascontiguousarray(_qr_positive(embed(basis)[:, pair_order])[1])
 
 
-def _positive_qr(M: np.ndarray):
-    Q, R = np.linalg.qr(M)
-    s = np.sign(np.diag(R))
-    s[s == 0] = 1.0
-    return Q * s[None, :], R * s[:, None]
+def _coeff_from_levels(x, ring: RingSpec) -> tuple:
+    """Ring coefficients from enumeration levels (2j integer part, 2j+1 xi part)."""
+    return tuple(ring.elem(int(x[2 * j]), int(x[2 * j + 1])) for j in range(len(x) // 2))
 
 
 def _symmetry_mode(ring: RingSpec, use_symmetry: bool) -> int:
@@ -204,7 +205,7 @@ def _reduce_for_enumeration(basis: ComplexBasis):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonEuclideanRingWarning)
         rep = alll_reduce(basis, delta=0.99)
-    return rep.reduced.matrix, rep.transform
+    return rep.reduced, rep.transform
 
 
 def shortest_vector(
@@ -228,72 +229,25 @@ def shortest_vector(
         return SvpResult(coeff, float(np.linalg.norm(basis.matrix[:, 0])), 0)
 
     if preprocess:
-        Bred, U = _reduce_for_enumeration(basis)
+        reduced, U = _reduce_for_enumeration(basis)
     else:
-        Bred, U = np.array(basis.matrix), RingMatrix.identity(n, ring)
+        reduced, U = basis, RingMatrix.identity(n, ring)
 
-    M = _interleaved_embedding(Bred, ring)
-    _, R = _positive_qr(M)
-    col_norms2 = np.sum(np.abs(Bred) ** 2, axis=0)
+    R = _enumeration_r(reduced)
+    col_norms2 = np.sum(np.abs(reduced.matrix) ** 2, axis=0)
     jmin = int(np.argmin(col_norms2))
     x_init = np.zeros(2 * n, dtype=np.int64)
     x_init[2 * jmin] = 1
     best2 = float(col_norms2[jmin]) * (1.0 + 1e-9)
 
     mode = _symmetry_mode(ring, use_symmetry)
-    status, xbest, _, nodes = _enum_shortest(
-        np.ascontiguousarray(R), best2, mode, max_nodes, x_init
-    )
+    status, xbest, _, nodes, _ = _enum_shortest(R, best2, mode, max_nodes, x_init, False)
     if status == 1:
         raise EnumerationBudgetError(nodes, math.sqrt(best2))
 
-    coeff_red = tuple(ring.elem(int(xbest[2 * j]), int(xbest[2 * j + 1])) for j in range(n))
-    coeff = canonicalize_by_unit(U @ coeff_red, ring)
+    coeff = canonicalize_by_unit(U @ _coeff_from_levels(xbest, ring), ring)
     norm = float(np.linalg.norm(basis.matrix @ coeff_to_complex(coeff)))
     return SvpResult(coeff, norm, int(nodes))
-
-
-def _enum_collect(R, radius2, mode):
-    """All coefficient vectors with squared norm <= radius2 (one per unit orbit
-    when mode > 0), as (dist2, x tuple) pairs."""
-    m = R.shape[0]
-    x = [0] * m
-    sols = []
-
-    def rec(i, pdist, nz):
-        acc = 0.0
-        for k in range(i + 1, m):
-            acc += R[i, k] * x[k]
-        c = -acc / R[i, i]
-        w = math.sqrt(max(radius2 - pdist, 0.0)) / R[i, i]
-        lo = math.ceil(c - w - 1e-12)
-        hi = math.floor(c + w + 1e-12)
-        if mode > 0:
-            if i % 2 == 1:
-                if nz == 0:
-                    lo = max(lo, 0)
-            else:
-                pair_zero = (nz - (1 if x[i + 1] != 0 else 0)) == 0 if i + 1 < m else True
-                if pair_zero:
-                    if x[i + 1] == 0 and nz == 0:
-                        lo = max(lo, 0)
-                    elif x[i + 1] > 0 and mode == 2:
-                        lo = max(lo, 1)
-        for xi in range(lo, hi + 1):
-            y = R[i, i] * (xi - c)
-            d = pdist + y * y
-            if d > radius2 * (1.0 + 1e-12) + 1e-12:
-                continue
-            x[i] = xi
-            if i == 0:
-                if nz + (1 if xi != 0 else 0) > 0:
-                    sols.append((d, tuple(x)))
-            else:
-                rec(i - 1, d, nz + (1 if xi != 0 else 0))
-        x[i] = 0
-
-    rec(m - 1, 0.0, 0)
-    return sols
 
 
 def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDGET):
@@ -302,6 +256,7 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
     lambda2 is found by enumerating all vectors up to the norm of the second
     reduced basis vector (always an upper bound for lambda2) and taking the
     shortest one whose coefficient pair is ring-independent of the first.
+    Each enumeration raises EnumerationBudgetError past max_nodes nodes.
     """
     if basis.n != 2:
         raise ValueError("successive_minima_2d needs a rank-2 basis")
@@ -311,18 +266,20 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonEuclideanRingWarning)
         rep = gauss_reduce(basis.matrix[:, 0], basis.matrix[:, 1], ring)
-    Bred, U = rep.reduced.matrix, rep.transform
-    M = _interleaved_embedding(Bred, ring)
-    _, R = _positive_qr(M)
-    radius2 = float(max(np.sum(np.abs(Bred) ** 2, axis=0)))
+    R = _enumeration_r(rep.reduced)
+    radius2 = float(max(np.sum(np.abs(rep.reduced.matrix) ** 2, axis=0)))
 
     mode = _symmetry_mode(ring, True)
+    x_none = np.zeros(4, dtype=np.int64)
     c1 = r1.coefficient
     for _ in range(6):
-        sols = sorted(_enum_collect(np.ascontiguousarray(R), radius2 * (1 + 1e-9), mode))
-        for d, xv in sols:
-            coeff_red = tuple(ring.elem(xv[2 * j], xv[2 * j + 1]) for j in range(2))
-            cand = U @ coeff_red
+        status, _, _, nodes, points = _enum_shortest(
+            R, radius2 * (1 + 1e-9), mode, max_nodes, x_none, True
+        )
+        if status == 1:
+            raise EnumerationBudgetError(nodes, math.sqrt(radius2))
+        for _, xv in sorted((d, tuple(int(v) for v in x)) for d, x in points):
+            cand = rep.transform @ _coeff_from_levels(xv, ring)
             cross = c1[0] * cand[1] - c1[1] * cand[0]
             if not cross.is_zero():
                 cand = canonicalize_by_unit(cand, ring)

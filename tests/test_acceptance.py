@@ -18,11 +18,10 @@ from alglat.cf import (
     db_to_linear,
     default_morphism,
     design_relay,
-    rank_failure_probability,
     rank_mod_p,
     transmission_rate,
 )
-from alglat.experiments import hermite_cdf
+from alglat.experiments import hermite_cdf, rank_failure_probability
 from alglat.lattices import ComplexBasis, RingMatrix, embed
 from alglat.reduction import (
     _qr_positive,
@@ -71,7 +70,7 @@ def test_criterion_01_golden_euclidean_example():
     assert rep.norms_squared_exact == [16, 28]
     assert rep.norms[0] ** 2 == pytest.approx(16.0, abs=1e-6)
     assert rep.norms[1] ** 2 == pytest.approx(28.0, abs=1e-6)
-    reduced, _, _ = real_lll(embed(B).matrix, delta=1.0)
+    reduced, _, _ = real_lll(embed(B), delta=1.0)
     norms_sq = [float(np.dot(reduced[:, j], reduced[:, j])) for j in range(4)]
     assert norms_sq == pytest.approx([16.0, 16.0, 31.0, 28.0], abs=1e-6)
     elapsed = time.perf_counter() - t0
@@ -285,7 +284,7 @@ def test_criterion_08_rate_ordering_and_degradation():
 
 
 def test_criterion_09_dof_slopes():
-    from alglat.cf import dof_slope
+    from alglat.experiments import dof_slope
 
     t0 = time.perf_counter()
     grid = [10, 20, 30, 40, 50, 60]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alglat.cf import (
     Channel,
@@ -11,16 +13,23 @@ from alglat.cf import (
     default_morphism,
     design_relay,
     det_mod_p,
-    dof_slope,
     mac_rate_floor,
-    rank_failure_probability,
     rank_mod_p,
     random_channel,
     transmission_rate,
 )
-from alglat.lattices import RingMatrix, coeff_to_complex, random_unimodular
+from alglat.experiments import (
+    _trial_rng,
+    cf_experiment,
+    dof_slope,
+    hermite_cdf,
+    rank_failure_probability,
+)
+from alglat.lattices import ComplexBasis, RingMatrix, coeff_to_complex, random_unimodular, volume
+from alglat.reduction import gauss_reduce
 from alglat.reduction import reduction_epsilon
 from alglat.rings import morphism_new, ring_new
+from alglat.svp import shortest_vector
 
 RING1 = ring_new(1)
 RING3 = ring_new(3)
@@ -269,3 +278,79 @@ class TestExperimentOps:
         mor = default_morphism(RING1)
         with pytest.raises(ValueError):
             rank_failure_probability(RING1, mor, 2, 10.0, 0, "best_single", seed=0)
+
+
+class TestTrialSeeding:
+    """Each trial draws only from its own child generator, so trials computed
+    one at a time, in any order, reproduce the harness exactly."""
+
+    def test_hermite_cdf_trials_are_independent(self):
+        rings, trials, seed = [RING1, ring_new(5)], 100, 11
+        data = hermite_cdf(rings, trials, seed)
+        for ri, ring in enumerate(rings):
+            vals = []
+            for t in reversed(range(trials)):
+                rng = _trial_rng(seed, ri * trials + t)
+                m = math.sqrt(0.5) * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+                if ring.euclidean:
+                    rep = gauss_reduce(m[:, 0], m[:, 1], ring)
+                    basis, lam1 = rep.reduced, rep.norms[0]
+                else:
+                    basis = ComplexBasis(m, ring)
+                    lam1 = shortest_vector(basis).norm
+                vals.append(lam1**2 / math.sqrt(volume(basis)))
+            assert np.array_equal(np.sort(vals), data[ring])
+
+    def test_rank_failure_trials_are_independent(self):
+        mor = default_morphism(RING1)
+        p, trials, seed = db_to_linear(25.0), 80, 12
+        pr, pf = rank_failure_probability(RING1, mor, 2, p, trials, "best_single", seed)
+        ring_fail = field_fail = 0
+        for t in reversed(range(trials)):
+            rng = _trial_rng(seed, t)
+            vecs = [design_relay(random_channel(2, p, rng), RING1, "svp").best_vector for _ in range(2)]
+            A = RingMatrix.from_columns(vecs, RING1)
+            singular = A.det().is_zero()
+            ring_fail += singular
+            field_fail += singular or rank_mod_p(A, mor) < 2
+        assert field_fail > 0
+        assert (pr, pf) == (ring_fail / trials, field_fail / trials)
+
+
+class TestBestSingleAlias:
+    def test_design_equals_svp(self):
+        rng = np.random.default_rng(21)
+        for ring in (RING1, RING3):
+            for _ in range(10):
+                ch = random_channel(3, db_to_linear(20.0), rng)
+                a = design_relay(ch, ring, "best_single")
+                b = design_relay(ch, ring, "svp")
+                assert (a.vectors, a.rates) == (b.vectors, b.rates)
+
+    def test_experiment_rows_equal_svp(self):
+        rows = cf_experiment(RING1, 2, [10.0, 30.0], 5, ["svp", "best_single"], seed=3)
+        by_name = {}
+        for r in rows:
+            by_name.setdefault(r[0], []).append(r[1:])
+        assert by_name["best_single"] == by_name["svp"]
+
+
+@st.composite
+def ring_matrices(draw):
+    ring = ring_new(draw(st.sampled_from((1, 3))))
+    n = draw(st.integers(1, 4))
+    coord = st.integers(-3, 3)
+    row = st.lists(st.tuples(coord, coord), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    return RingMatrix.from_int_rows(rows, ring)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_matrices())
+def test_field_elimination_properties(A):
+    mor = default_morphism(A.ring)
+    det = det_mod_p(A, mor)
+    rank = rank_mod_p(A, mor)
+    assert det == mor.apply(A.det())
+    assert (rank == A.n) == (det != 0)
+    assert rank == rank_mod_p(RingMatrix.from_columns(A.entries, A.ring), mor)

@@ -37,15 +37,15 @@ def random_elem_vector(ring, n, rng, lo=-5, hi=6):
 class TestEmbed:
     def test_scalar_one_d2(self):
         B = ComplexBasis(np.array([[1.0 + 0j]]), RING2)
-        np.testing.assert_allclose(embed(B).matrix, [[1, 0], [0, math.sqrt(2)]], atol=1e-15)
+        np.testing.assert_allclose(embed(B), [[1, 0], [0, math.sqrt(2)]], atol=1e-15)
 
     def test_scalar_one_d3(self):
         B = ComplexBasis(np.array([[1.0 + 0j]]), RING3)
-        np.testing.assert_allclose(embed(B).matrix, [[1, 0.5], [0, math.sqrt(3) / 2]], atol=1e-15)
+        np.testing.assert_allclose(embed(B), [[1, 0.5], [0, math.sqrt(3) / 2]], atol=1e-15)
 
     def test_scalar_i_d1(self):
         B = ComplexBasis(np.array([[1j]]), RING1)
-        np.testing.assert_allclose(embed(B).matrix, [[0, -1], [1, 0]], atol=1e-15)
+        np.testing.assert_allclose(embed(B), [[0, -1], [1, 0]], atol=1e-15)
 
     @pytest.mark.parametrize("d", (1, 2, 3, 5, 7, 11))
     def test_coefficient_identity(self, d):
@@ -58,7 +58,7 @@ class TestEmbed:
             x = random_elem_vector(ring, n, rng)
             lhs = embed_vector(B.matrix @ coeff_to_complex(x))
             coords = np.array([e.a for e in x] + [e.b for e in x], dtype=float)
-            rhs = embed(B).matrix @ coords
+            rhs = embed(B) @ coords
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     @pytest.mark.parametrize("d", (1, 3))
@@ -72,7 +72,7 @@ class TestEmbed:
             v = B.matrix @ coeff_to_complex(x)
             coords = np.array([e.a for e in x] + [e.b for e in x], dtype=float)
             assert np.linalg.norm(v) == pytest.approx(
-                np.linalg.norm(embed(B).matrix @ coords), rel=1e-9, abs=1e-12
+                np.linalg.norm(embed(B) @ coords), rel=1e-9, abs=1e-12
             )
 
     def test_real_volume_identity(self):
@@ -81,7 +81,7 @@ class TestEmbed:
             ring = ring_new(d)
             for _ in range(20):
                 B = random_basis(ring, int(rng.integers(1, 5)), rng)
-                det_embed = abs(np.linalg.det(embed(B).matrix))
+                det_embed = abs(np.linalg.det(embed(B)))
                 assert det_embed == pytest.approx(volume(B), rel=1e-9)
 
 

@@ -268,7 +268,7 @@ class TestRealLll:
     def test_eisenstein_golden_delta_one(self):
         b1, b2 = eisenstein_golden_basis()
         B = ComplexBasis(np.column_stack([b1, b2]), RING3)
-        reduced, T, _ = real_lll(embed(B).matrix, delta=1.0)
+        reduced, T, _ = real_lll(embed(B), delta=1.0)
         norms_sq = [float(np.dot(reduced[:, j], reduced[:, j])) for j in range(4)]
         assert norms_sq == pytest.approx([16, 16, 31, 28], abs=1e-6)
         assert round(abs(float(np.linalg.det(np.array(T, dtype=float))))) == 1
@@ -276,7 +276,7 @@ class TestRealLll:
     def test_noneuclidean_golden(self):
         b1, b2 = noneuclidean_golden_basis()
         B = ComplexBasis(np.column_stack([b1, b2]), RING5)
-        reduced, _, _ = real_lll(embed(B).matrix, delta=1.0)
+        reduced, _, _ = real_lll(embed(B), delta=1.0)
         norms_sq = [float(np.dot(reduced[:, j], reduced[:, j])) for j in range(4)]
         assert norms_sq == pytest.approx([20, 30, 26, 39], abs=1e-6)
 

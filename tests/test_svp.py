@@ -188,3 +188,11 @@ class TestSuccessiveMinima:
         B = ComplexBasis(np.eye(3, dtype=complex), RING1)
         with pytest.raises(ValueError):
             successive_minima_2d(B)
+
+    def test_node_budget_covers_second_minimum(self):
+        # enough nodes to certify lambda1 are too few to list every point up
+        # to the second reduced vector, so the budget must stop that search
+        B = ComplexBasis(np.diag([1.0, 3.0]).astype(complex), RING1)
+        nodes = shortest_vector(B).enumerated_nodes
+        with pytest.raises(EnumerationBudgetError):
+            successive_minima_2d(B, max_nodes=nodes)
