@@ -1,8 +1,9 @@
 """Byte-level pins of CLI outputs recorded with alglat 0.1.0.
 
 Refactors of the reduction, enumeration and compute-and-forward layers must
-leave these exact: the cf-experiment CSV (floats in its .10g format) and the
-integer parts of reduce/svp on the golden rank-2 bases.
+leave these exact: the cf-experiment CSV (floats in its .10g format), the
+integer parts of reduce/svp on the golden rank-2 bases, and every field of
+the alll_reduce and gauss_reduce reports on float and exact-entry bases.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import pytest
 
 from alglat.cli import main
 from alglat.lattices import ComplexBasis, basis_to_json
+from alglat.reduction import alll_reduce, gauss_reduce
 from alglat.rings import ring_new
 
 CF_CSV_SHA256 = {
@@ -75,3 +77,75 @@ def test_golden_integer_outputs(tmp_path, d):
         assert report["transform"] == GOLDEN[d][alg]
     res = json.loads(run_cli(tmp_path, ["svp", "--basis", str(path)]))
     assert (res["coefficient"], res["enumerated_nodes"]) == GOLDEN[d]["svp"]
+
+
+# ---------------------------------------------------------------------------
+# full reduction reports
+
+REPORT_SHA256 = {
+    "alll": {
+        1: "8929f3d42a544a1637b8ef861adcc5fa684776b2b91246b78413f124cb873a0d",
+        3: "28b45316dade80ee91d4904b792c24d6936b50c66ea22a707260b5b708574b72",
+        5: "0d8d5c77cdd83c83bc2a105e60c17585d38cb4148a917d917228ef3facb9315d",
+    },
+    "gauss": {
+        1: "1c3dce70d840ce31731a47016e7f790bf3c7f14e15b05bb2d38ca09868f9f9d5",
+        3: "48ba9f8a2aab871f680ed4a44e7d891c0f4ee20a01539bd181124a266c311d98",
+        5: "f2966cc0613985cd42d3bdad7a32b6a8dbf825c01d341e2ef0af35e834785c79",
+    },
+}
+
+#: bases per rank in the alll pin; each comes as a float and an exact-entry draw
+ALLL_COUNTS = {2: 8, 4: 6, 8: 4, 16: 2}
+GAUSS_COUNT = 50
+
+
+def pin_bases(d, n, count):
+    """(float CN(0,1) basis, exact basis with coordinates in [-3, 3]) pairs."""
+    xi = ring_new(d).xi
+    for k in range(count):
+        rng = np.random.default_rng([d, n, k])
+        z = np.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        while True:
+            m = rng.integers(-3, 4, size=(n, n)) + xi * rng.integers(-3, 4, size=(n, n))
+            if np.linalg.matrix_rank(m) == n:
+                break
+        yield z
+        yield m
+
+
+def report_digest(rep) -> str:
+    """sha256 over every output field of a ReductionReport except wall time."""
+    checks = sorted(
+        (k, repr(c.lhs), repr(c.rhs), c.passed, c.skipped) for k, c in rep.bound_checks.items()
+    )
+    fields = [
+        rep.reduced.matrix.tobytes().hex(),
+        repr([[(e.a, e.b) for e in row] for row in rep.transform.entries]),
+        repr(rep.events),
+        repr([repr(float(r)) for r in rep.potential_ratios]),
+        repr((rep.swaps, rep.size_reductions, rep.norms_squared_exact, rep.stalled)),
+        repr(checks),
+    ]
+    return hashlib.sha256("\n".join(fields).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("d", sorted(REPORT_SHA256["alll"]))
+def test_alll_reports(d):
+    ring = ring_new(d)
+    h = hashlib.sha256()
+    for n, count in ALLL_COUNTS.items():
+        for m in pin_bases(d, n, count):
+            basis = ComplexBasis(m, ring)
+            lambda1 = 0.5 * float(np.min(np.linalg.norm(m, axis=0)))
+            h.update(report_digest(alll_reduce(basis, lambda1=lambda1)).encode())
+    assert h.hexdigest() == REPORT_SHA256["alll"][d]
+
+
+@pytest.mark.parametrize("d", sorted(REPORT_SHA256["gauss"]))
+def test_gauss_reports(d):
+    ring = ring_new(d)
+    h = hashlib.sha256()
+    for m in pin_bases(d, 2, GAUSS_COUNT):
+        h.update(report_digest(gauss_reduce(m[:, 0], m[:, 1], ring)).encode())
+    assert h.hexdigest() == REPORT_SHA256["gauss"][d]
