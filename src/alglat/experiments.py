@@ -163,15 +163,18 @@ def _rank_failures(designs, morphism: FieldMorphism | None) -> tuple[bool, bool]
     """Whether one network's coefficient matrix is singular over the ring and
     over F_p.
 
-    The matrix is the chosen unimodular candidate for alll designs when a
-    morphism is given, and the stack of per-relay best equations otherwise;
-    a ring-singular matrix counts as a field failure too.
+    For alll designs the matrix is a unimodular candidate: the one
+    transmission_rate chooses when a morphism is given, else the first
+    relay's.  For the other strategies it is the stack of per-relay best
+    equations.  A ring-singular matrix counts as a field failure too.
     """
     ring = designs[0].ring
-    if designs[0].strategy == "alll" and morphism is not None:
-        A = transmission_rate(designs, morphism).chosen_matrix
-    else:
+    if designs[0].strategy != "alll":
         A = RingMatrix.from_columns([d.best_vector for d in designs], ring)
+    elif morphism is None:
+        A = designs[0].matrix
+    else:
+        A = transmission_rate(designs, morphism).chosen_matrix
     if A.det().is_zero():
         return True, True
     return False, morphism is not None and rank_mod_p(A, morphism) < len(designs)
@@ -190,10 +193,10 @@ def cf_experiment(
 
     Each trial draws one n-relay network; the same channels are replayed for
     every strategy so the comparison columns are paired, and a strategy and
-    its aliases share one design.  Rank failure uses the chosen unimodular
-    matrix for the alll strategy and the stack of per-relay best equations
-    otherwise; field-rank columns are empty when the ring has no default
-    morphism and none is supplied.
+    its aliases share one design.  Rank failure uses a unimodular candidate
+    matrix for the alll strategy, with or without a field morphism, and the
+    stack of per-relay best equations otherwise; field-rank columns are empty
+    when the ring has no default morphism and none is supplied.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import RingElem, RingKind, RingSpec, parse_ring, quantize, units
+from .rings import RingElem, RingKind, RingSpec, _quantize_pair, parse_ring, units
 
 __all__ = [
     "ComplexBasis",
@@ -82,16 +82,18 @@ class ComplexBasis:
 
     def exact_entries(self, tol: float = 1e-9) -> "RingMatrix | None":
         """Recover exact ring entries when every entry is a ring element."""
+        xi = self.ring.xi
         rows = []
         for i in range(self.n):
             row = []
             for j in range(self.n):
-                q = quantize(self.matrix[i, j], self.ring)
-                if abs(self.matrix[i, j] - q.embed()) > tol:
+                z = complex(self.matrix[i, j])
+                a, b = _quantize_pair(z, self.ring)
+                if abs(z - (complex(a) + b * xi)) > tol:
                     return None
-                row.append(q)
-            rows.append(tuple(row))
-        return RingMatrix(tuple(rows), self.ring)
+                row.append((a, b))
+            rows.append(row)
+        return RingMatrix.from_int_rows(rows, self.ring)
 
 
 def embed_vector(v: np.ndarray) -> np.ndarray:

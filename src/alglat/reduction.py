@@ -1,9 +1,12 @@
 """Basis reduction: algebraic Gauss, algebraic LLL, and classic real LLL.
 
 The algebraic algorithms quantize Gram-Schmidt coefficients to the ring and
-keep the unimodular transform exact.  QR factors are maintained incrementally
-and the R structure is restored after each column swap by a 2x2 unitary
-rotation (the matrix form of a quaternion).
+keep the unimodular transform exact, as two integer coordinate arrays
+U = A + xi*B that the inner loops update with Python ints.  Only the R factor
+is maintained incrementally: its structure is restored after each column
+swap by a 2x2 unitary rotation (the matrix form of a quaternion), and it is
+recomputed from the input basis and the exact transform every
+REFACTOR_EVERY swaps.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattices import ComplexBasis, RingMatrix, orthogonality_defect
-from .rings import RingSpec, quantize
+from .rings import RingSpec, _quantize_pair, quantize  # noqa: F401  (quantize stays importable here)
 
 __all__ = [
     "BoundCheck",
@@ -103,15 +106,64 @@ class ReductionReport:
         }
 
 
-def _exact_norms_squared(basis: ComplexBasis, transform: RingMatrix) -> list | None:
-    """Column norms as exact integers when the input has exact ring entries."""
+# ---------------------------------------------------------------------------
+# the exact transform as integer coordinates: column j of U is
+# ua[j] + xi * ub[j], with ua[j][i], ub[j][i] Python ints
+
+
+def _identity_coords(n: int):
+    return [[int(i == j) for i in range(n)] for j in range(n)], [[0] * n for _ in range(n)]
+
+
+def _sub_multiple(ua, ub, j: int, k: int, ca: int, cb: int, ring: RingSpec) -> None:
+    """Column j of U -= (ca + cb*xi) * column k, using xi^2 = s*xi + t."""
+    if cb == 0:
+        ua[j] = [x - ca * y for x, y in zip(ua[j], ua[k])]
+        ub[j] = [x - ca * y for x, y in zip(ub[j], ub[k])]
+        return
+    s, t = ring.minpoly_coeffs
+    tb, sb = t * cb, ca + s * cb
+    ua[j] = [x - ca * y - tb * z for x, y, z in zip(ua[j], ua[k], ub[k])]
+    ub[j] = [x - sb * z - cb * y for x, y, z in zip(ub[j], ua[k], ub[k])]
+
+
+def _embed_coords(ua, ub, ring: RingSpec) -> np.ndarray:
+    """U as a complex matrix, each entry embedded as complex(a) + b*xi."""
+    xi = ring.xi
+    n = len(ua)
+    return np.array(
+        [[complex(ua[j][i]) + ub[j][i] * xi for j in range(n)] for i in range(n)],
+        dtype=complex,
+    )
+
+
+def _coords_matrix(ua, ub, ring: RingSpec) -> RingMatrix:
+    n = len(ua)
+    return RingMatrix.from_int_rows(
+        [[(ua[j][i], ub[j][i]) for j in range(n)] for i in range(n)], ring
+    )
+
+
+def _exact_norms_squared(basis: ComplexBasis, ua, ub) -> list | None:
+    """Column norms of basis @ U as exact integers when the input has exact
+    ring entries."""
     exact = basis.exact_entries()
     if exact is None:
         return None
-    reduced = exact @ transform
-    return [
-        sum(reduced[i, j].norm() for i in range(exact.n)) for j in range(exact.n)
-    ]
+    s, t = basis.ring.minpoly_coeffs
+    p, q = basis.ring.norm_form
+    rows = [([e.a for e in row], [e.b for e in row]) for row in exact.entries]
+    norms = []
+    for a2, b2 in zip(ua, ub):
+        total = 0
+        for a1, b1 in rows:
+            # (a1 + b1 xi)(a2 + b2 xi) = a1 a2 + t b1 b2 + (a1 b2 + b1 a2 + s b1 b2) xi
+            bb = sum(x * y for x, y in zip(b1, b2))
+            a = sum(x * y for x, y in zip(a1, a2)) + t * bb
+            b = sum(x * y for x, y in zip(a1, b2)) + sum(x * y for x, y in zip(b1, a2)) + s * bb
+            total += a * a + p * a * b + q * b * b
+        norms.append(total)
+    return norms
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +193,16 @@ def gauss_reduce(b1, b2, ring: RingSpec) -> ReductionReport:
         warnings.warn(warns[-1], NonEuclideanRingWarning, stacklevel=2)
 
     cols = [b1, b2]
-    ucols = [
-        [ring.one, ring.zero],
-        [ring.zero, ring.one],
-    ]
+    ua, ub = _identity_coords(2)
+    xi = ring.xi
     events: list[str] = []
     swaps = size_reductions = 0
 
     def do_swap():
         nonlocal swaps
-        cols[0], cols[1] = cols[1], cols[0]
-        ucols[0], ucols[1] = ucols[1], ucols[0]
+        cols.reverse()
+        ua.reverse()
+        ub.reverse()
         swaps += 1
         events.append("swap")
 
@@ -161,10 +212,10 @@ def gauss_reduce(b1, b2, ring: RingSpec) -> ReductionReport:
     max_iters = GAUSS_ITER_FACTOR * max(2, len(b1))
     for _ in range(max_iters):
         mu = np.vdot(cols[0], cols[1]) / _norm2(cols[0])
-        c = quantize(mu, ring)
-        if not c.is_zero():
-            cols[1] = cols[1] - c.embed() * cols[0]
-            ucols[1] = [ucols[1][i] - c * ucols[0][i] for i in range(2)]
+        ca, cb = _quantize_pair(complex(mu), ring)
+        if ca or cb:
+            cols[1] = cols[1] - (complex(ca) + cb * xi) * cols[0]
+            _sub_multiple(ua, ub, 1, 0, ca, cb, ring)
             size_reductions += 1
             events.append("size_reduction")
         if _norm2(cols[1]) >= _norm2(cols[0]):
@@ -173,17 +224,16 @@ def gauss_reduce(b1, b2, ring: RingSpec) -> ReductionReport:
     else:
         raise RuntimeError("gauss reduction exceeded its iteration budget")
 
-    transform = RingMatrix.from_columns([tuple(ucols[0]), tuple(ucols[1])], ring)
     reduced = ComplexBasis(np.column_stack(cols), ring)
     report = ReductionReport(
         reduced=reduced,
-        transform=transform,
+        transform=_coords_matrix(ua, ub, ring),
         swaps=swaps,
         size_reductions=size_reductions,
         delta=None,
         warnings=warns,
         events=events,
-        norms_squared_exact=_exact_norms_squared(basis, transform),
+        norms_squared_exact=_exact_norms_squared(basis, ua, ub),
         wall_time=time.perf_counter() - t0,
     )
     return report
@@ -212,23 +262,22 @@ def quaternion_rotation(r_above: complex, r_below: complex) -> np.ndarray:
     )
 
 
-def _phase_normalize(Q: np.ndarray, R: np.ndarray, rows) -> None:
-    """Rescale so R has a real-positive diagonal, absorbing phases into Q."""
+def _phase_normalize(R: np.ndarray, rows) -> None:
+    """Rescale the given rows of R so its diagonal there is real-positive."""
     for i in rows:
         rii = R[i, i]
         mag = abs(rii)
         if mag == 0.0:
             continue
-        phase = rii / mag
-        R[i, :] *= np.conj(phase)
-        Q[:, i] *= phase
+        R[i, :] *= np.conj(rii / mag)
 
 
-def _qr_positive(B: np.ndarray):
-    """QR factors of a real or complex matrix with a real-positive diagonal in R."""
-    Q, R = np.linalg.qr(B)
-    _phase_normalize(Q, R, range(B.shape[0]))
-    return Q, R
+def _r_positive(B: np.ndarray) -> np.ndarray:
+    """R factor of the QR decomposition of a real or complex matrix, with a
+    real-positive diagonal."""
+    R = np.linalg.qr(B, mode="r")
+    _phase_normalize(R, range(B.shape[0]))
+    return R
 
 
 def potential(R: np.ndarray) -> float:
@@ -293,8 +342,9 @@ def alll_reduce(
         warnings.warn(warns[-1], NonEuclideanRingWarning, stacklevel=2)
 
     B = np.array(basis.matrix, dtype=complex)
-    Q, R = _qr_positive(B)
-    ucols = [list(col) for col in RingMatrix.identity(n, ring).columns()]
+    R = _r_positive(B)
+    ua, ub = _identity_coords(n)
+    xi = ring.xi
 
     swaps = size_reductions = 0
     events: list[str] = []
@@ -302,22 +352,13 @@ def alll_reduce(
     stalled = False
     stall_run = 0
 
-    def refactor():
-        nonlocal Q, R
-        u_embed = np.array(
-            [[e.embed() for e in _rows_from_cols(ucols, n)[i]] for i in range(n)],
-            dtype=complex,
-        )
-        Q, R = _qr_positive(B @ u_embed)
-
     j = 1
     while j < n:
         for k in range(j - 1, -1, -1):
-            c = quantize(R[k, j] / R[k, k], ring)
-            if not c.is_zero():
-                ce = c.embed()
-                R[: k + 1, j] -= ce * R[: k + 1, k]
-                ucols[j] = [ucols[j][i] - c * ucols[k][i] for i in range(n)]
+            ca, cb = _quantize_pair(complex(R[k, j] / R[k, k]), ring)
+            if ca or cb:
+                R[: k + 1, j] -= (complex(ca) + cb * xi) * R[: k + 1, k]
+                _sub_multiple(ua, ub, j, k, ca, cb, ring)
                 size_reductions += 1
                 events.append(f"size_reduction:{j}")
         if delta * abs(R[j - 1, j - 1]) ** 2 > abs(R[j, j]) ** 2 + abs(R[j - 1, j]) ** 2:
@@ -325,15 +366,15 @@ def alll_reduce(
             pot_ratios.append(ratio)
             M = quaternion_rotation(R[j - 1, j], R[j, j])
             R[:, [j - 1, j]] = R[:, [j, j - 1]]
-            ucols[j - 1], ucols[j] = ucols[j], ucols[j - 1]
+            ua[j - 1], ua[j] = ua[j], ua[j - 1]
+            ub[j - 1], ub[j] = ub[j], ub[j - 1]
             R[j - 1 : j + 1, :] = M @ R[j - 1 : j + 1, :]
-            Q[:, j - 1 : j + 1] = Q[:, j - 1 : j + 1] @ M.conj().T
             R[j, j - 1] = 0.0
-            _phase_normalize(Q, R, (j - 1, j))
+            _phase_normalize(R, (j - 1, j))
             swaps += 1
             events.append(f"swap:{j}")
             if swaps % REFACTOR_EVERY == 0:
-                refactor()
+                R = _r_positive(B @ _embed_coords(ua, ub, ring))
             if ratio >= STALL_RATIO:
                 stall_run += 1
                 if stall_run >= 3 * n:
@@ -346,28 +387,23 @@ def alll_reduce(
         else:
             j += 1
 
-    transform = RingMatrix.from_columns([tuple(c) for c in ucols], ring)
-    reduced = ComplexBasis(B @ transform.to_complex(), ring)
+    reduced = ComplexBasis(B @ _embed_coords(ua, ub, ring), ring)
     report = ReductionReport(
         reduced=reduced,
-        transform=transform,
+        transform=_coords_matrix(ua, ub, ring),
         swaps=swaps,
         size_reductions=size_reductions,
         delta=delta,
         warnings=warns,
         events=events,
         potential_ratios=pot_ratios,
-        norms_squared_exact=_exact_norms_squared(basis, transform),
+        norms_squared_exact=_exact_norms_squared(basis, ua, ub),
         stalled=stalled,
         wall_time=time.perf_counter() - t0,
     )
     report.bound_checks = _quality_checks(basis, report, lambda1=lambda1)
     report.wall_time = time.perf_counter() - t0
     return report
-
-
-def _rows_from_cols(cols, n):
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def reduction_epsilon(ring: RingSpec, delta: float) -> float:
@@ -409,7 +445,7 @@ def _quality_checks(basis: ComplexBasis, report: ReductionReport, lambda1=None) 
         checks["first_vs_lambda1"] = _mk_check(
             "first_vs_lambda1", first, eps ** (-(n - 1) / 2.0) * lambda1
         )
-        _, Rred = _qr_positive(report.reduced.matrix)
+        Rred = _r_positive(report.reduced.matrix)
         radius = float(decoding_radius(Rred, n))
         floor = float(decoding_radius_bound(ring, n, n, lambda1, eps))
         checks["decoding_radius"] = BoundCheck(
@@ -445,7 +481,7 @@ def real_lll(matrix: np.ndarray, delta: float = 0.99, max_steps: int | None = No
     if max_steps is None:
         max_steps = 20000 * m
 
-    R = _qr_positive(B)[1]
+    R = _r_positive(B)
     k = 1
     steps = 0
     while k < m:
@@ -475,7 +511,7 @@ def real_lll(matrix: np.ndarray, delta: float = 0.99, max_steps: int | None = No
             if R[k, k] < 0:
                 R[k, :] *= -1.0
             if swaps % REFACTOR_EVERY == 0:
-                R = _qr_positive(B)[1]
+                R = _r_positive(B)
             k = max(k - 1, 1)
         else:
             k += 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import sympy
 
@@ -70,7 +71,7 @@ class RingSpec:
 
     # -- derived constants ------------------------------------------------
 
-    @property
+    @cached_property
     def xi(self) -> complex:
         """Embedding of the generator xi into C."""
         root = math.sqrt(self.d)
@@ -133,6 +134,16 @@ class RingSpec:
 
     def units(self) -> tuple["RingElem", ...]:
         return units(self)
+
+    @cached_property
+    def _units(self) -> tuple["RingElem", ...]:
+        found = []
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                e = self.elem(a, b)
+                if e.norm() == 1:
+                    found.append(e)
+        return tuple(sorted(found, key=lambda e: (e.a, e.b)))
 
     def __str__(self):
         return f"d={self.d}"
@@ -254,47 +265,55 @@ class RingElem:
 
 
 def units(ring: RingSpec) -> tuple[RingElem, ...]:
-    """All elements of norm 1.  Cardinality 4 for d=1, 6 for d=3, else 2."""
-    found = []
-    for a in range(-2, 3):
-        for b in range(-2, 3):
-            e = ring.elem(a, b)
-            if e.norm() == 1:
-                found.append(e)
-    return tuple(sorted(found, key=lambda e: (e.a, e.b)))
+    """All elements of norm 1.  Cardinality 4 for d=1, 6 for d=3, else 2.
+
+    Found once per ring by a search of the box |a|, |b| <= 2.
+    """
+    return ring._units
 
 
-def _near_ints(x: float) -> tuple[int, int]:
-    f = math.floor(x)
-    return f, f + 1
+#: |x|^2 below which 0 is the unique nearest ring element.  Every nonzero
+#: element has norm >= 1, so |x| < 1/2 puts 0 strictly nearest; the margin
+#: keeps that gap far above the rounding of the float distances compared in
+#: the full search, so both paths agree.
+ZERO_RADIUS2 = 0.25 - 1e-9
 
 
-def quantize(x: complex, ring: RingSpec) -> RingElem:
-    """Nearest ring element to x in Euclidean distance.
+def _quantize_pair(x: complex, ring: RingSpec) -> tuple[int, int]:
+    """Coordinates (a, b) of the ring element nearest to the Python complex x.
 
     Type I rings round componentwise on the rectangular lattice; type II rings
     take the better of the rectangular lattice Z[sqrt(-d)] and its half-shifted
     coset.  Exact distance ties prefer the lexicographically smaller (a, b).
     """
-    x = complex(x)
-    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+    re, im = x.real, x.imag
+    if re * re + im * im < ZERO_RADIUS2:
+        return 0, 0
+    if not (math.isfinite(re) and math.isfinite(im)):
         raise ValueError(f"cannot quantize non-finite value {x}")
-    root = math.sqrt(ring.d)
-    cands: list[RingElem] = []
+    y = im / math.sqrt(ring.d)
+    u, v = math.floor(re), math.floor(y)
     if ring.kind is RingKind.TYPE_I:
-        for u in _near_ints(x.real):
-            for v in _near_ints(x.imag / root):
-                cands.append(RingElem(u, v, ring))
+        cands = [(p, q) for p in (u, u + 1) for q in (v, v + 1)]
     else:
-        # rectangular points u + v*sqrt(-d) correspond to (a, b) = (u - v, 2v)
-        for u in _near_ints(x.real):
-            for v in _near_ints(x.imag / root):
-                cands.append(RingElem(u - v, 2 * v, ring))
-        # coset points (u + 1/2) + (v + 1/2)*sqrt(-d) -> (a, b) = (u - v, 2v + 1)
-        for u in _near_ints(x.real - 0.5):
-            for v in _near_ints(x.imag / root - 0.5):
-                cands.append(RingElem(u - v, 2 * v + 1, ring))
-    return min(cands, key=lambda e: (abs(x - e.embed()) ** 2, e.a, e.b))
+        # rectangular points p + q*sqrt(-d) correspond to (a, b) = (p - q, 2q);
+        # coset points (p + 1/2) + (q + 1/2)*sqrt(-d) to (a, b) = (p - q, 2q + 1)
+        cands = [(p - q, 2 * q) for p in (u, u + 1) for q in (v, v + 1)]
+        u, v = math.floor(re - 0.5), math.floor(y - 0.5)
+        cands += [(p - q, 2 * q + 1) for p in (u, u + 1) for q in (v, v + 1)]
+    xi = ring.xi
+    _, a, b = min((abs(x - (complex(a) + b * xi)) ** 2, a, b) for a, b in cands)
+    return a, b
+
+
+def quantize(x: complex, ring: RingSpec) -> RingElem:
+    """Nearest ring element to x in Euclidean distance.
+
+    Exact distance ties prefer the lexicographically smaller (a, b); see
+    _quantize_pair for the candidate search.
+    """
+    a, b = _quantize_pair(complex(x), ring)
+    return RingElem(a, b, ring)
 
 
 def covering_radius_geometric(ring: RingSpec) -> float:

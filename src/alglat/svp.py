@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattices import ComplexBasis, RingMatrix, coeff_to_complex, embed
-from .reduction import NonEuclideanRingWarning, _qr_positive, alll_reduce, gauss_reduce
+from .reduction import NonEuclideanRingWarning, _r_positive, alll_reduce, gauss_reduce
 from .rings import RingElem, RingSpec, units
 
 __all__ = [
@@ -34,11 +34,18 @@ DEFAULT_NODE_BUDGET = 10**8
 
 
 class EnumerationBudgetError(RuntimeError):
-    def __init__(self, nodes: int, partial_radius: float):
+    """An enumeration visited more than its budget of nodes.
+
+    budget is the max_nodes the caller set; nodes is the count visited when
+    the search stopped (budget + 1).
+    """
+
+    def __init__(self, budget: int, nodes: int, partial_radius: float):
         super().__init__(
-            f"enumeration budget of {nodes} nodes exceeded; "
+            f"enumeration budget of {budget} nodes exceeded after {nodes} nodes; "
             f"best radius so far {partial_radius:.6g}"
         )
+        self.budget = budget
         self.nodes = nodes
         self.partial_radius = partial_radius
 
@@ -167,7 +174,7 @@ def _enumeration_r(basis: ComplexBasis) -> np.ndarray:
     """R factor of the embedding with the two real columns of each ring
     coordinate adjacent: embed's columns in the order [0, n, 1, n+1, ...]."""
     pair_order = np.arange(2 * basis.n).reshape(2, basis.n).T.ravel()
-    return np.ascontiguousarray(_qr_positive(embed(basis)[:, pair_order])[1])
+    return np.ascontiguousarray(_r_positive(embed(basis)[:, pair_order]))
 
 
 def _coeff_from_levels(x, ring: RingSpec) -> tuple:
@@ -243,7 +250,7 @@ def shortest_vector(
     mode = _symmetry_mode(ring, use_symmetry)
     status, xbest, _, nodes, _ = _enum_shortest(R, best2, mode, max_nodes, x_init, False)
     if status == 1:
-        raise EnumerationBudgetError(nodes, math.sqrt(best2))
+        raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(best2))
 
     coeff = canonicalize_by_unit(U @ _coeff_from_levels(xbest, ring), ring)
     norm = float(np.linalg.norm(basis.matrix @ coeff_to_complex(coeff)))
@@ -277,7 +284,7 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
             R, radius2 * (1 + 1e-9), mode, max_nodes, x_none, True
         )
         if status == 1:
-            raise EnumerationBudgetError(nodes, math.sqrt(radius2))
+            raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(radius2))
         for _, xv in sorted((d, tuple(int(v) for v in x)) for d, x in points):
             cand = rep.transform @ _coeff_from_levels(xv, ring)
             cross = c1[0] * cand[1] - c1[1] * cand[0]

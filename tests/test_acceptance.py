@@ -24,7 +24,7 @@ from alglat.cf import (
 from alglat.experiments import hermite_cdf, rank_failure_probability
 from alglat.lattices import ComplexBasis, RingMatrix, embed
 from alglat.reduction import (
-    _qr_positive,
+    _r_positive,
     alll_reduce,
     gauss_reduce,
     quaternion_rotation,
@@ -142,7 +142,7 @@ def alll_corpus():
                     lam1 = shortest_vector(B).norm
                     oracle_time += time.perf_counter() - ts
                 rep = alll_reduce(B, DELTA, lambda1=lam1)
-                _, R = _qr_positive(rep.reduced.matrix)
+                R = _r_positive(rep.reduced.matrix)
                 size_ok = all(
                     quantize(R[j, k] / R[j, j], ring).is_zero()
                     for j in range(n)

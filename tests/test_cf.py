@@ -274,6 +274,13 @@ class TestExperimentOps:
         assert pf > 0.1
         assert pr < pf
 
+    def test_cf_experiment_alll_never_fails_without_morphism(self):
+        # d=5 has no default field map; the alll row is scored on a unimodular
+        # matrix all the same, not on the stack of best vectors
+        rows = cf_experiment(ring_new(5), 2, [10, 30], 5, ["alll", "best_single"], 3)
+        assert [r[7] for r in rows if r[0] == "alll"] == [0.0, 0.0]
+        assert all(r[8] is None for r in rows)
+
     def test_rank_failure_trials_validation(self):
         mor = default_morphism(RING1)
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from alglat.reduction import (
     real_lll,
     reduction_epsilon,
 )
-from alglat.reduction import _qr_positive
+from alglat.reduction import _r_positive
 from alglat.rings import quantize, ring_new
 from alglat.svp import shortest_vector, successive_minima_2d
 
@@ -53,7 +53,7 @@ def assert_transform_valid(basis, report):
 def assert_alll_conditions(report):
     """Re-factorize the output from scratch and check both defining conditions."""
     ring = report.reduced.ring
-    _, R = _qr_positive(report.reduced.matrix)
+    R = _r_positive(report.reduced.matrix)
     n = report.reduced.n
     for j in range(n):
         for k in range(j + 1, n):
@@ -322,7 +322,7 @@ class TestPotentialAndRadius:
             B = random_basis(RING1, 4, rng)
             lam1 = shortest_vector(B).norm
             rep = alll_reduce(B, 0.99)
-            _, R = _qr_positive(rep.reduced.matrix)
+            R = _r_positive(rep.reduced.matrix)
             for k in range(2, 5):
                 assert decoding_radius(R, k) >= decoding_radius_bound(
                     RING1, 4, k, lam1, eps

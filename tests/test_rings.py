@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alglat.rings import (
+    ZERO_RADIUS2,
     RingKind,
+    _quantize_pair,
     covering_radius_geometric,
     morphism_new,
     norm_euclidean_sup_distance,
@@ -147,6 +151,16 @@ class TestUnits:
         }
         assert {(u.a, u.b) for u in units(ring)} == oracle == {(1, 0), (-1, 0)}
 
+    @pytest.mark.parametrize("d", SAMPLE_D)
+    def test_cached_per_ring(self, d):
+        ring = ring_new(d)
+        us = units(ring)
+        assert units(ring) is us and ring.units() is us
+        oracle = sorted(
+            (a, b) for a in range(-10, 11) for b in range(-10, 11) if ring.elem(a, b).norm() == 1
+        )
+        assert [(u.a, u.b) for u in us] == oracle
+
 
 class TestQuantize:
     def test_examples_match_exhaustive_oracle(self):
@@ -217,6 +231,47 @@ class TestQuantize:
         assert (q.a, q.b) == (0, 0)
         q = quantize(0.5 + 0.5j, ring)  # four-way tie
         assert (q.a, q.b) == (0, 0)
+
+
+def _circle_points():
+    """Points on, just inside and just outside |x| = 1/2 and the zero cut-off."""
+    radius = st.sampled_from([0.5, math.sqrt(ZERO_RADIUS2)])
+    factor = st.sampled_from([1.0, 1 - 1e-15, 1 + 1e-15, 1 - 1e-9, 1 + 1e-9, 1 - 1e-6, 1 + 1e-6])
+    angle = st.floats(0.0, 2 * math.pi)
+    return st.builds(
+        lambda r, f, t: complex(r * f * math.cos(t), r * f * math.sin(t)), radius, factor, angle
+    )
+
+
+def _half_lattice_points(ring):
+    """(a + b*xi)/2 and its neighbours a float step away: ties of the quantizer."""
+    half = st.builds(
+        lambda a, b: (complex(a) + b * ring.xi) / 2, st.integers(-6, 6), st.integers(-6, 6)
+    )
+    nudge = st.sampled_from([0j, 1e-15, -1e-15, 1e-15j, -1e-15j])
+    return st.builds(lambda x, e: x + e, half, nudge)
+
+
+@st.composite
+def _ring_and_point(draw):
+    ring = ring_new(draw(st.sampled_from(SAMPLE_D)))
+    # |a|, |b| <= 5 for these points on every ring in SAMPLE_D, inside the oracle's box
+    generic = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+    x = draw(st.one_of(generic, _circle_points(), _half_lattice_points(ring)))
+    return ring, x
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_ring_and_point())
+@example((ring_new(1), 0.5 + 0j))
+@example((ring_new(1), 0.5 + 0.5j))
+@example((ring_new(2), ring_new(2).xi / 2))
+@example((ring_new(3), ring_new(3).xi / 2))
+@example((ring_new(7), (1 + ring_new(7).xi) / 2))
+def test_quantize_pair_matches_exhaustive_search(ring_point):
+    ring, x = ring_point
+    e = exhaustive_nearest(x, ring)
+    assert _quantize_pair(x, ring) == (e.a, e.b)
 
 
 class TestCoveringRadius:

@@ -196,3 +196,10 @@ class TestSuccessiveMinima:
         nodes = shortest_vector(B).enumerated_nodes
         with pytest.raises(EnumerationBudgetError):
             successive_minima_2d(B, max_nodes=nodes)
+
+    def test_budget_error_reports_the_budget(self):
+        w = RING3.xi
+        B = ComplexBasis(np.array([[4 + w, 1 + 4 * w], [-1 + 5 * w, 1 + 2 * w]]), RING3)
+        with pytest.raises(EnumerationBudgetError, match="budget of 11 nodes") as err:
+            successive_minima_2d(B, max_nodes=11)
+        assert (err.value.budget, err.value.nodes) == (11, 12)
