@@ -22,7 +22,6 @@ from .cf import (
     design_relay,
     rank_mod_p,
     random_channel,
-    transmission_rate,
 )
 from .lattices import ComplexBasis, RingMatrix, volume
 from .reduction import NonEuclideanRingWarning, gauss_reduce
@@ -163,18 +162,15 @@ def _rank_failures(designs, morphism: FieldMorphism | None) -> tuple[bool, bool]
     """Whether one network's coefficient matrix is singular over the ring and
     over F_p.
 
-    For alll designs the matrix is a unimodular candidate: the one
-    transmission_rate chooses when a morphism is given, else the first
-    relay's.  For the other strategies it is the stack of per-relay best
-    equations.  A ring-singular matrix counts as a field failure too.
+    For alll designs the matrix is the first relay's unimodular transform
+    (every alll candidate is unimodular, so the choice does not matter).  For
+    the other strategies it is the stack of per-relay best equations.  A
+    ring-singular matrix counts as a field failure too.
     """
-    ring = designs[0].ring
-    if designs[0].strategy != "alll":
-        A = RingMatrix.from_columns([d.best_vector for d in designs], ring)
-    elif morphism is None:
+    if designs[0].strategy == "alll":
         A = designs[0].matrix
     else:
-        A = transmission_rate(designs, morphism).chosen_matrix
+        A = RingMatrix.from_columns([d.best_vector for d in designs], designs[0].ring)
     if A.det().is_zero():
         return True, True
     return False, morphism is not None and rank_mod_p(A, morphism) < len(designs)

@@ -82,6 +82,12 @@ class ComplexBasis:
 
     def exact_entries(self, tol: float = 1e-9) -> "RingMatrix | None":
         """Recover exact ring entries when every entry is a ring element."""
+        rows = self._exact_pairs(tol)
+        return None if rows is None else RingMatrix.from_int_rows(rows, self.ring)
+
+    def _exact_pairs(self, tol: float = 1e-9) -> list | None:
+        """Rows of (a, b) coordinates of the entries, or None if any entry is
+        farther than tol from the ring."""
         xi = self.ring.xi
         rows = []
         for i in range(self.n):
@@ -93,7 +99,7 @@ class ComplexBasis:
                     return None
                 row.append((a, b))
             rows.append(row)
-        return RingMatrix.from_int_rows(rows, self.ring)
+        return rows
 
 
 def embed_vector(v: np.ndarray) -> np.ndarray:

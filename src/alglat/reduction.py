@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattices import ComplexBasis, RingMatrix, orthogonality_defect
-from .rings import RingSpec, _quantize_pair, quantize  # noqa: F401  (quantize stays importable here)
+from .rings import RingSpec, _quantize_pair, quantize  # noqa: F401  (perfbench traces and checks alglat.reduction.quantize)
 
 __all__ = [
     "BoundCheck",
@@ -147,12 +147,12 @@ def _coords_matrix(ua, ub, ring: RingSpec) -> RingMatrix:
 def _exact_norms_squared(basis: ComplexBasis, ua, ub) -> list | None:
     """Column norms of basis @ U as exact integers when the input has exact
     ring entries."""
-    exact = basis.exact_entries()
+    exact = basis._exact_pairs()
     if exact is None:
         return None
     s, t = basis.ring.minpoly_coeffs
     p, q = basis.ring.norm_form
-    rows = [([e.a for e in row], [e.b for e in row]) for row in exact.entries]
+    rows = [([a for a, _ in row], [b for _, b in row]) for row in exact]
     norms = []
     for a2, b2 in zip(ua, ub):
         total = 0

@@ -9,9 +9,9 @@ when -d = 1 (mod 4) ("type II").  Elements are stored as integer pairs
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import sympy
 
@@ -71,7 +71,7 @@ class RingSpec:
 
     # -- derived constants ------------------------------------------------
 
-    @cached_property
+    @functools.cached_property
     def xi(self) -> complex:
         """Embedding of the generator xi into C."""
         root = math.sqrt(self.d)
@@ -134,16 +134,6 @@ class RingSpec:
 
     def units(self) -> tuple["RingElem", ...]:
         return units(self)
-
-    @cached_property
-    def _units(self) -> tuple["RingElem", ...]:
-        found = []
-        for a in range(-2, 3):
-            for b in range(-2, 3):
-                e = self.elem(a, b)
-                if e.norm() == 1:
-                    found.append(e)
-        return tuple(sorted(found, key=lambda e: (e.a, e.b)))
 
     def __str__(self):
         return f"d={self.d}"
@@ -264,12 +254,19 @@ class RingElem:
         return f"RingElem({self.a}, {self.b}, d={self.ring.d})"
 
 
+@functools.cache
 def units(ring: RingSpec) -> tuple[RingElem, ...]:
     """All elements of norm 1.  Cardinality 4 for d=1, 6 for d=3, else 2.
 
     Found once per ring by a search of the box |a|, |b| <= 2.
     """
-    return ring._units
+    found = []
+    for a in range(-2, 3):
+        for b in range(-2, 3):
+            e = ring.elem(a, b)
+            if e.norm() == 1:
+                found.append(e)
+    return tuple(sorted(found, key=lambda e: (e.a, e.b)))
 
 
 #: |x|^2 below which 0 is the unique nearest ring element.  Every nonzero
