@@ -2,17 +2,21 @@
 
 Refactors of the reduction, enumeration and compute-and-forward layers must
 leave these exact: the cf-experiment CSV (floats in its .10g format), the
-integer parts of reduce/svp on the golden rank-2 bases, and every field of
-the alll_reduce and gauss_reduce reports on float and exact-entry bases.
+integer parts of reduce/svp on the golden rank-2 bases, every field of
+the alll_reduce and gauss_reduce reports on float and exact-entry bases,
+cf_experiment rows, and every field of design_relay's designs.
 """
 
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
+from alglat.cf import STRATEGIES, db_to_linear, design_relay, random_channel
 from alglat.cli import main
+from alglat.experiments import CF_CSV_HEADER, cf_experiment, write_csv
 from alglat.lattices import ComplexBasis, basis_to_json
 from alglat.reduction import alll_reduce, gauss_reduce
 from alglat.rings import ring_new
@@ -149,3 +153,60 @@ def test_gauss_reports(d):
     for m in pin_bases(d, 2, GAUSS_COUNT):
         h.update(report_digest(gauss_reduce(m[:, 0], m[:, 1], ring)).encode())
     assert h.hexdigest() == REPORT_SHA256["gauss"][d]
+
+
+# ---------------------------------------------------------------------------
+# compute-and-forward designs and experiment rows
+
+CF_ROWS_SHA256 = {
+    (1, 4): "da18cf22ad0c1b9ab9de376680273d40834bf0e46eb57b47b87d90d25e288519",
+    (5, 3): "6f39411fcbf915390b231688471ae882b5362c1dd4c21a221048220b45b57e56",
+}
+
+DESIGN_SHA256 = {
+    (1, 0.6): "4bccea971c0af65689912f322955f0b5c23236f18087a87f5910a27224f887cf",
+    (1, 0.99): "fe6727e1623c91cbe87410056c3f33c8ba6d4665b1ff76b7d30e0584d936fa09",
+    (3, 0.6): "08dcb266dd21b37ef4b5ab4353419ba069355adae8c5378be9d49810242ec9e1",
+    (3, 0.99): "96527eb99c197d6cbe5a27a04f14be5e957d44af6df528a7f0d014fff3dfb59a",
+    (5, 0.6): "0a11c10c454a06ceb4cc4b5d390ae7bbbde7a7ddc9273317a405b248901a7e99",
+    (5, 0.99): "0883aa7b160ffb340092aa51784ba5c1649f8ed017355d3661810fbc11ce5a45",
+}
+
+
+@pytest.mark.parametrize("d, n", sorted(CF_ROWS_SHA256))
+def test_cf_experiment_rows(d, n):
+    """The benchmark's cf-network shape (d=1, four relays) and a
+    non-Euclidean ring with no field map (d=5)."""
+    rows = cf_experiment(ring_new(d), n, (10, 30, 50), 5, STRATEGIES, 2024)
+    out = io.StringIO()
+    write_csv(rows, CF_CSV_HEADER, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CF_ROWS_SHA256[(d, n)]
+
+
+def design_digest(design) -> str:
+    """Every output field of a RelayDesign."""
+    matrix = None if design.matrix is None else [[(e.a, e.b) for e in row] for row in design.matrix.entries]
+    fields = [
+        design.strategy,
+        repr([[(e.a, e.b) for e in v] for v in design.vectors]),
+        repr([repr(float(r)) for r in design.rates]),
+        repr(matrix),
+        repr(design.swaps),
+        repr(float(design.first_norm)),
+    ]
+    return "\n".join(fields)
+
+
+@pytest.mark.parametrize("d, delta", sorted(DESIGN_SHA256))
+def test_relay_designs(d, delta):
+    """design_relay for every strategy on channels of rank 1 to 4; the svp
+    design does not depend on delta."""
+    ring = ring_new(d)
+    h = hashlib.sha256()
+    for n in (1, 2, 3, 4):
+        for k in range(6):
+            rng = np.random.default_rng([d, n, k])
+            ch = random_channel(n, db_to_linear(10.0 * (k % 6)), rng)
+            for s in STRATEGIES:
+                h.update(design_digest(design_relay(ch, ring, s, delta)).encode())
+    assert h.hexdigest() == DESIGN_SHA256[(d, delta)]
