@@ -45,6 +45,7 @@ from .cf import (
     cf_basis,
     computation_rate,
     design_relay,
+    design_relays,
     rank_mod_p,
     transmission_rate,
 )

@@ -7,6 +7,11 @@ a basis B with B^H B = (I + P h h^H)^-1 equal that quadratic form, so short
 vectors are high-rate coefficients and lattice reduction designs whole
 unimodular coefficient matrices at once.  Unimodularity guarantees the mapped
 matrix is invertible over the finite field used by the code space.
+
+The strategies of one relay share their per-channel work (design_relays):
+the Gram matrix I + P h h^H and its inverse, the validated channel basis, and
+one ALLL reduction per distinct delta.  The svp design enumerates from the
+ALLL reduction at 0.99, whatever delta the alll design uses.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +33,7 @@ from .lattices import (
 )
 from .reduction import NonEuclideanRingWarning, alll_reduce, real_lll, reduction_epsilon
 from .rings import FieldMorphism, RingSpec, morphism_new
-from .svp import shortest_vector
+from .svp import PREPROCESS_DELTA, canonicalize_by_unit, shortest_vector
 
 __all__ = [
     "Channel",
@@ -38,6 +44,7 @@ __all__ = [
     "cf_basis",
     "computation_rate",
     "design_relay",
+    "design_relays",
     "transmission_rate",
     "rank_mod_p",
     "det_mod_p",
@@ -83,9 +90,15 @@ class Channel:
         return self.h.shape[0]
 
     def gram(self) -> np.ndarray:
-        """I + P h h^H."""
+        """I + P h h^H, built once per channel and returned read-only."""
+        return self._gram
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
         h = self.h[:, None]
-        return np.eye(self.n) + self.p * (h @ h.conj().T)
+        g = np.eye(self.n) + self.p * (h @ h.conj().T)
+        g.setflags(write=False)
+        return g
 
 
 def random_channel(n: int, p_linear: float, rng) -> Channel:
@@ -152,55 +165,81 @@ class NetworkDesign:
         return self.matrices[self.chosen_index]
 
 
+def design_relays(
+    ch: Channel,
+    ring: RingSpec,
+    strategies,
+    delta: float = 0.99,
+) -> dict[str, RelayDesign]:
+    """Design one relay for each requested strategy, keyed by strategy name.
+
+    The strategies share the channel's Gram matrix, its inverse, the
+    validated basis from cf_basis and one alll_reduce per distinct delta.
+    alll / rlll return every transform column sorted by descending rate (for
+    alll the columns form a unimodular ring matrix, reduced at delta); svp
+    and its alias best_single return the single highest-rate coefficient,
+    enumerated from the ALLL reduction at 0.99 whatever delta is, as
+    shortest_vector preprocesses.
+    """
+    for s in strategies:
+        if s not in STRATEGIES:
+            raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
+    basis = cf_basis(ch, ring)
+    gram_inv = np.linalg.inv(ch.gram())
+    reductions = {}
+
+    def reduced_at(dl: float):
+        if dl not in reductions:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonEuclideanRingWarning)
+                reductions[dl] = alll_reduce(basis, delta=dl)
+        return reductions[dl]
+
+    def ranked(cols):
+        """Columns and their rates, sorted by descending rate."""
+        rates = []
+        for c in cols:
+            a = coeff_to_complex(c)
+            rates.append(_rate_from_denominator(float(np.real(a.conj() @ (gram_inv @ a)))))
+        order = sorted(range(len(cols)), key=lambda i: -rates[i])
+        return [cols[i] for i in order], [rates[i] for i in order]
+
+    # per canonical strategy: (vectors, rates, matrix, swaps, first_norm)
+    parts = {}
+    for c in dict.fromkeys(STRATEGY_ALIASES.get(s, s) for s in strategies):
+        matrix, swaps = None, 0
+        if c == "alll":
+            rep = reduced_at(delta)
+            vectors, rates = ranked(rep.transform.columns())
+            matrix, swaps = RingMatrix.from_columns(vectors, ring), rep.swaps
+        elif c == "rlll":
+            _, T, swaps = real_lll(embed(basis), delta=delta)
+            vectors, rates = ranked([fold_real_column(T[:, j], ring) for j in range(T.shape[1])])
+        else:  # svp: the single best equation
+            rep = reduced_at(PREPROCESS_DELTA)
+            res = shortest_vector(rep.reduced, preprocess=False)
+            vectors, rates = ranked([canonicalize_by_unit(rep.transform @ res.coefficient, ring)])
+        first_norm = float(np.linalg.norm(basis.matrix @ coeff_to_complex(vectors[0])))
+        parts[c] = vectors, rates, matrix, swaps, first_norm
+    designs = {}
+    for s in strategies:
+        vectors, rates, matrix, swaps, first_norm = parts[STRATEGY_ALIASES.get(s, s)]
+        designs[s] = RelayDesign(ch, ring, s, list(vectors), list(rates), matrix, swaps, first_norm)
+    return designs
+
+
 def design_relay(
     ch: Channel,
     ring: RingSpec,
     strategy: str = "alll",
     delta: float = 0.99,
 ) -> RelayDesign:
-    """Design candidate coefficient vectors for one relay.
+    """Design candidate coefficient vectors for one relay with one strategy.
 
-    alll / rlll return every transform column sorted by descending rate (for
-    alll the columns form a unimodular ring matrix); svp and its alias
-    best_single return the single highest-rate coefficient.
+    This is design_relays(ch, ring, (strategy,), delta)[strategy]: svp and
+    best_single enumerate from the ALLL reduction at 0.99 whatever delta is.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    basis = cf_basis(ch, ring)
-    gram_inv = np.linalg.inv(ch.gram())
-
-    def rate_of(vec) -> float:
-        a = coeff_to_complex(vec)
-        den = float(np.real(a.conj() @ (gram_inv @ a)))
-        return _rate_from_denominator(den)
-
-    if strategy == "alll":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonEuclideanRingWarning)
-            rep = alll_reduce(basis, delta=delta)
-        cols = rep.transform.columns()
-        rates = [rate_of(c) for c in cols]
-        order = sorted(range(len(cols)), key=lambda i: -rates[i])
-        matrix = RingMatrix.from_columns([cols[i] for i in order], ring)
-        vectors = [cols[i] for i in order]
-        rates = [rates[i] for i in order]
-        first_norm = float(np.linalg.norm(basis.matrix @ coeff_to_complex(vectors[0])))
-        return RelayDesign(ch, ring, strategy, vectors, rates, matrix, rep.swaps, first_norm)
-
-    if strategy == "rlll":
-        _, T, swaps = real_lll(embed(basis), delta=delta)
-        cols = [fold_real_column(T[:, j], ring) for j in range(T.shape[1])]
-        rates = [rate_of(c) for c in cols]
-        order = sorted(range(len(cols)), key=lambda i: -rates[i])
-        vectors = [cols[i] for i in order]
-        rates = [rates[i] for i in order]
-        first_norm = float(np.linalg.norm(basis.matrix @ coeff_to_complex(vectors[0])))
-        return RelayDesign(ch, ring, strategy, vectors, rates, None, swaps, first_norm)
-
-    # svp and best_single: the single best equation
-    res = shortest_vector(basis)
-    vec = res.coefficient
-    return RelayDesign(ch, ring, strategy, [vec], [rate_of(vec)], None, 0, res.norm)
+    return design_relays(ch, ring, (strategy,), delta)[strategy]
 
 
 def _eliminate_mod_p(matrix: RingMatrix, morphism: FieldMorphism) -> tuple[int, int]:
@@ -252,10 +291,12 @@ def default_morphism(ring: RingSpec) -> FieldMorphism:
 def transmission_rate(designs: list, morphism: FieldMorphism) -> NetworkDesign:
     """Pick the candidate coefficient matrix with the best min-over-relays rate.
 
-    Each candidate matrix assigns its column l to relay l.  Candidates that are
-    rank-deficient over F_p are discarded; for unimodular candidates this never
-    happens, and the determinant-morphism commutation f(det A) = det f(A) is
-    checked on the chosen matrix.
+    Each candidate matrix assigns its column l to relay l.  Designs with a
+    matrix (alll) offer their matrices; designs without one (rlll, svp) are
+    single-equation designs and offer the stack of their best vectors.
+    Candidates that are rank-deficient over F_p are discarded; for unimodular
+    candidates this never happens, and the determinant-morphism commutation
+    f(det A) = det f(A) is checked on the chosen matrix.
     """
     if not designs:
         raise ValueError("need at least one relay design")
@@ -265,7 +306,7 @@ def transmission_rate(designs: list, morphism: FieldMorphism) -> NetworkDesign:
 
     if all(d.matrix is not None for d in designs):
         candidates = [d.matrix for d in designs]
-    elif all(d.matrix is None and len(d.vectors) == 1 for d in designs):
+    elif all(d.matrix is None for d in designs):
         if len(designs) != n:
             raise ValueError("single-equation designs need one relay per dimension")
         candidates = [

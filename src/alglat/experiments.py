@@ -20,6 +20,7 @@ from .cf import (
     db_to_linear,
     default_morphism,
     design_relay,
+    design_relays,
     rank_mod_p,
     random_channel,
 )
@@ -188,11 +189,13 @@ def cf_experiment(
     """Network trials per (strategy, SNR): rates, swap counts, rank failures.
 
     Each trial draws one n-relay network; the same channels are replayed for
-    every strategy so the comparison columns are paired, and a strategy and
-    its aliases share one design.  Rank failure uses a unimodular candidate
-    matrix for the alll strategy, with or without a field morphism, and the
-    stack of per-relay best equations otherwise; field-rank columns are empty
-    when the ring has no default morphism and none is supplied.
+    every strategy so the comparison columns are paired.  Each relay is
+    designed once per trial for all canonical strategies (design_relays), and
+    a strategy and its aliases share one design.  Rank failure uses a
+    unimodular candidate matrix for the alll strategy, with or without a
+    field morphism, and the stack of per-relay best equations otherwise;
+    field-rank columns are empty when the ring has no default morphism and
+    none is supplied.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -200,6 +203,7 @@ def cf_experiment(
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
     morphism = _resolve_morphism(ring, modulus)
+    canonical = tuple(dict.fromkeys(STRATEGY_ALIASES.get(s, s) for s in strategies))
     snr_db_list = list(snr_db_list)
     acc = {(s, pi): _Acc([], [], []) for s in strategies for pi in range(len(snr_db_list))}
     with warnings.catch_warnings():
@@ -209,13 +213,13 @@ def cf_experiment(
             for t in range(trials):
                 rng = _trial_rng(seed, pi * trials + t)
                 chans = [random_channel(n, p_lin, rng) for _ in range(n)]
+                relays = [design_relays(ch, ring, canonical) for ch in chans]
                 outcomes = {}
+                for c in canonical:
+                    designs = [r[c] for r in relays]
+                    outcomes[c] = designs, _rank_failures(designs, morphism)
                 for s in strategies:
-                    canonical = STRATEGY_ALIASES.get(s, s)
-                    if canonical not in outcomes:
-                        designs = [design_relay(ch, ring, canonical) for ch in chans]
-                        outcomes[canonical] = designs, _rank_failures(designs, morphism)
-                    designs, (ring_fail, field_fail) = outcomes[canonical]
+                    designs, (ring_fail, field_fail) = outcomes[STRATEGY_ALIASES.get(s, s)]
                     a = acc[(s, pi)]
                     a.rates.extend(d.best_rate for d in designs)
                     a.swaps.extend(d.swaps for d in designs)

@@ -52,6 +52,12 @@ def hermite_constant_2n(n: int) -> float | None:
     return HERMITE_CONSTANTS.get(2 * n)
 
 
+def _finite(m: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(m.view(float))):
+        raise ValueError("basis contains non-finite entries")
+    return m
+
+
 @dataclass(frozen=True)
 class ComplexBasis:
     """Column basis of a rank-n algebraic lattice over a ring Z[xi]."""
@@ -63,12 +69,23 @@ class ComplexBasis:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"basis must be square and non-empty, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("basis contains non-finite entries")
-        if np.linalg.cond(m) > MAX_CONDITION:
+        if np.linalg.cond(_finite(m)) > MAX_CONDITION:
             raise ValueError("basis columns are numerically dependent")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _derived(cls, matrix: np.ndarray, ring: RingSpec) -> "ComplexBasis":
+        """Basis of a lattice already validated: a validated basis times an
+        exact unimodular transform.  Only the entries are checked to be
+        finite; independence carries over, so the SVD of the cond check is
+        skipped."""
+        m = _finite(np.array(matrix, dtype=complex))
+        m.setflags(write=False)
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "matrix", m)
+        object.__setattr__(basis, "ring", ring)
+        return basis
 
     @property
     def n(self) -> int:

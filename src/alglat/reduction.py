@@ -224,7 +224,7 @@ def gauss_reduce(b1, b2, ring: RingSpec) -> ReductionReport:
     else:
         raise RuntimeError("gauss reduction exceeded its iteration budget")
 
-    reduced = ComplexBasis(np.column_stack(cols), ring)
+    reduced = ComplexBasis._derived(np.column_stack(cols), ring)
     report = ReductionReport(
         reduced=reduced,
         transform=_coords_matrix(ua, ub, ring),
@@ -387,7 +387,7 @@ def alll_reduce(
         else:
             j += 1
 
-    reduced = ComplexBasis(B @ _embed_coords(ua, ub, ring), ring)
+    reduced = ComplexBasis._derived(B @ _embed_coords(ua, ub, ring), ring)
     report = ReductionReport(
         reduced=reduced,
         transform=_coords_matrix(ua, ub, ring),

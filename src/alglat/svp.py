@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import ComplexBasis, RingMatrix, coeff_to_complex, embed
+from .lattices import ComplexBasis, coeff_to_complex, embed
 from .reduction import NonEuclideanRingWarning, _r_positive, alll_reduce, gauss_reduce
 from .rings import RingElem, RingSpec, units
 
@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 MAX_RANK = 8
+#: delta of the ALLL reduction that preprocesses an enumeration
+PREPROCESS_DELTA = 0.99
 DEFAULT_NODE_BUDGET = 10**8
 
 
@@ -211,7 +213,7 @@ def canonicalize_by_unit(coeff, ring: RingSpec):
 def _reduce_for_enumeration(basis: ComplexBasis):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonEuclideanRingWarning)
-        rep = alll_reduce(basis, delta=0.99)
+        rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
     return rep.reduced, rep.transform
 
 
@@ -235,10 +237,7 @@ def shortest_vector(
         coeff = (ring.one,)
         return SvpResult(coeff, float(np.linalg.norm(basis.matrix[:, 0])), 0)
 
-    if preprocess:
-        reduced, U = _reduce_for_enumeration(basis)
-    else:
-        reduced, U = basis, RingMatrix.identity(n, ring)
+    reduced, U = _reduce_for_enumeration(basis) if preprocess else (basis, None)
 
     R = _enumeration_r(reduced)
     col_norms2 = np.sum(np.abs(reduced.matrix) ** 2, axis=0)
@@ -252,7 +251,10 @@ def shortest_vector(
     if status == 1:
         raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(best2))
 
-    coeff = canonicalize_by_unit(U @ _coeff_from_levels(xbest, ring), ring)
+    coeff = _coeff_from_levels(xbest, ring)
+    if U is not None:
+        coeff = U @ coeff
+    coeff = canonicalize_by_unit(coeff, ring)
     norm = float(np.linalg.norm(basis.matrix @ coeff_to_complex(coeff)))
     return SvpResult(coeff, norm, int(nodes))
 

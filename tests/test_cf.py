@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alglat import cf
 from alglat.cf import (
+    STRATEGIES,
     Channel,
     cf_basis,
     computation_rate,
     db_to_linear,
     default_morphism,
     design_relay,
+    design_relays,
     det_mod_p,
     mac_rate_floor,
     rank_mod_p,
@@ -25,8 +28,15 @@ from alglat.experiments import (
     hermite_cdf,
     rank_failure_probability,
 )
-from alglat.lattices import ComplexBasis, RingMatrix, coeff_to_complex, random_unimodular, volume
-from alglat.reduction import gauss_reduce
+from alglat.lattices import (
+    ComplexBasis,
+    RingMatrix,
+    coeff_to_complex,
+    embed,
+    random_unimodular,
+    volume,
+)
+from alglat.reduction import alll_reduce, gauss_reduce, real_lll
 from alglat.reduction import reduction_epsilon
 from alglat.rings import morphism_new, ring_new
 from alglat.svp import shortest_vector
@@ -235,6 +245,25 @@ class TestTransmissionRate:
             nd = transmission_rate(designs, mor)
             assert nd.field_rank_ok and nd.det_commutes
 
+    def test_rlll_designs_are_single_equation_designs(self):
+        # rlll designs carry no matrix; they used to be rejected as "mixed
+        # candidate kinds" because they hold more than one vector
+        mor = default_morphism(RING1)
+        rng = np.random.default_rng(0)
+        chans = [random_channel(2, 100.0, rng) for _ in range(2)]
+        designs = [design_relay(c, RING1, "rlll") for c in chans]
+        nd = transmission_rate(designs, mor)
+        stack = RingMatrix.from_columns([d.best_vector for d in designs], RING1)
+        assert [m.entries for m in nd.matrices] == [stack.entries]
+        assert nd.rate == min(computation_rate(c, stack.column(l)) for l, c in enumerate(chans))
+        assert nd.det_commutes
+
+    def test_mixed_strategies_rejected(self):
+        mor = default_morphism(RING1)
+        designs = [design_relay(H1, RING1, "alll"), design_relay(H2, RING1, "rlll")]
+        with pytest.raises(ValueError, match="mixed candidate kinds"):
+            transmission_rate(designs, mor)
+
     def test_mismatched_sizes_rejected(self):
         mor = default_morphism(RING1)
         rng = np.random.default_rng(8)
@@ -361,3 +390,74 @@ def test_field_elimination_properties(A):
     assert det == mor.apply(A.det())
     assert (rank == A.n) == (det != 0)
     assert rank == rank_mod_p(RingMatrix.from_columns(A.entries, A.ring), mor)
+
+
+# ---------------------------------------------------------------------------
+# one relay, every strategy, shared per-channel work
+
+
+@st.composite
+def relay_cases(draw):
+    ring = ring_new(draw(st.sampled_from((1, 2, 3, 5, 7))))
+    n = draw(st.integers(1, 4))
+    snr_db = draw(st.floats(0.0, 50.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_channel(n, db_to_linear(snr_db), rng), ring, draw(st.sampled_from((0.6, 0.99)))
+
+
+def _columns(matrix):
+    return sorted(repr(c) for c in matrix.columns())
+
+
+@settings(max_examples=200, deadline=None)
+@given(relay_cases())
+def test_design_relays_match_the_primitives(case):
+    ch, ring, delta = case
+    basis = cf_basis(ch, ring)
+    strategies = STRATEGIES
+    try:
+        rep = alll_reduce(basis, delta)
+    except ValueError:  # delta <= rho^2 on this ring: the alll design refuses too
+        with pytest.raises(ValueError):
+            design_relays(ch, ring, strategies, delta)
+        rep, strategies = None, ("rlll", "svp", "best_single")
+    designs = design_relays(ch, ring, strategies, delta)
+    sv = shortest_vector(basis)
+    for s in ("svp", "best_single"):
+        assert (designs[s].best_vector, designs[s].first_norm) == (sv.coefficient, sv.norm)
+        assert designs[s].strategy == s
+    assert designs["rlll"].swaps == real_lll(embed(basis), delta)[2]
+    if rep is not None:
+        assert _columns(designs["alll"].matrix) == _columns(rep.transform)
+        assert designs["alll"].swaps == rep.swaps
+
+
+class TestDesignRelays:
+    def test_rank_limit(self):
+        ch = random_channel(9, db_to_linear(20.0), np.random.default_rng(5))
+        with pytest.raises(ValueError, match="enumeration limit"):
+            design_relays(ch, RING1, ("svp",))
+        assert design_relays(ch, RING1, ("alll",))["alll"].matrix.is_unimodular()
+
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError, match="unknown strategy 'bkz'"):
+            design_relays(H1, RING1, ("alll", "bkz"))
+
+    @pytest.mark.parametrize("delta, calls", [(0.99, 1), (0.6, 2)])
+    def test_one_reduction_per_delta(self, monkeypatch, delta, calls):
+        seen = []
+
+        def counting(basis, delta=0.99, lambda1=None):
+            seen.append(delta)
+            return alll_reduce(basis, delta, lambda1)
+
+        monkeypatch.setattr(cf, "alll_reduce", counting)
+        ch = random_channel(4, db_to_linear(30.0), np.random.default_rng(6))
+        design_relays(ch, RING1, STRATEGIES, delta)
+        assert len(seen) == calls and set(seen) == {delta, 0.99}
+
+    def test_design_relay_is_the_one_strategy_call(self):
+        ch = random_channel(3, db_to_linear(25.0), np.random.default_rng(7))
+        both = design_relays(ch, RING3, STRATEGIES, 0.6)
+        for s in STRATEGIES:
+            assert design_relay(ch, RING3, s, 0.6) == both[s]

@@ -233,6 +233,47 @@ class TestAlll:
         assert_alll_conditions(rep)
 
 
+class TestDerivedBases:
+    """A reduced basis is the validated input times an exact unimodular
+    transform, so only the input pays for the cond (SVD) check."""
+
+    @pytest.fixture
+    def cond_calls(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+
+        def counting(m, *args):
+            calls.append(m.shape)
+            return cond(m, *args)
+
+        monkeypatch.setattr(np.linalg, "cond", counting)
+        return calls
+
+    @pytest.mark.parametrize("d", (1, 3, 5))
+    def test_gauss_reduce_runs_cond_once(self, cond_calls, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            b1, b2 = random_basis(ring_new(d), 2, rng).matrix.T
+            cond_calls.clear()
+            gauss_reduce(b1, b2, ring_new(d))
+            assert len(cond_calls) == 1
+
+    @pytest.mark.parametrize("d", (1, 3, 5))
+    def test_alll_reduce_runs_cond_once(self, cond_calls, d):
+        rng = np.random.default_rng(d)
+        for n in (2, 4, 8):
+            m = random_basis(ring_new(d), n, rng).matrix
+            cond_calls.clear()
+            alll_reduce(ComplexBasis(m, ring_new(d)), 0.99)
+            assert len(cond_calls) == 1
+
+    def test_derived_basis_keeps_the_finite_check(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            ComplexBasis._derived(np.array([[1.0, np.nan], [0.0, 1.0]]), RING1)
+        b = ComplexBasis._derived(np.eye(2), RING1)
+        assert b.matrix.dtype == complex and not b.matrix.flags.writeable
+
+
 class TestQuaternionRotation:
     def test_identity_case(self):
         np.testing.assert_allclose(quaternion_rotation(1.0, 0.0), np.eye(2))
