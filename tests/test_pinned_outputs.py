@@ -4,7 +4,8 @@ Refactors of the reduction, enumeration and compute-and-forward layers must
 leave these exact: the cf-experiment CSV (floats in its .10g format), the
 integer parts of reduce/svp on the golden rank-2 bases, every field of
 the alll_reduce and gauss_reduce reports on float and exact-entry bases,
-cf_experiment rows, and every field of design_relay's designs.
+cf_experiment rows, every field of design_relay's designs, and the
+transforms and swap counts of real_lll on embedded channel bases.
 """
 
 import hashlib
@@ -14,11 +15,11 @@ import json
 import numpy as np
 import pytest
 
-from alglat.cf import STRATEGIES, db_to_linear, design_relay, random_channel
+from alglat.cf import STRATEGIES, cf_basis, db_to_linear, design_relay, random_channel
 from alglat.cli import main
 from alglat.experiments import CF_CSV_HEADER, cf_experiment, write_csv
-from alglat.lattices import ComplexBasis, basis_to_json
-from alglat.reduction import alll_reduce, gauss_reduce
+from alglat.lattices import ComplexBasis, basis_to_json, embed
+from alglat.reduction import alll_reduce, gauss_reduce, real_lll
 from alglat.rings import ring_new
 
 CF_CSV_SHA256 = {
@@ -210,3 +211,42 @@ def test_relay_designs(d, delta):
             for s in STRATEGIES:
                 h.update(design_digest(design_relay(ch, ring, s, delta)).encode())
     assert h.hexdigest() == DESIGN_SHA256[(d, delta)]
+
+
+# ---------------------------------------------------------------------------
+# real LLL on embedded bases
+
+REAL_LLL_SHA256 = {
+    1: "3b60f8646b1568a01b2e7149f38bc03ab928c56fca56013cd88992c8e37bbbf2",
+    2: "b9dd213cf2f73b4614d0c5d5ad08bf9a6f06aa212733dd9fc459a18269d4e563",
+    3: "1ccb193ffbb93128d7cb6e62bc1b6de51af98d3070a4f10d790e6220e4d54d85",
+    5: "5e8a2360755bc07a4377c6dfa067d2cf1aaffdbb22a785513e71a814e89ee219",
+    7: "70b487b8ea9fd8cb9b3c5b2434e2aa2168aa7202d45330660b355ca4f2e287de",
+    "golden": "d3e77dbc289f63f2e3713379f8e9ced5bc4906961b44dabad18abec80126df5d",
+}
+
+
+def real_lll_digest(matrix, delta) -> str:
+    _, T, swaps = real_lll(matrix, delta)
+    return repr(([[int(v) for v in row] for row in T], swaps))
+
+
+@pytest.mark.parametrize("case", list(REAL_LLL_SHA256))
+def test_real_lll_transforms(case):
+    """(T, swaps) of real_lll on embedded channel bases of rank 1 to 4 at
+    SNR 10^0 .. 10^5, and on both golden bases at delta 0.99 and 1."""
+    h = hashlib.sha256()
+    if case == "golden":
+        for d in sorted(GOLDEN):
+            for delta in (0.99, 1.0):
+                h.update(real_lll_digest(embed(golden_basis(d)), delta).encode())
+    else:
+        ring = ring_new(case)
+        for n in (1, 2, 3, 4):
+            for p in range(6):
+                for k in range(3):
+                    rng = np.random.default_rng([case, n, p, k])
+                    matrix = embed(cf_basis(random_channel(n, 10.0**p, rng), ring))
+                    for delta in (0.6, 0.75, 0.99):
+                        h.update(real_lll_digest(matrix, delta).encode())
+    assert h.hexdigest() == REAL_LLL_SHA256[case]
