@@ -95,14 +95,12 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
 # Hermite factor CDF
 
 
-def hermite_cdf(rings, trials: int, seed: int, n: int = 2) -> dict:
+def hermite_cdf(rings, trials: int, seed: int) -> dict:
     """Sorted Hermite factors of random rank-2 lattices, one array per ring.
 
     Bases have i.i.d. CN(0,1) entries; lambda1 comes from Gauss reduction on
     norm-Euclidean rings and from the enumeration oracle otherwise.
     """
-    if n != 2:
-        raise ValueError("the Hermite CDF experiment is defined for rank 2")
     if trials < 100:
         raise ValueError(f"need at least 100 trials for a meaningful CDF, got {trials}")
     out = {}

@@ -1,4 +1,4 @@
-"""Basis reduction: algebraic Gauss, algebraic LLL, and classic real LLL.
+"""Basis reduction: algebraic Gauss, and one LLL loop for algebraic and real LLL.
 
 The algebraic algorithms quantize Gram-Schmidt coefficients to the ring and
 keep the unimodular transform exact, as two integer coordinate arrays
@@ -7,6 +7,12 @@ is maintained incrementally: its structure is restored after each column
 swap by a 2x2 unitary rotation (the matrix form of a quaternion), and it is
 recomputed from the input basis and the exact transform every
 REFACTOR_EVERY swaps.
+
+There is one LLL loop, _lll.  alll_reduce runs it over the basis's ring;
+real_lll runs it over Z (covering radius 1/2), where the nearest ring element
+is the nearest integer, xi is 0, R stays real and the rotation is a Givens
+rotation.  real_lll returns matrix @ T, the rule alll_reduce follows too:
+the reduced basis is the input times the exact transform.
 """
 
 from __future__ import annotations
@@ -115,8 +121,9 @@ def _identity_coords(n: int):
     return [[int(i == j) for i in range(n)] for j in range(n)], [[0] * n for _ in range(n)]
 
 
-def _sub_multiple(ua, ub, j: int, k: int, ca: int, cb: int, ring: RingSpec) -> None:
-    """Column j of U -= (ca + cb*xi) * column k, using xi^2 = s*xi + t."""
+def _sub_multiple(ua, ub, j: int, k: int, ca: int, cb: int, ring: RingSpec | None) -> None:
+    """Column j of U -= (ca + cb*xi) * column k, using xi^2 = s*xi + t.
+    ring is read only when cb != 0, so it is None over Z."""
     if cb == 0:
         ua[j] = [x - ca * y for x, y in zip(ua[j], ua[k])]
         ub[j] = [x - ca * y for x, y in zip(ub[j], ub[k])]
@@ -127,14 +134,11 @@ def _sub_multiple(ua, ub, j: int, k: int, ca: int, cb: int, ring: RingSpec) -> N
     ub[j] = [x - sb * z - cb * y for x, y, z in zip(ub[j], ua[k], ub[k])]
 
 
-def _embed_coords(ua, ub, ring: RingSpec) -> np.ndarray:
-    """U as a complex matrix, each entry embedded as complex(a) + b*xi."""
-    xi = ring.xi
+def _embed_coords(ua, ub, xi) -> np.ndarray:
+    """U as a numpy matrix with entries a + b*xi: complex for a complex xi,
+    real for xi = 0.0 (the integer transform of real LLL)."""
     n = len(ua)
-    return np.array(
-        [[complex(ua[j][i]) + ub[j][i] * xi for j in range(n)] for i in range(n)],
-        dtype=complex,
-    )
+    return np.array([[ua[j][i] + ub[j][i] * xi for j in range(n)] for i in range(n)])
 
 
 def _coords_matrix(ua, ub, ring: RingSpec) -> RingMatrix:
@@ -248,7 +252,8 @@ def quaternion_rotation(r_above: complex, r_below: complex) -> np.ndarray:
 
     This is the matrix form of the quaternion whose complex pair is
     (conj(r_above)/s, -r_below/s); it restores triangularity after a column
-    swap without refactoring.
+    swap without refactoring.  The matrix keeps the dtype of its inputs, so
+    a real pair gives the real Givens rotation.
     """
     s = math.hypot(abs(r_above), abs(r_below))
     if s == 0.0:
@@ -257,8 +262,7 @@ def quaternion_rotation(r_above: complex, r_below: complex) -> np.ndarray:
         [
             [np.conj(r_above) / s, np.conj(r_below) / s],
             [-r_below / s, r_above / s],
-        ],
-        dtype=complex,
+        ]
     )
 
 
@@ -305,7 +309,72 @@ def decoding_radius_bound(ring: RingSpec, n: int, k: int, lambda1: float, eps: f
 
 
 # ---------------------------------------------------------------------------
-# Algebraic LLL
+# The LLL loop, over a ring or over Z
+
+
+def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
+    """LLL-reduce the columns of B over ring, or over Z when ring is None.
+
+    Size reduction rounds each Gram-Schmidt ratio to the nearest ring
+    element (the nearest integer over Z, ties toward the smaller one); a
+    swap restores triangularity with quaternion_rotation, a Givens rotation
+    when B is real.  R is recomputed from B @ U every REFACTOR_EVERY swaps.
+    The loop ends when the Lovasz condition holds everywhere, or after 3n
+    consecutive swaps that each leave the potential within STALL_RATIO of
+    where it was.
+
+    Returns (ua, ub, swaps, size_reductions, events, potential_ratios,
+    stalled), with U = ua + xi*ub as in _sub_multiple (ub stays zero over Z).
+    """
+    n = B.shape[1]
+    xi = 0.0 if ring is None else ring.xi
+    R = _r_positive(B)
+    ua, ub = _identity_coords(n)
+
+    swaps = size_reductions = 0
+    events: list[str] = []
+    pot_ratios: list[float] = []
+    stalled = False
+    stall_run = 0
+
+    j = 1
+    while j < n:
+        for k in range(j - 1, -1, -1):
+            mu = R[k, j] / R[k, k]
+            if ring is None:
+                ca, cb = _round_half_down(mu), 0
+            else:
+                ca, cb = _quantize_pair(complex(mu), ring)
+            if ca or cb:
+                R[: k + 1, j] -= (ca + cb * xi) * R[: k + 1, k]
+                _sub_multiple(ua, ub, j, k, ca, cb, ring)
+                size_reductions += 1
+                events.append(f"size_reduction:{j}")
+        if delta * abs(R[j - 1, j - 1]) ** 2 > abs(R[j, j]) ** 2 + abs(R[j - 1, j]) ** 2:
+            ratio = (abs(R[j - 1, j]) ** 2 + abs(R[j, j]) ** 2) / abs(R[j - 1, j - 1]) ** 2
+            pot_ratios.append(ratio)
+            M = quaternion_rotation(R[j - 1, j], R[j, j])
+            R[:, [j - 1, j]] = R[:, [j, j - 1]]
+            ua[j - 1], ua[j] = ua[j], ua[j - 1]
+            ub[j - 1], ub[j] = ub[j], ub[j - 1]
+            R[j - 1 : j + 1, :] = M @ R[j - 1 : j + 1, :]
+            R[j, j - 1] = 0.0
+            _phase_normalize(R, (j - 1, j))
+            swaps += 1
+            events.append(f"swap:{j}")
+            if swaps % REFACTOR_EVERY == 0:
+                R = _r_positive(B @ _embed_coords(ua, ub, xi))
+            if ratio >= STALL_RATIO:
+                stall_run += 1
+                if stall_run >= 3 * n:
+                    stalled = True
+                    break
+            else:
+                stall_run = 0
+            j = max(j - 1, 1)
+        else:
+            j += 1
+    return ua, ub, swaps, size_reductions, events, pot_ratios, stalled
 
 
 def alll_reduce(
@@ -323,7 +392,6 @@ def alll_reduce(
     """
     t0 = time.perf_counter()
     ring = basis.ring
-    n = basis.n
     rho2 = ring.covering_radius**2
     if delta > 1.0:
         raise ValueError(f"delta must be <= 1, got {delta}")
@@ -342,52 +410,11 @@ def alll_reduce(
         warnings.warn(warns[-1], NonEuclideanRingWarning, stacklevel=2)
 
     B = np.array(basis.matrix, dtype=complex)
-    R = _r_positive(B)
-    ua, ub = _identity_coords(n)
-    xi = ring.xi
+    ua, ub, swaps, size_reductions, events, pot_ratios, stalled = _lll(B, delta, ring)
+    if stalled:
+        warns.append("terminated after repeated swaps with no potential progress")
 
-    swaps = size_reductions = 0
-    events: list[str] = []
-    pot_ratios: list[float] = []
-    stalled = False
-    stall_run = 0
-
-    j = 1
-    while j < n:
-        for k in range(j - 1, -1, -1):
-            ca, cb = _quantize_pair(complex(R[k, j] / R[k, k]), ring)
-            if ca or cb:
-                R[: k + 1, j] -= (complex(ca) + cb * xi) * R[: k + 1, k]
-                _sub_multiple(ua, ub, j, k, ca, cb, ring)
-                size_reductions += 1
-                events.append(f"size_reduction:{j}")
-        if delta * abs(R[j - 1, j - 1]) ** 2 > abs(R[j, j]) ** 2 + abs(R[j - 1, j]) ** 2:
-            ratio = (abs(R[j - 1, j]) ** 2 + abs(R[j, j]) ** 2) / abs(R[j - 1, j - 1]) ** 2
-            pot_ratios.append(ratio)
-            M = quaternion_rotation(R[j - 1, j], R[j, j])
-            R[:, [j - 1, j]] = R[:, [j, j - 1]]
-            ua[j - 1], ua[j] = ua[j], ua[j - 1]
-            ub[j - 1], ub[j] = ub[j], ub[j - 1]
-            R[j - 1 : j + 1, :] = M @ R[j - 1 : j + 1, :]
-            R[j, j - 1] = 0.0
-            _phase_normalize(R, (j - 1, j))
-            swaps += 1
-            events.append(f"swap:{j}")
-            if swaps % REFACTOR_EVERY == 0:
-                R = _r_positive(B @ _embed_coords(ua, ub, ring))
-            if ratio >= STALL_RATIO:
-                stall_run += 1
-                if stall_run >= 3 * n:
-                    stalled = True
-                    warns.append("terminated after repeated swaps with no potential progress")
-                    break
-            else:
-                stall_run = 0
-            j = max(j - 1, 1)
-        else:
-            j += 1
-
-    reduced = ComplexBasis._derived(B @ _embed_coords(ua, ub, ring), ring)
+    reduced = ComplexBasis._derived(B @ _embed_coords(ua, ub, ring.xi), ring)
     report = ReductionReport(
         reduced=reduced,
         transform=_coords_matrix(ua, ub, ring),
@@ -460,63 +487,26 @@ def _mk_check(name: str, lhs: float, rhs: float, tol: float = 1e-9) -> BoundChec
 
 
 # ---------------------------------------------------------------------------
-# classic real LLL on embedded bases
+# real LLL on embedded bases: the LLL loop over Z
 
 
-def real_lll(matrix: np.ndarray, delta: float = 0.99, max_steps: int | None = None):
+def real_lll(matrix: np.ndarray, delta: float = 0.99):
     """LLL-reduce the columns of a real matrix; returns (reduced, T, swaps).
 
-    T is the integer unimodular transform with reduced = matrix @ T.  delta=1
-    is allowed but only iteration-capped (termination is not guaranteed in
-    general at the boundary).
+    T is the integer unimodular transform as an object array of Python ints,
+    and reduced = matrix @ T (computed in floats).  This is _lll over Z.  At
+    delta < 1 every swap cuts the potential by at least delta; at delta = 1
+    the loop ends by the same stall rule as alll_reduce.
     """
     if not 0.25 < delta <= 1.0:
         raise ValueError(f"delta must be in (0.25, 1], got {delta}")
     B = np.array(matrix, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("basis must be a square matrix")
+    ua, _, swaps, *_ = _lll(B, delta, None)
     m = B.shape[0]
-    T = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    swaps = 0
-    if max_steps is None:
-        max_steps = 20000 * m
-
-    R = _r_positive(B)
-    k = 1
-    steps = 0
-    while k < m:
-        steps += 1
-        if steps > max_steps:
-            warnings.warn("real LLL hit its iteration cap; output may be partial")
-            break
-        for j in range(k - 1, -1, -1):
-            c = _round_half_down(R[j, k] / R[j, j])
-            if c:
-                R[: j + 1, k] -= c * R[: j + 1, j]
-                B[:, k] -= c * B[:, j]
-                for i in range(m):
-                    T[i][k] -= c * T[i][j]
-        if delta * R[k - 1, k - 1] ** 2 > R[k, k] ** 2 + R[k - 1, k] ** 2:
-            B[:, [k - 1, k]] = B[:, [k, k - 1]]
-            for i in range(m):
-                T[i][k - 1], T[i][k] = T[i][k], T[i][k - 1]
-            swaps += 1
-            # restore triangularity with a Givens rotation on rows k-1, k
-            R[:, [k - 1, k]] = R[:, [k, k - 1]]
-            a, b = R[k - 1, k - 1], R[k, k - 1]
-            s = math.hypot(a, b)
-            G = np.array([[a / s, b / s], [-b / s, a / s]])
-            R[k - 1 : k + 1, :] = G @ R[k - 1 : k + 1, :]
-            R[k, k - 1] = 0.0
-            if R[k, k] < 0:
-                R[k, :] *= -1.0
-            if swaps % REFACTOR_EVERY == 0:
-                R = _r_positive(B)
-            k = max(k - 1, 1)
-        else:
-            k += 1
-    Tm = np.array(T, dtype=object)
-    return B, Tm, swaps
+    T = np.array([[ua[j][i] for j in range(m)] for i in range(m)], dtype=object)
+    return B @ T.astype(float), T, swaps
 
 
 def _round_half_down(x: float) -> int:

@@ -63,7 +63,7 @@ class SvpResult:
         return self.norm**2
 
 
-def _enum_shortest_py(R, best2, mode, budget, x_init, collect):
+def _enum_shortest(R, best2, mode, budget, x_init, collect):
     """Depth-first Schnorr-Euchner enumeration of the shortest nonzero vector.
 
     R: upper triangular with positive diagonal, m = 2 * (ring rank).
@@ -162,14 +162,6 @@ def _enum_shortest_py(R, best2, mode, budget, x_init, collect):
             if i == m:
                 return 0, best_x, cur_best2, nodes, points
             advance(i)
-
-
-try:  # hot loop; the pure-Python form is the reference implementation
-    from numba import njit
-
-    _enum_shortest = njit(cache=True)(_enum_shortest_py)
-except ImportError:  # pragma: no cover
-    _enum_shortest = _enum_shortest_py
 
 
 def _enumeration_r(basis: ComplexBasis) -> np.ndarray:

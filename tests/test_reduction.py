@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alglat.lattices import ComplexBasis, embed
+from alglat.cf import Channel, cf_basis, design_relay
+from alglat.lattices import ComplexBasis, RingMatrix, embed
 from alglat.reduction import (
     NonEuclideanRingWarning,
     alll_reduce,
@@ -368,3 +371,48 @@ class TestPotentialAndRadius:
                 assert decoding_radius(R, k) >= decoding_radius_bound(
                     RING1, 4, k, lam1, eps
                 ) - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# real LLL is the LLL loop over Z
+
+
+def assert_exactly_unimodular(T):
+    """Integer det(T) is +-1, by exact elimination over Z (= Z[i] with b = 0)."""
+    det = RingMatrix.from_int_rows([[(int(v), 0) for v in row] for row in T], RING1).det()
+    assert det.b == 0 and abs(det.a) == 1
+
+
+def test_real_lll_delta_one_ends_on_equal_norm_columns():
+    """The embedded rank-1 basis has two columns of equal norm; at delta = 1
+    the stall rule ends the loop after at most 3m = 6 swaps."""
+    ch = Channel.from_db([0.1 + 0.1j], 20)
+    assert design_relay(ch, RING3, "rlll", delta=1.0).swaps <= 6
+    _, T, swaps = real_lll(embed(cf_basis(ch, RING3)), delta=1.0)
+    assert swaps <= 6
+    assert_exactly_unimodular(T)
+
+
+@st.composite
+def real_bases(draw):
+    m = draw(st.integers(2, 10))
+    k = draw(st.integers(-40, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    delta = draw(st.sampled_from([0.6, 0.99]))
+    return np.random.default_rng(seed).standard_normal((m, m)) * 2.0**k, delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_bases())
+def test_real_lll_properties(case):
+    matrix, delta = case
+    reduced, T, _ = real_lll(matrix, delta)
+    assert np.array_equal(reduced, matrix @ T.astype(float))
+    assert_exactly_unimodular(T)
+    R = _r_positive(reduced)
+    m = R.shape[0]
+    for j in range(m):
+        for k in range(j):
+            assert abs(R[k, j] / R[k, k]) <= 0.5 + 1e-9
+    for j in range(1, m):
+        assert delta * R[j - 1, j - 1] ** 2 <= (R[j, j] ** 2 + R[j - 1, j] ** 2) * (1 + 1e-9)
