@@ -4,8 +4,9 @@ Refactors of the reduction, enumeration and compute-and-forward layers must
 leave these exact: the cf-experiment CSV (floats in its .10g format), the
 integer parts of reduce/svp on the golden rank-2 bases, every field of
 the alll_reduce and gauss_reduce reports on float and exact-entry bases,
-cf_experiment rows, every field of design_relay's designs, and the
-transforms and swap counts of real_lll on embedded channel bases.
+cf_experiment rows, every field of design_relay's designs, the
+transforms and swap counts of real_lll on embedded channel bases, and the
+hermite-cdf CSV together with the raw bits of the Hermite factors behind it.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ import pytest
 
 from alglat.cf import STRATEGIES, cf_basis, db_to_linear, design_relay, random_channel
 from alglat.cli import main
-from alglat.experiments import CF_CSV_HEADER, cf_experiment, write_csv
+from alglat.experiments import CF_CSV_HEADER, cf_experiment, hermite_cdf, write_csv
 from alglat.lattices import ComplexBasis, basis_to_json, embed
 from alglat.reduction import alll_reduce, gauss_reduce, real_lll
 from alglat.rings import ring_new
@@ -250,3 +251,29 @@ def test_real_lll_transforms(case):
                     for delta in (0.6, 0.75, 0.99):
                         h.update(real_lll_digest(matrix, delta).encode())
     assert h.hexdigest() == REAL_LLL_SHA256[case]
+
+
+# ---------------------------------------------------------------------------
+# Hermite factor CDF
+
+HERMITE_D = (1, 2, 3, 5, 7, 11)
+HERMITE_TRIALS, HERMITE_SEED = 300, 7
+HERMITE_CSV_SHA256 = "8ee536bdb7de56051d1d0ae0aed60ee91645a0bb3993228ad207788bcd74ee07"
+HERMITE_BITS_SHA256 = "7e20bf7654c6d89bd2e6bd274a019bd294f4bf5a3bf51ca83b783940a0446afb"
+
+
+def test_hermite_cdf_csv_bytes(tmp_path):
+    argv = ["hermite-cdf"]
+    for d in HERMITE_D:
+        argv += ["--ring", f"d={d}"]
+    argv += ["--trials", str(HERMITE_TRIALS), "--seed", str(HERMITE_SEED)]
+    assert hashlib.sha256(run_cli(tmp_path, argv)).hexdigest() == HERMITE_CSV_SHA256
+
+
+def test_hermite_cdf_raw_bits():
+    """The CSV's .10g format hides the last bits; this pins every float."""
+    data = hermite_cdf([ring_new(d) for d in HERMITE_D], HERMITE_TRIALS, HERMITE_SEED)
+    h = hashlib.sha256()
+    for vals in data.values():
+        h.update(vals.tobytes())
+    assert h.hexdigest() == HERMITE_BITS_SHA256
