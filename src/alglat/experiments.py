@@ -25,7 +25,7 @@ from .cf import (
     random_channel,
 )
 from .lattices import ComplexBasis, RingMatrix, volume
-from .reduction import NonEuclideanRingWarning, gauss_reduce
+from .reduction import NonEuclideanRingWarning, _gauss_batch
 from .rings import FieldMorphism, RingSpec, morphism_new
 from .svp import shortest_vector
 
@@ -99,27 +99,38 @@ def hermite_cdf(rings, trials: int, seed: int) -> dict:
     """Sorted Hermite factors of random rank-2 lattices, one array per ring.
 
     Bases have i.i.d. CN(0,1) entries; lambda1 comes from Gauss reduction on
-    norm-Euclidean rings and from the enumeration oracle otherwise.
+    norm-Euclidean rings, all of a ring's trials reduced as one stack, and
+    from the enumeration oracle otherwise.  A ring may appear only once.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials for a meaningful CDF, got {trials}")
+    rings = list(rings)
+    if len(set(rings)) < len(rings):
+        raise ValueError("each ring may appear only once; a repeat would overwrite its trials")
     out = {}
     for ri, ring in enumerate(rings):
+        bases = np.empty((trials, 2, 2), dtype=complex)
+        for t in range(trials):
+            rng = _trial_rng(seed, ri * trials + t)
+            bases[t] = math.sqrt(0.5) * (
+                rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            )
         vals = np.empty(trials)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonEuclideanRingWarning)
+        if ring.euclidean:
+            reduced, _ = _gauss_batch(bases, ring)
+            lam1 = np.linalg.norm(reduced, axis=1)[:, 0].tolist()
+            dets = np.linalg.det(reduced)
+            det_phi2 = ring.det_phi**2
             for t in range(trials):
-                rng = _trial_rng(seed, ri * trials + t)
-                m = math.sqrt(0.5) * (
-                    rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                )
-                if ring.euclidean:
-                    rep = gauss_reduce(m[:, 0], m[:, 1], ring)
-                    basis, lam1 = rep.reduced, rep.norms[0]
-                else:
-                    basis = ComplexBasis(m, ring)
-                    lam1 = shortest_vector(basis).norm
-                vals[t] = lam1**2 / math.sqrt(volume(basis))
+                # lam1**2 / sqrt(volume) in scalars: array ** 2 and np.abs
+                # round differently from libm pow and scalar abs
+                vals[t] = lam1[t] ** 2 / math.sqrt(abs(dets[t]) ** 2 * det_phi2)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonEuclideanRingWarning)
+                for t in range(trials):
+                    basis = ComplexBasis(bases[t], ring)
+                    vals[t] = shortest_vector(basis).norm ** 2 / math.sqrt(volume(basis))
         vals.sort()
         out[ring] = vals
     return out

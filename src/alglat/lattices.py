@@ -98,14 +98,17 @@ class ComplexBasis:
         return np.linalg.norm(self.matrix, axis=0)
 
     def exact_entries(self, tol: float = 1e-9) -> "RingMatrix | None":
-        """Recover exact ring entries when every entry is a ring element."""
+        """Recover exact ring entries when every entry is a ring element, to
+        within tol relative to the largest entry."""
         rows = self._exact_pairs(tol)
         return None if rows is None else RingMatrix.from_int_rows(rows, self.ring)
 
     def _exact_pairs(self, tol: float = 1e-9) -> list | None:
         """Rows of (a, b) coordinates of the entries, or None if any entry is
-        farther than tol from the ring."""
+        farther from the ring than tol times the largest entry magnitude, so
+        a scaled-down float basis never reads as the zero matrix."""
         xi = self.ring.xi
+        tol *= float(np.max(np.abs(self.matrix)))
         rows = []
         for i in range(self.n):
             row = []

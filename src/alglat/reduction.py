@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattices import ComplexBasis, RingMatrix, orthogonality_defect
-from .rings import RingSpec, _quantize_pair, quantize  # noqa: F401  (perfbench traces and checks alglat.reduction.quantize)
+from .lattices import MAX_CONDITION, ComplexBasis, RingMatrix, _finite, orthogonality_defect
+from .rings import RingSpec, _quantize_pair, _quantize_pairs, quantize  # noqa: F401  (perfbench traces and checks alglat.reduction.quantize)
 
 __all__ = [
     "BoundCheck",
@@ -174,8 +174,60 @@ def _exact_norms_squared(basis: ComplexBasis, ua, ub) -> list | None:
 # Gauss reduction in two dimensions
 
 
-def _norm2(v: np.ndarray) -> float:
-    return float(np.vdot(v, v).real)
+def _gauss_batch(M: np.ndarray, ring: RingSpec):
+    """Gauss-reduce a stack of rank-2 bases, each exactly as it would be alone.
+
+    M is an (N, 2, 2) complex stack whose columns are basis vectors.  Each
+    basis is validated as ComplexBasis validates it, and gets its own
+    GAUSS_ITER_FACTOR budget; only the trials still swapping stay active.
+
+    Returns (reduced, log): the (N, 2, 2) stack of reduced bases, and per
+    iteration (rows, ca, cb, swapped): the active trials, the element
+    ca + cb*xi subtracted from their second column times the first, and
+    whether they then swapped.  The first entry orders the input columns by
+    norm, with ca = cb = 0.
+    """
+    M = np.array(M, dtype=complex)
+    if M.ndim != 3 or M.shape[1:] != (2, 2):
+        raise ValueError(f"gauss reduction needs 2 x 2 bases, got shape {M.shape}")
+    if np.any(np.linalg.cond(_finite(M)) > MAX_CONDITION):
+        raise ValueError("basis columns are numerically dependent")
+    c0, c1 = M[:, :, 0].copy(), M[:, :, 1].copy()
+    swap = np.vecdot(c0, c0).real > np.vecdot(c1, c1).real
+    zeros = np.zeros(len(M), dtype=np.int64)
+    log = [(np.arange(len(M)), zeros, zeros, swap)]
+    c0[swap], c1[swap] = c1[swap], c0[swap]
+    rows = log[0][0]
+    xi = ring.xi
+    for _ in range(2 * GAUSS_ITER_FACTOR):
+        if rows.size == 0:
+            break
+        b0, b1 = c0[rows], c1[rows]
+        n0 = np.vecdot(b0, b0).real
+        ca, cb = _quantize_pairs(np.vecdot(b0, b1) / n0, ring)
+        red = np.flatnonzero(ca | cb)
+        if red.size:
+            mult = ca[red] + cb[red] * xi
+            b1[red] = b1[red] - mult[:, None] * b0[red]
+        swap = ~(np.vecdot(b1, b1).real >= n0)
+        log.append((rows, ca, cb, swap))
+        c0[rows] = np.where(swap[:, None], b1, b0)
+        c1[rows] = np.where(swap[:, None], b0, b1)
+        rows = rows[swap]
+    if rows.size:
+        raise RuntimeError("gauss reduction exceeded its iteration budget")
+    return np.stack([c0, c1], axis=2), log
+
+
+def _trial_steps(log, t: int) -> list:
+    """(ca, cb, swapped) of trial t at each _gauss_batch iteration it took."""
+    steps = []
+    for rows, ca, cb, swapped in log:
+        k = np.searchsorted(rows, t)
+        if k == rows.size or rows[k] != t:
+            break
+        steps.append((int(ca[k]), int(cb[k]), bool(swapped[k])))
+    return steps
 
 
 def gauss_reduce(b1, b2, ring: RingSpec) -> ReductionReport:
@@ -183,64 +235,47 @@ def gauss_reduce(b1, b2, ring: RingSpec) -> ReductionReport:
     coefficient of the pair quantizes to zero.
 
     For norm-Euclidean rings the output norms are exactly the two successive
-    minima of the lattice; other rings get a warning flag instead.
+    minima of the lattice; other rings get a warning flag instead.  This is
+    _gauss_batch on a stack of one, with its step log replayed into the
+    exact transform.
     """
     t0 = time.perf_counter()
     b1 = np.array(b1, dtype=complex)
     b2 = np.array(b2, dtype=complex)
     if b1.shape != b2.shape or b1.ndim != 1:
         raise ValueError("inputs must be complex vectors of equal length")
-    basis = ComplexBasis(np.column_stack([b1, b2]), ring)  # validates independence
+    M = np.column_stack([b1, b2])
+    reduced, log = _gauss_batch(M[None], ring)
     warns = []
     if not ring.euclidean:
         warns.append(f"ring d={ring.d} is not norm-Euclidean; minima not guaranteed")
         warnings.warn(warns[-1], NonEuclideanRingWarning, stacklevel=2)
 
-    cols = [b1, b2]
     ua, ub = _identity_coords(2)
-    xi = ring.xi
     events: list[str] = []
     swaps = size_reductions = 0
-
-    def do_swap():
-        nonlocal swaps
-        cols.reverse()
-        ua.reverse()
-        ub.reverse()
-        swaps += 1
-        events.append("swap")
-
-    if _norm2(cols[0]) > _norm2(cols[1]):
-        do_swap()
-
-    max_iters = GAUSS_ITER_FACTOR * max(2, len(b1))
-    for _ in range(max_iters):
-        mu = np.vdot(cols[0], cols[1]) / _norm2(cols[0])
-        ca, cb = _quantize_pair(complex(mu), ring)
+    for ca, cb, swapped in _trial_steps(log, 0):
         if ca or cb:
-            cols[1] = cols[1] - (complex(ca) + cb * xi) * cols[0]
             _sub_multiple(ua, ub, 1, 0, ca, cb, ring)
             size_reductions += 1
             events.append("size_reduction")
-        if _norm2(cols[1]) >= _norm2(cols[0]):
-            break
-        do_swap()
-    else:
-        raise RuntimeError("gauss reduction exceeded its iteration budget")
+        if swapped:
+            ua.reverse()
+            ub.reverse()
+            swaps += 1
+            events.append("swap")
 
-    reduced = ComplexBasis._derived(np.column_stack(cols), ring)
-    report = ReductionReport(
-        reduced=reduced,
+    return ReductionReport(
+        reduced=ComplexBasis._derived(reduced[0], ring),
         transform=_coords_matrix(ua, ub, ring),
         swaps=swaps,
         size_reductions=size_reductions,
         delta=None,
         warnings=warns,
         events=events,
-        norms_squared_exact=_exact_norms_squared(basis, ua, ub),
+        norms_squared_exact=_exact_norms_squared(ComplexBasis._derived(M, ring), ua, ub),
         wall_time=time.perf_counter() - t0,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,9 @@ class TestTrialSeeding:
     one at a time, in any order, reproduce the harness exactly."""
 
     def test_hermite_cdf_trials_are_independent(self):
-        rings, trials, seed = [RING1, ring_new(5)], 100, 11
+        """Trial by trial through gauss_reduce, in reverse, against the
+        stacked reduction of each Euclidean ring."""
+        rings, trials, seed = [ring_new(d) for d in (1, 2, 3, 5, 7, 11)], 100, 11
         data = hermite_cdf(rings, trials, seed)
         for ri, ring in enumerate(rings):
             vals = []

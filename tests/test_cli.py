@@ -163,6 +163,18 @@ class TestCli:
     def test_hermite_cdf_zero_trials(self):
         assert main(["hermite-cdf", "--ring", "d=1", "--trials", "0", "--seed", "1"]) == 1
 
+    def test_hermite_cdf_repeated_ring(self, tmp_path, capsys):
+        """d=1 and gaussian are one ring; its second block would overwrite
+        the first and drop half the rows."""
+        out = tmp_path / "h.csv"
+        code = main([
+            "hermite-cdf", "--ring", "d=1", "--ring", "gaussian",
+            "--trials", "100", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 1
+        assert "only once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cf_rate(self, tmp_path):
         ch = tmp_path / "ch.json"
         ch.write_text(json.dumps({"h": [[-0.4001, 1.0937], [-0.9278, 1.8151]]}))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from alglat.cf import Channel, cf_basis, design_relay
 from alglat.lattices import ComplexBasis, RingMatrix, embed
+from alglat import reduction
 from alglat.reduction import (
     NonEuclideanRingWarning,
     alll_reduce,
@@ -18,7 +19,7 @@ from alglat.reduction import (
     real_lll,
     reduction_epsilon,
 )
-from alglat.reduction import _r_positive
+from alglat.reduction import _gauss_batch, _r_positive, _trial_steps
 from alglat.rings import quantize, ring_new
 from alglat.svp import shortest_vector, successive_minima_2d
 
@@ -121,6 +122,95 @@ class TestGauss:
             assert rep.norms[0] == pytest.approx(l1, abs=1e-7)
             assert rep.norms[1] == pytest.approx(l2, abs=1e-7)
             assert_transform_valid(B, rep)
+
+
+def gauss_stack(ring, kinds, seed):
+    """(N, 2, 2) stack: a CN(0,1) basis for each False in kinds and an
+    exact-entry basis with coordinates in [-3, 3] for each True."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for exact in kinds:
+        while exact:
+            m = rng.integers(-3, 4, size=(2, 2)) + ring.xi * rng.integers(-3, 4, size=(2, 2))
+            if abs(np.linalg.det(m)) > 0.5:
+                break
+        else:
+            m = random_basis(ring, 2, rng).matrix
+        stack.append(m)
+    return np.array(stack)
+
+
+class TestGaussBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(EUCLIDEAN_D),
+        st.lists(st.booleans(), min_size=1, max_size=24),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_each_trial_as_alone(self, d, kinds, seed):
+        """Reduced bytes and step log of every trial match the stack of one."""
+        ring = ring_new(d)
+        M = gauss_stack(ring, kinds, seed)
+        reduced, log = _gauss_batch(M, ring)
+        for t in range(len(M)):
+            alone, log1 = _gauss_batch(M[t : t + 1], ring)
+            assert reduced[t].tobytes() == alone[0].tobytes()
+            assert _trial_steps(log, t) == _trial_steps(log1, 0)
+
+    def test_matches_gauss_reduce(self):
+        ring = ring_new(7)
+        M = gauss_stack(ring, [False, True] * 10, 5)
+        reduced, log = _gauss_batch(M, ring)
+        for t, m in enumerate(M):
+            rep = gauss_reduce(m[:, 0], m[:, 1], ring)
+            assert reduced[t].tobytes() == rep.reduced.matrix.tobytes()
+            steps = _trial_steps(log, t)
+            assert rep.swaps == sum(sw for _, _, sw in steps)
+            assert rep.size_reductions == sum(bool(a or b) for a, b, _ in steps)
+
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setattr(reduction, "GAUSS_ITER_FACTOR", 0)
+        M = gauss_stack(RING1, [False, True, False], 1)
+        with pytest.raises(RuntimeError, match="iteration budget"):
+            _gauss_batch(M, RING1)
+        with pytest.raises(RuntimeError, match="iteration budget"):
+            gauss_reduce(M[0, :, 0], M[0, :, 1], RING1)
+
+    def test_validation(self):
+        M = gauss_stack(RING1, [False, False], 2)
+        M[1, :, 1] = 2 * M[1, :, 0]
+        with pytest.raises(ValueError, match="numerically dependent"):
+            _gauss_batch(M, RING1)
+        M[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _gauss_batch(M, RING1)
+        with pytest.raises(ValueError, match="2 x 2 bases"):
+            _gauss_batch(np.eye(3, dtype=complex)[None], RING1)
+
+
+class TestTinyFloatBasis:
+    """A CN(0,1) basis times 1e-10 is a float lattice, not the zero matrix."""
+
+    def basis(self, n):
+        rng = np.random.default_rng(3)
+        m = math.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return ComplexBasis(1e-10 * m, RING1)
+
+    def test_exact_entries_none(self):
+        assert self.basis(3).exact_entries() is None
+
+    def test_gauss_norms_not_exact(self):
+        m = self.basis(2).matrix
+        assert gauss_reduce(m[:, 0], m[:, 1], RING1).norms_squared_exact is None
+
+    def test_alll_norms_not_exact(self):
+        assert alll_reduce(self.basis(3)).norms_squared_exact is None
+
+    def test_scaled_exact_basis_still_exact(self):
+        b1, b2 = eisenstein_golden_basis()
+        B = ComplexBasis(1e6 * np.column_stack([b1, b2]), RING3)
+        E = B.exact_entries()
+        assert (E[0, 0].a, E[0, 0].b) == (4_000_000, 1_000_000)
 
 
 class TestAlll:

@@ -9,6 +9,7 @@ from alglat.rings import (
     ZERO_RADIUS2,
     RingKind,
     _quantize_pair,
+    _quantize_pairs,
     covering_radius_geometric,
     morphism_new,
     norm_euclidean_sup_distance,
@@ -272,6 +273,32 @@ def test_quantize_pair_matches_exhaustive_search(ring_point):
     ring, x = ring_point
     e = exhaustive_nearest(x, ring)
     assert _quantize_pair(x, ring) == (e.a, e.b)
+
+
+@st.composite
+def _point_list(draw, ring):
+    """Points of test_quantize_pair_matches_exhaustive_search: generic, around
+    |x| = 1/2 and the zero cut-off, and nudged half-lattice ties."""
+    generic = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+    point = st.one_of(generic, _circle_points(), _half_lattice_points(ring))
+    return draw(st.lists(point, min_size=1, max_size=40))
+
+
+@pytest.mark.parametrize("d", SAMPLE_D)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quantize_pairs_matches_quantize_pair(d, data):
+    ring = ring_new(d)
+    xs = data.draw(_point_list(ring))
+    a, b = _quantize_pairs(np.array(xs), ring)
+    assert a.dtype == b.dtype == np.int64
+    assert list(zip(a.tolist(), b.tolist())) == [_quantize_pair(x, ring) for x in xs]
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0, math.inf)])
+def test_quantize_pairs_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        _quantize_pairs(np.array([0.3 + 2j, bad, 0.1j]), ring_new(3))
 
 
 class TestCoveringRadius:
