@@ -58,6 +58,14 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _independent(m: np.ndarray) -> np.ndarray:
+    """m, a basis or a stack of bases, once each is finite and has
+    condition number at most MAX_CONDITION."""
+    if np.any(np.linalg.cond(_finite(m)) > MAX_CONDITION):
+        raise ValueError("basis columns are numerically dependent")
+    return m
+
+
 @dataclass(frozen=True)
 class ComplexBasis:
     """Column basis of a rank-n algebraic lattice over a ring Z[xi]."""
@@ -69,8 +77,7 @@ class ComplexBasis:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"basis must be square and non-empty, got shape {m.shape}")
-        if np.linalg.cond(_finite(m)) > MAX_CONDITION:
-            raise ValueError("basis columns are numerically dependent")
+        _independent(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattices import MAX_CONDITION, ComplexBasis, RingMatrix, _finite, orthogonality_defect
+from .lattices import ComplexBasis, RingMatrix, _independent, orthogonality_defect
 from .rings import RingSpec, _quantize_pair, _quantize_pairs, quantize  # noqa: F401  (perfbench traces and checks alglat.reduction.quantize)
 
 __all__ = [
@@ -187,36 +187,35 @@ def _gauss_batch(M: np.ndarray, ring: RingSpec):
     whether they then swapped.  The first entry orders the input columns by
     norm, with ca = cb = 0.
     """
-    M = np.array(M, dtype=complex)
+    M = np.asarray(M, dtype=complex)
     if M.ndim != 3 or M.shape[1:] != (2, 2):
         raise ValueError(f"gauss reduction needs 2 x 2 bases, got shape {M.shape}")
-    if np.any(np.linalg.cond(_finite(M)) > MAX_CONDITION):
-        raise ValueError("basis columns are numerically dependent")
-    c0, c1 = M[:, :, 0].copy(), M[:, :, 1].copy()
-    swap = np.vecdot(c0, c0).real > np.vecdot(c1, c1).real
+    _independent(M)
+    b0, b1 = M[:, :, 0], M[:, :, 1]
+    rows = np.arange(len(M))
+    swap = np.vecdot(b0, b0).real > np.vecdot(b1, b1).real
     zeros = np.zeros(len(M), dtype=np.int64)
-    log = [(np.arange(len(M)), zeros, zeros, swap)]
-    c0[swap], c1[swap] = c1[swap], c0[swap]
-    rows = log[0][0]
+    log = [(rows, zeros, zeros, swap)]
+    # b0, b1: the columns of the active trials, in their current order
+    b0, b1 = np.where(swap[:, None], b1, b0), np.where(swap[:, None], b0, b1)
+    reduced = np.empty_like(M)
     xi = ring.xi
     for _ in range(2 * GAUSS_ITER_FACTOR):
-        if rows.size == 0:
-            break
-        b0, b1 = c0[rows], c1[rows]
         n0 = np.vecdot(b0, b0).real
         ca, cb = _quantize_pairs(np.vecdot(b0, b1) / n0, ring)
         red = np.flatnonzero(ca | cb)
         if red.size:
-            mult = ca[red] + cb[red] * xi
-            b1[red] = b1[red] - mult[:, None] * b0[red]
+            b1[red] = b1[red] - (ca[red] + cb[red] * xi)[:, None] * b0[red]
         swap = ~(np.vecdot(b1, b1).real >= n0)
         log.append((rows, ca, cb, swap))
-        c0[rows] = np.where(swap[:, None], b1, b0)
-        c1[rows] = np.where(swap[:, None], b0, b1)
-        rows = rows[swap]
-    if rows.size:
-        raise RuntimeError("gauss reduction exceeded its iteration budget")
-    return np.stack([c0, c1], axis=2), log
+        done = ~swap
+        if done.any():
+            reduced[rows[done], :, 0], reduced[rows[done], :, 1] = b0[done], b1[done]
+            rows, b0, b1 = rows[swap], b0[swap], b1[swap]
+        if rows.size == 0:
+            return reduced, log
+        b0, b1 = b1, b0
+    raise RuntimeError("gauss reduction exceeded its iteration budget")
 
 
 def _trial_steps(log, t: int) -> list:

@@ -307,6 +307,10 @@ def _quantize_pair(x: complex, ring: RingSpec) -> tuple[int, int]:
 #: square, so a wider gap orders the squared distances the same way.
 _TIE_ULPS = 8
 
+#: up to this many entries outside the zero radius, a _quantize_pair loop is
+#: faster than the fixed cost of the vectorized search
+_LOOP_MAX = 8
+
 
 def _quantize_pairs(x, ring: RingSpec) -> tuple:
     """_quantize_pair over a complex array: int64 arrays (a, b), equal to
@@ -315,14 +319,17 @@ def _quantize_pairs(x, ring: RingSpec) -> tuple:
     The candidates and the float distances are those of _quantize_pair.
     Entries whose two nearest candidates lie within _TIE_ULPS of each other,
     or too far out for exact float floors, go to _quantize_pair itself, which
-    settles ties by (dist, a, b).
+    settles ties by (dist, a, b); so do all entries when at most _LOOP_MAX
+    lie outside the zero radius.
     """
     x = np.asarray(x, dtype=complex)
     a = np.zeros(x.shape, dtype=np.int64)
     b = np.zeros(x.shape, dtype=np.int64)
     re, im = x.real, x.imag
     far = np.flatnonzero(~(re * re + im * im < ZERO_RADIUS2))
-    if far.size == 0:
+    if far.size <= _LOOP_MAX:
+        for k in far.tolist():
+            a.flat[k], b.flat[k] = _quantize_pair(complex(x.flat[k]), ring)
         return a, b
     z = x.flat[far]
     re, im = z.real, z.imag

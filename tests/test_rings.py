@@ -281,7 +281,7 @@ def _point_list(draw, ring):
     |x| = 1/2 and the zero cut-off, and nudged half-lattice ties."""
     generic = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
     point = st.one_of(generic, _circle_points(), _half_lattice_points(ring))
-    return draw(st.lists(point, min_size=1, max_size=40))
+    return draw(st.lists(point, min_size=12, max_size=60))
 
 
 @pytest.mark.parametrize("d", SAMPLE_D)
