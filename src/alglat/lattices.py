@@ -106,16 +106,17 @@ class ComplexBasis:
 
     def exact_entries(self, tol: float = 1e-9) -> "RingMatrix | None":
         """Recover exact ring entries when every entry is a ring element, to
-        within tol relative to the largest entry."""
+        within tol, scaled down for a basis whose entries are all below 1."""
         rows = self._exact_pairs(tol)
         return None if rows is None else RingMatrix.from_int_rows(rows, self.ring)
 
     def _exact_pairs(self, tol: float = 1e-9) -> list | None:
         """Rows of (a, b) coordinates of the entries, or None if any entry is
-        farther from the ring than tol times the largest entry magnitude, so
-        a scaled-down float basis never reads as the zero matrix."""
+        farther from the ring than tol.  When every entry is below 1, tol is
+        scaled by the largest entry magnitude, so a scaled-down float basis
+        never reads as the zero matrix; it is never widened."""
         xi = self.ring.xi
-        tol *= float(np.max(np.abs(self.matrix)))
+        tol *= min(1.0, float(np.max(np.abs(self.matrix))))
         rows = []
         for i in range(self.n):
             row = []

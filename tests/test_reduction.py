@@ -212,6 +212,13 @@ class TestTinyFloatBasis:
         E = B.exact_entries()
         assert (E[0, 0].a, E[0, 0].b) == (4_000_000, 1_000_000)
 
+    def test_large_entry_does_not_widen_tolerance(self):
+        B = ComplexBasis(np.array([[1e6, 1e-4], [0, 1]], dtype=complex), RING1)
+        assert B.exact_entries() is None
+        m = B.matrix
+        assert gauss_reduce(m[:, 0], m[:, 1], RING1).norms_squared_exact is None
+        assert alll_reduce(B).norms_squared_exact is None
+
 
 class TestAlll:
     def test_identity_noop(self):
