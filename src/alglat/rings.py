@@ -302,66 +302,15 @@ def _quantize_pair(x: complex, ring: RingSpec) -> tuple[int, int]:
     return a, b
 
 
-#: distances closer than this many ulps are settled by _quantize_pair.  Float
-#: hypot matches abs() bit for bit, and Python's x**2 is within an ulp of the
-#: square, so a wider gap orders the squared distances the same way.
-_TIE_ULPS = 8
-
-#: up to this many entries outside the zero radius, a _quantize_pair loop is
-#: faster than the fixed cost of the vectorized search
-_LOOP_MAX = 8
-
-
 def _quantize_pairs(x, ring: RingSpec) -> tuple:
     """_quantize_pair over a complex array: int64 arrays (a, b), equal to
-    _quantize_pair entry by entry.
-
-    The candidates and the float distances are those of _quantize_pair.
-    Entries whose two nearest candidates lie within _TIE_ULPS of each other,
-    or too far out for exact float floors, go to _quantize_pair itself, which
-    settles ties by (dist, a, b); so do all entries when at most _LOOP_MAX
-    lie outside the zero radius.
-    """
+    _quantize_pair entry by entry.  Entries inside the zero radius are 0."""
     x = np.asarray(x, dtype=complex)
     a = np.zeros(x.shape, dtype=np.int64)
     b = np.zeros(x.shape, dtype=np.int64)
     re, im = x.real, x.imag
-    far = np.flatnonzero(~(re * re + im * im < ZERO_RADIUS2))
-    if far.size <= _LOOP_MAX:
-        for k in far.tolist():
-            a.flat[k], b.flat[k] = _quantize_pair(complex(x.flat[k]), ring)
-        return a, b
-    z = x.flat[far]
-    re, im = z.real, z.imag
-    finite = np.isfinite(re) & np.isfinite(im)
-    if not finite.all():
-        raise ValueError(f"cannot quantize non-finite value {complex(z[~finite][0])}")
-    y = im / math.sqrt(ring.d)
-    # beyond 2^50 the floats below stop being exact integers
-    huge = ~(np.maximum(abs(re), abs(y)) < 2.0**50)
-    re, y = np.where(huge, 0.0, re), np.where(huge, 0.0, y)
-    u, v = np.floor(re), np.floor(y)
-    if ring.kind is RingKind.TYPE_I:
-        ca = np.stack([u, u, u + 1, u + 1])
-        cb = np.stack([v, v + 1, v, v + 1])
-    else:
-        # the rectangular points and the half-shifted coset, as in _quantize_pair
-        u2, v2 = np.floor(re - 0.5), np.floor(y - 0.5)
-        ps = (u, u, u + 1, u + 1, u2, u2, u2 + 1, u2 + 1)
-        qs = (v, v + 1, v, v + 1, v2, v2 + 1, v2, v2 + 1)
-        ca = np.stack([p - q for p, q in zip(ps, qs)])
-        cb = np.stack([2 * q for q in qs[:4]] + [2 * q + 1 for q in qs[4:]])
-    xi = ring.xi
-    dist = np.hypot(re - (ca + cb * xi.real), im - cb * xi.imag)
-    cols = np.arange(far.size)
-    best = np.argmin(dist, axis=0)
-    d1 = dist[best, cols]
-    dist[best, cols] = np.inf
-    d2 = dist.min(axis=0)
-    a.flat[far] = ca[best, cols]
-    b.flat[far] = cb[best, cols]
-    for k in np.flatnonzero(huge | (d2 - d1 <= _TIE_ULPS * np.spacing(d2))):
-        a.flat[far[k]], b.flat[far[k]] = _quantize_pair(complex(z[k]), ring)
+    for k in np.flatnonzero(~(re * re + im * im < ZERO_RADIUS2)).tolist():
+        a.flat[k], b.flat[k] = _quantize_pair(complex(x.flat[k]), ring)
     return a, b
 
 
