@@ -5,8 +5,10 @@ leave these exact: the cf-experiment CSV (floats in its .10g format), the
 integer parts of reduce/svp on the golden rank-2 bases, every field of
 the alll_reduce and gauss_reduce reports on float and exact-entry bases,
 cf_experiment rows, every field of design_relay's designs, the
-transforms and swap counts of real_lll on embedded channel bases, and the
-hermite-cdf CSV together with the raw bits of the Hermite factors behind it.
+transforms and swap counts of real_lll on embedded channel bases, the
+hermite-cdf CSV together with the raw bits of the Hermite factors behind it,
+the rank-failure CSV, rank_failure_probability for every strategy, and the
+bits of dof_slope.
 """
 
 import hashlib
@@ -16,9 +18,23 @@ import json
 import numpy as np
 import pytest
 
-from alglat.cf import STRATEGIES, cf_basis, db_to_linear, design_relay, random_channel
+from alglat.cf import (
+    STRATEGIES,
+    cf_basis,
+    db_to_linear,
+    default_morphism,
+    design_relay,
+    random_channel,
+)
 from alglat.cli import main
-from alglat.experiments import CF_CSV_HEADER, cf_experiment, hermite_cdf, write_csv
+from alglat.experiments import (
+    CF_CSV_HEADER,
+    cf_experiment,
+    dof_slope,
+    hermite_cdf,
+    rank_failure_probability,
+    write_csv,
+)
 from alglat.lattices import ComplexBasis, basis_to_json, embed
 from alglat.reduction import alll_reduce, gauss_reduce, real_lll
 from alglat.rings import ring_new
@@ -277,3 +293,80 @@ def test_hermite_cdf_raw_bits():
     for vals in data.values():
         h.update(vals.tobytes())
     assert h.hexdigest() == HERMITE_BITS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# rank failure and degrees of freedom
+
+RANK_CSV_SHA256 = {
+    1: "9e5916c8a9307e81b1a61c95ab19000deee9b2a3c4a544c739daac39dc4b2e1d",
+    3: "6aa3b1c6f13695454c9f0a749efe855c487b6a855e45f718cde4589ab12170eb",
+}
+
+#: repr of (p_rank_fail_ring, p_rank_fail_field) at 20 dB, 150 trials, seed 42;
+#: svp and best_single stack the same best vectors as rlll on these draws
+RANK_FAILURE_REPR = {
+    (1, 2): {
+        "alll": "(0.0, 0.0)",
+        "rlll": "(0.04, 0.19333333333333333)",
+        "svp": "(0.04, 0.19333333333333333)",
+        "best_single": "(0.04, 0.19333333333333333)",
+    },
+    (1, 3): {
+        "alll": "(0.0, 0.0)",
+        "rlll": "(0.006666666666666667, 0.2)",
+        "svp": "(0.006666666666666667, 0.2)",
+        "best_single": "(0.006666666666666667, 0.2)",
+    },
+    (3, 2): {
+        "alll": "(0.0, 0.0)",
+        "rlll": "(0.02666666666666667, 0.11333333333333333)",
+        "svp": "(0.02666666666666667, 0.11333333333333333)",
+        "best_single": "(0.02666666666666667, 0.11333333333333333)",
+    },
+    (3, 3): {
+        "alll": "(0.0, 0.0)",
+        "rlll": "(0.02, 0.12)",
+        "svp": "(0.02, 0.12)",
+        "best_single": "(0.02, 0.12)",
+    },
+}
+
+#: repr of dof_slope for three relays on the grid (0, 20, 40) dB, 20 channels
+#: per point, seed 9
+DOF_SLOPE_REPR = {
+    (1, "alll"): "0.35234225061976976",
+    (1, "svp"): "0.3523049859011477",
+    (1, "rlll"): "0.3523049859011477",
+    (3, "alll"): "0.34623737135731436",
+    (3, "svp"): "0.34623737135731664",
+    (3, "rlll"): "0.34623737135732235",
+    (5, "alll"): "0.1536254044277758",
+}
+
+
+@pytest.mark.parametrize("d", sorted(RANK_CSV_SHA256))
+def test_rank_failure_csv_bytes(tmp_path, d):
+    """d=1 with its default F_5 map, d=3 with the modulus 2 + xi given."""
+    argv = ["rank-failure", "--ring", f"d={d}", "--n", "2", "--snr-db", "25"]
+    argv += ["--trials", "200", "--seed", "42"]
+    if d == 3:
+        argv += ["--modulus", "2,1"]
+    assert hashlib.sha256(run_cli(tmp_path, argv)).hexdigest() == RANK_CSV_SHA256[d]
+
+
+@pytest.mark.parametrize("d, n", sorted(RANK_FAILURE_REPR))
+def test_rank_failure_probabilities(d, n):
+    ring = ring_new(d)
+    mor = default_morphism(ring)
+    got = {
+        s: repr(rank_failure_probability(ring, mor, n, db_to_linear(20.0), 150, s, seed=42))
+        for s in STRATEGIES
+    }
+    assert got == RANK_FAILURE_REPR[(d, n)]
+
+
+@pytest.mark.parametrize("d, strategy", sorted(DOF_SLOPE_REPR))
+def test_dof_slope_bits(d, strategy):
+    slope = dof_slope(ring_new(d), 3, strategy, [0, 20, 40], channels_per_point=20, seed=9)
+    assert repr(slope) == DOF_SLOPE_REPR[(d, strategy)]
