@@ -33,7 +33,7 @@ from .lattices import (
 )
 from .reduction import NonEuclideanRingWarning, alll_reduce, real_lll, reduction_epsilon
 from .rings import FieldMorphism, RingSpec, morphism_new
-from .svp import PREPROCESS_DELTA, canonicalize_by_unit, shortest_vector
+from .svp import PREPROCESS_DELTA, _svp, canonicalize_by_unit
 
 __all__ = [
     "Channel",
@@ -178,8 +178,8 @@ def design_relays(
     alll / rlll return every transform column sorted by descending rate (for
     alll the columns form a unimodular ring matrix, reduced at delta); svp
     and its alias best_single return the single highest-rate coefficient,
-    enumerated from the ALLL reduction at 0.99 whatever delta is, as
-    shortest_vector preprocesses.
+    enumerated from the ALLL reduction at 0.99 whatever delta is, as in
+    shortest_vector.
     """
     for s in strategies:
         if s not in STRATEGIES:
@@ -217,8 +217,8 @@ def design_relays(
             vectors, rates = ranked([fold_real_column(T[:, j], ring) for j in range(T.shape[1])])
         else:  # svp: the single best equation
             rep = reduced_at(PREPROCESS_DELTA)
-            res = shortest_vector(rep.reduced, preprocess=False)
-            vectors, rates = ranked([canonicalize_by_unit(rep.transform @ res.coefficient, ring)])
+            coeff, _ = _svp(rep.reduced)
+            vectors, rates = ranked([canonicalize_by_unit(rep.transform @ coeff, ring)])
         first_norm = float(np.linalg.norm(basis.matrix @ coeff_to_complex(vectors[0])))
         parts[c] = vectors, rates, matrix, swaps, first_norm
     designs = {}
@@ -288,15 +288,29 @@ def default_morphism(ring: RingSpec) -> FieldMorphism:
     )
 
 
+def _candidate_matrices(designs) -> list:
+    """Candidate coefficient matrices of one network, column l for relay l.
+
+    Designs with a matrix (alll) offer their unimodular matrices; designs
+    without one (rlll, svp) are single-equation designs and offer the stack
+    of their best vectors.
+    """
+    if all(d.matrix is not None for d in designs):
+        return [d.matrix for d in designs]
+    if any(d.matrix is not None for d in designs):
+        raise ValueError("mixed candidate kinds; use one strategy per network")
+    if len(designs) != designs[0].channel.n:
+        raise ValueError("single-equation designs need one relay per dimension")
+    return [RingMatrix.from_columns([d.best_vector for d in designs], designs[0].ring)]
+
+
 def transmission_rate(designs: list, morphism: FieldMorphism) -> NetworkDesign:
     """Pick the candidate coefficient matrix with the best min-over-relays rate.
 
-    Each candidate matrix assigns its column l to relay l.  Designs with a
-    matrix (alll) offer their matrices; designs without one (rlll, svp) are
-    single-equation designs and offer the stack of their best vectors.
-    Candidates that are rank-deficient over F_p are discarded; for unimodular
-    candidates this never happens, and the determinant-morphism commutation
-    f(det A) = det f(A) is checked on the chosen matrix.
+    Candidates (_candidate_matrices) that are rank-deficient over F_p are
+    discarded; for unimodular candidates this never happens, and the
+    determinant-morphism commutation f(det A) = det f(A) is checked on the
+    chosen matrix.
     """
     if not designs:
         raise ValueError("need at least one relay design")
@@ -304,17 +318,7 @@ def transmission_rate(designs: list, morphism: FieldMorphism) -> NetworkDesign:
     if any(d.channel.n != n for d in designs):
         raise ValueError("relay designs have mismatched sizes")
 
-    if all(d.matrix is not None for d in designs):
-        candidates = [d.matrix for d in designs]
-    elif all(d.matrix is None for d in designs):
-        if len(designs) != n:
-            raise ValueError("single-equation designs need one relay per dimension")
-        candidates = [
-            RingMatrix.from_columns([d.best_vector for d in designs], designs[0].ring)
-        ]
-    else:
-        raise ValueError("mixed candidate kinds; use one strategy per network")
-
+    candidates = _candidate_matrices(designs)
     rates = []
     ranks = []
     for cand in candidates:

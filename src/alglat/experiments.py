@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .cf import (
     STRATEGIES,
     STRATEGY_ALIASES,
+    _candidate_matrices,
     db_to_linear,
     default_morphism,
     design_relay,
@@ -24,8 +24,8 @@ from .cf import (
     rank_mod_p,
     random_channel,
 )
-from .lattices import ComplexBasis, RingMatrix, volume
-from .reduction import NonEuclideanRingWarning, _gauss_batch
+from .lattices import ComplexBasis, volume
+from .reduction import _gauss_batch
 from .rings import FieldMorphism, RingSpec, morphism_new
 from .svp import shortest_vector
 
@@ -82,13 +82,17 @@ def write_csv(rows, header, out) -> None:
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator of trial `index`: child `index` of SeedSequence(seed).
-
-    Harnesses number their trials (point, trial) -> point * trials + trial,
-    where a point is a ring or an SNR value, so each trial's draws depend only
-    on the seed and its own index.
-    """
+    """Generator of trial `index`: child `index` of SeedSequence(seed)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def _trials(seed: int, points: int, trials: int):
+    """(point, trial, generator) in index order, where a point is a ring or an
+    SNR value; trial (point, trial) draws from _trial_rng(seed, point * trials
+    + trial), so its draws depend only on the seed and its own index."""
+    for point in range(points):
+        for trial in range(trials):
+            yield point, trial, _trial_rng(seed, point * trials + trial)
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +111,13 @@ def hermite_cdf(rings, trials: int, seed: int) -> dict:
     rings = list(rings)
     if len(set(rings)) < len(rings):
         raise ValueError("each ring may appear only once; a repeat would overwrite its trials")
+    draws = np.empty((len(rings), trials, 2, 2), dtype=complex)
+    for ri, t, rng in _trials(seed, len(rings), trials):
+        draws[ri, t] = math.sqrt(0.5) * (
+            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        )
     out = {}
-    for ri, ring in enumerate(rings):
-        bases = np.empty((trials, 2, 2), dtype=complex)
-        for t in range(trials):
-            rng = _trial_rng(seed, ri * trials + t)
-            bases[t] = math.sqrt(0.5) * (
-                rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            )
+    for ring, bases in zip(rings, draws):
         vals = np.empty(trials)
         if ring.euclidean:
             reduced, _ = _gauss_batch(bases, ring)
@@ -126,11 +129,9 @@ def hermite_cdf(rings, trials: int, seed: int) -> dict:
                 # round differently from libm pow and scalar abs
                 vals[t] = lam1[t] ** 2 / math.sqrt(abs(dets[t]) ** 2 * det_phi2)
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NonEuclideanRingWarning)
-                for t in range(trials):
-                    basis = ComplexBasis(bases[t], ring)
-                    vals[t] = shortest_vector(basis).norm ** 2 / math.sqrt(volume(basis))
+            for t in range(trials):
+                basis = ComplexBasis(bases[t], ring)
+                vals[t] = shortest_vector(basis).norm ** 2 / math.sqrt(volume(basis))
         vals.sort()
         out[ring] = vals
     return out
@@ -156,7 +157,6 @@ class _Acc:
     norms: list
     ring_fail: int = 0
     field_fail: int = 0
-    fail_trials: int = 0
 
 
 def _resolve_morphism(ring: RingSpec, modulus):
@@ -169,21 +169,44 @@ def _resolve_morphism(ring: RingSpec, modulus):
 
 
 def _rank_failures(designs, morphism: FieldMorphism | None) -> tuple[bool, bool]:
-    """Whether one network's coefficient matrix is singular over the ring and
-    over F_p.
-
-    For alll designs the matrix is the first relay's unimodular transform
-    (every alll candidate is unimodular, so the choice does not matter).  For
-    the other strategies it is the stack of per-relay best equations.  A
-    ring-singular matrix counts as a field failure too.
-    """
-    if designs[0].strategy == "alll":
-        A = designs[0].matrix
-    else:
-        A = RingMatrix.from_columns([d.best_vector for d in designs], designs[0].ring)
+    """Whether one network's first candidate matrix is singular over the ring
+    and over F_p; a ring-singular matrix counts as a field failure too."""
+    A = _candidate_matrices(designs)[0]
     if A.det().is_zero():
         return True, True
     return False, morphism is not None and rank_mod_p(A, morphism) < len(designs)
+
+
+def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) -> dict:
+    """The network-trial loop: an _Acc per (strategy, point index).
+
+    Each trial draws one n-relay network and replays its channels for every
+    strategy, so the comparison is paired; each relay is designed once for
+    all canonical strategies, and a strategy and its aliases share a design.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    for s in strategies:
+        if s not in STRATEGIES:
+            raise ValueError(f"unknown strategy {s!r}")
+    canonical = tuple(dict.fromkeys(STRATEGY_ALIASES.get(s, s) for s in strategies))
+    acc = {(s, pi): _Acc([], [], []) for s in strategies for pi in range(len(p_linear_list))}
+    for pi, _, rng in _trials(seed, len(p_linear_list), trials):
+        chans = [random_channel(n, p_linear_list[pi], rng) for _ in range(n)]
+        relays = [design_relays(ch, ring, canonical) for ch in chans]
+        outcomes = {}
+        for c in canonical:
+            designs = [r[c] for r in relays]
+            outcomes[c] = designs, _rank_failures(designs, morphism)
+        for s in strategies:
+            designs, (ring_fail, field_fail) = outcomes[STRATEGY_ALIASES.get(s, s)]
+            a = acc[(s, pi)]
+            a.rates.extend(d.best_rate for d in designs)
+            a.swaps.extend(d.swaps for d in designs)
+            a.norms.extend(d.first_norm for d in designs)
+            a.ring_fail += ring_fail
+            a.field_fail += field_fail
+    return acc
 
 
 def cf_experiment(
@@ -197,45 +220,17 @@ def cf_experiment(
 ):
     """Network trials per (strategy, SNR): rates, swap counts, rank failures.
 
-    Each trial draws one n-relay network; the same channels are replayed for
-    every strategy so the comparison columns are paired.  Each relay is
-    designed once per trial for all canonical strategies (design_relays), and
-    a strategy and its aliases share one design.  Rank failure uses a
-    unimodular candidate matrix for the alll strategy, with or without a
-    field morphism, and the stack of per-relay best equations otherwise;
-    field-rank columns are empty when the ring has no default morphism and
-    none is supplied.
+    The same channels are replayed for every strategy, so the columns are
+    paired.  Rank failure is scored on a unimodular matrix for alll, with or
+    without a field map, and on the stack of per-relay best equations
+    otherwise; field-rank columns are empty when the ring has no default
+    morphism and none is supplied.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
     morphism = _resolve_morphism(ring, modulus)
-    canonical = tuple(dict.fromkeys(STRATEGY_ALIASES.get(s, s) for s in strategies))
     snr_db_list = list(snr_db_list)
-    acc = {(s, pi): _Acc([], [], []) for s in strategies for pi in range(len(snr_db_list))}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonEuclideanRingWarning)
-        for pi, p_db in enumerate(snr_db_list):
-            p_lin = db_to_linear(p_db)
-            for t in range(trials):
-                rng = _trial_rng(seed, pi * trials + t)
-                chans = [random_channel(n, p_lin, rng) for _ in range(n)]
-                relays = [design_relays(ch, ring, canonical) for ch in chans]
-                outcomes = {}
-                for c in canonical:
-                    designs = [r[c] for r in relays]
-                    outcomes[c] = designs, _rank_failures(designs, morphism)
-                for s in strategies:
-                    designs, (ring_fail, field_fail) = outcomes[STRATEGY_ALIASES.get(s, s)]
-                    a = acc[(s, pi)]
-                    a.rates.extend(d.best_rate for d in designs)
-                    a.swaps.extend(d.swaps for d in designs)
-                    a.norms.extend(d.first_norm for d in designs)
-                    a.fail_trials += 1
-                    a.ring_fail += ring_fail
-                    a.field_fail += field_fail
+    acc = _network_trials(
+        ring, n, [db_to_linear(p) for p in snr_db_list], trials, strategies, seed, morphism
+    )
     rows = []
     for s in strategies:
         for pi, p_db in enumerate(snr_db_list):
@@ -249,8 +244,8 @@ def cf_experiment(
                     float(np.std(a.rates)),
                     float(np.mean(a.swaps)),
                     float(np.mean(a.norms)),
-                    a.ring_fail / a.fail_trials,
-                    (a.field_fail / a.fail_trials) if morphism is not None else None,
+                    a.ring_fail / trials,
+                    (a.field_fail / trials) if morphism is not None else None,
                 ]
             )
     return rows
@@ -269,26 +264,14 @@ def rank_failure_probability(
     strategy: str = "best_single",
     seed: int = 0,
 ):
-    """Fractions of trials whose stacked coefficient matrix is singular over
-    the ring and over F_p, respectively.
+    """Fractions of trials whose coefficient matrix is singular over the ring
+    and over F_p: the rank columns of cf_experiment's loop at one linear SNR.
 
     best_single stacks each relay's single best equation; the unimodular
     (alll) scheme picks a whole unimodular matrix and never fails.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    ring_fail = 0
-    field_fail = 0
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        designs = [
-            design_relay(random_channel(n, p_linear, rng), ring, strategy)
-            for _ in range(n)
-        ]
-        fails = _rank_failures(designs, morphism)
-        ring_fail += fails[0]
-        field_fail += fails[1]
-    return ring_fail / trials, field_fail / trials
+    a = _network_trials(ring, n, [p_linear], trials, [strategy], seed, morphism)[(strategy, 0)]
+    return a.ring_fail / trials, a.field_fail / trials
 
 
 def rank_failure_rows(ring, morphism, n, snr_db, trials, strategy, seed):
@@ -310,15 +293,10 @@ def dof_slope(
     p_grid_db = list(p_grid_db)
     if len(p_grid_db) < 2 or max(p_grid_db) - min(p_grid_db) < 30:
         raise ValueError("the SNR grid must span at least 30 dB")
-    means = []
-    xs = []
-    for pi, p_db in enumerate(p_grid_db):
-        p_lin = db_to_linear(p_db)
-        acc = 0.0
-        for t in range(channels_per_point):
-            rng = _trial_rng(seed, pi * channels_per_point + t)
-            acc += design_relay(random_channel(n, p_lin, rng), ring, strategy).best_rate
-        means.append(acc / channels_per_point)
-        xs.append(math.log2(1.0 + p_lin))
-    slope = np.polyfit(xs, means, 1)[0]
+    p_lin = [db_to_linear(p) for p in p_grid_db]
+    sums = [0.0] * len(p_lin)
+    for pi, _, rng in _trials(seed, len(p_lin), channels_per_point):
+        sums[pi] += design_relay(random_channel(n, p_lin[pi], rng), ring, strategy).best_rate
+    means = [acc / channels_per_point for acc in sums]
+    slope = np.polyfit([math.log2(1.0 + p) for p in p_lin], means, 1)[0]
     return float(slope)

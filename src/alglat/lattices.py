@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 MAX_CONDITION = 1e12
+#: largest distance from the ring at which an entry still reads as exact
+_EXACT_TOL = 1e-9
 
 #: Hermite's constants for real lattices of dimension 2, 4, 6, 8.  Only the
 #: dimension-4 value is forced by the quality bounds here; the others are the
@@ -104,19 +106,20 @@ class ComplexBasis:
     def column_norms(self) -> np.ndarray:
         return np.linalg.norm(self.matrix, axis=0)
 
-    def exact_entries(self, tol: float = 1e-9) -> "RingMatrix | None":
+    def exact_entries(self) -> "RingMatrix | None":
         """Recover exact ring entries when every entry is a ring element, to
-        within tol, scaled down for a basis whose entries are all below 1."""
-        rows = self._exact_pairs(tol)
+        within _EXACT_TOL, scaled down for a basis whose entries are all below 1."""
+        rows = self._exact_pairs()
         return None if rows is None else RingMatrix.from_int_rows(rows, self.ring)
 
-    def _exact_pairs(self, tol: float = 1e-9) -> list | None:
+    def _exact_pairs(self) -> list | None:
         """Rows of (a, b) coordinates of the entries, or None if any entry is
-        farther from the ring than tol.  When every entry is below 1, tol is
-        scaled by the largest entry magnitude, so a scaled-down float basis
-        never reads as the zero matrix; it is never widened."""
+        farther from the ring than _EXACT_TOL.  When every entry is below 1,
+        the tolerance is scaled by the largest entry magnitude, so a
+        scaled-down float basis never reads as the zero matrix; it is never
+        widened."""
         xi = self.ring.xi
-        tol *= min(1.0, float(np.max(np.abs(self.matrix))))
+        tol = _EXACT_TOL * min(1.0, float(np.max(np.abs(self.matrix))))
         rows = []
         for i in range(self.n):
             row = []

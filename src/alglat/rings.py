@@ -142,12 +142,9 @@ class RingSpec:
 
 
 def ring_new(d: int) -> RingSpec:
-    """Build the ring of integers of Q(sqrt(-d)); rejects non-square-free d."""
+    """Build the ring of integers of Q(sqrt(-d)); RingSpec rejects d < 1 and
+    non-square-free d."""
     d = int(d)
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    if not _is_squarefree(d):
-        raise ValueError(f"d must be square-free, got {d}")
     kind = RingKind.TYPE_II if (-d) % 4 == 1 else RingKind.TYPE_I
     return RingSpec(d, kind)
 

@@ -202,34 +202,15 @@ def canonicalize_by_unit(coeff, ring: RingSpec):
     return tuple(coeff)
 
 
-def _reduce_for_enumeration(basis: ComplexBasis):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonEuclideanRingWarning)
-        rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
-    return rep.reduced, rep.transform
-
-
-def shortest_vector(
-    basis: ComplexBasis,
-    use_symmetry: bool = True,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
-    preprocess: bool = True,
-) -> SvpResult:
-    """Globally shortest nonzero lattice vector, as a ring coefficient vector.
-
-    Reduction supplies the initial enumeration radius, so the search only has
-    to certify (or beat) the reduced first vector.  The returned coefficient
-    is the canonical representative of its unit orbit.
-    """
-    ring = basis.ring
-    n = basis.n
+def _svp(reduced: ComplexBasis, use_symmetry: bool = True, max_nodes: int = DEFAULT_NODE_BUDGET):
+    """Shortest nonzero vector of an already-reduced basis: (coefficient in
+    that basis's coordinates, not canonicalized; enumerated nodes)."""
+    ring = reduced.ring
+    n = reduced.n
     if n > MAX_RANK:
         raise ValueError(f"rank {n} exceeds the enumeration limit of {MAX_RANK}")
     if n == 1:
-        coeff = (ring.one,)
-        return SvpResult(coeff, float(np.linalg.norm(basis.matrix[:, 0])), 0)
-
-    reduced, U = _reduce_for_enumeration(basis) if preprocess else (basis, None)
+        return (ring.one,), 0
 
     R = _enumeration_r(reduced)
     col_norms2 = np.sum(np.abs(reduced.matrix) ** 2, axis=0)
@@ -242,13 +223,28 @@ def shortest_vector(
     status, xbest, _, nodes, _ = _enum_shortest(R, best2, mode, max_nodes, x_init, False)
     if status == 1:
         raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(best2))
+    return _coeff_from_levels(xbest, ring), int(nodes)
 
-    coeff = _coeff_from_levels(xbest, ring)
-    if U is not None:
-        coeff = U @ coeff
-    coeff = canonicalize_by_unit(coeff, ring)
+
+def shortest_vector(
+    basis: ComplexBasis,
+    use_symmetry: bool = True,
+    max_nodes: int = DEFAULT_NODE_BUDGET,
+) -> SvpResult:
+    """Globally shortest nonzero lattice vector, as a ring coefficient vector.
+
+    The basis is ALLL-reduced first, which supplies the initial enumeration
+    radius, so the search only has to certify (or beat) the reduced first
+    vector.  The returned coefficient is the canonical representative of its
+    unit orbit.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonEuclideanRingWarning)
+        rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
+    coeff, nodes = _svp(rep.reduced, use_symmetry, max_nodes)
+    coeff = canonicalize_by_unit(rep.transform @ coeff, basis.ring)
     norm = float(np.linalg.norm(basis.matrix @ coeff_to_complex(coeff)))
-    return SvpResult(coeff, norm, int(nodes))
+    return SvpResult(coeff, norm, nodes)
 
 
 def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDGET):

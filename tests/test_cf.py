@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from alglat.lattices import (
     random_unimodular,
     volume,
 )
-from alglat.reduction import alll_reduce, gauss_reduce, real_lll
+from alglat.reduction import NonEuclideanRingWarning, alll_reduce, gauss_reduce, real_lll
 from alglat.reduction import reduction_epsilon
 from alglat.rings import morphism_new, ring_new
 from alglat.svp import shortest_vector
@@ -314,6 +315,30 @@ class TestExperimentOps:
         mor = default_morphism(RING1)
         with pytest.raises(ValueError):
             rank_failure_probability(RING1, mor, 2, 10.0, 0, "best_single", seed=0)
+
+
+@pytest.mark.parametrize("d", (1, 3))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_rank_failure_is_cf_experiment_rank_columns(d, strategy):
+    ring = ring_new(d)
+    snr_db, trials, seed = 25.0, 40, 13
+    (row,) = cf_experiment(ring, 2, [snr_db], trials, [strategy], seed)
+    p = db_to_linear(snr_db)
+    got = rank_failure_probability(ring, default_morphism(ring), 2, p, trials, strategy, seed)
+    assert got == (row[7], row[8])
+
+
+def test_harnesses_emit_no_non_euclidean_warning():
+    """The reductions inside the harnesses silence their own warnings on a
+    non-Euclidean ring; the harnesses add no filter of their own."""
+    ring = ring_new(5)
+    mor = morphism_new(ring, ring.elem(3, 2))  # norm 29
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NonEuclideanRingWarning)
+        cf_experiment(ring, 2, [10, 30], 3, STRATEGIES, 5)
+        rank_failure_probability(ring, mor, 2, db_to_linear(25.0), 3, "best_single", 5)
+        dof_slope(ring, 2, "alll", [0, 30], channels_per_point=3, seed=5)
+        hermite_cdf([ring], 100, 5)
 
 
 class TestTrialSeeding:
