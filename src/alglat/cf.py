@@ -17,7 +17,6 @@ ALLL reduction at 0.99, whatever delta the alll design uses.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,9 +30,9 @@ from .lattices import (
     fold_real_column,
     hermite_constant_2n,
 )
-from .reduction import NonEuclideanRingWarning, alll_reduce, real_lll, reduction_epsilon
+from .reduction import _quiet, alll_reduce, real_lll, reduction_epsilon
 from .rings import FieldMorphism, RingSpec, morphism_new
-from .svp import PREPROCESS_DELTA, _svp, canonicalize_by_unit
+from .svp import PREPROCESS_DELTA, _svp
 
 __all__ = [
     "Channel",
@@ -100,6 +99,11 @@ class Channel:
         g.setflags(write=False)
         return g
 
+    @cached_property
+    def _gram_inv(self) -> np.ndarray:
+        """(I + P h h^H)^-1, the matrix of every rate denominator (_rate)."""
+        return np.linalg.inv(self._gram)
+
 
 def random_channel(n: int, p_linear: float, rng) -> Channel:
     """Circularly-symmetric complex Gaussian channel, unit total variance."""
@@ -115,7 +119,9 @@ def cf_basis(ch: Channel, ring: RingSpec) -> ComplexBasis:
     return ComplexBasis(B, ring)
 
 
-def _rate_from_denominator(den: float) -> float:
+def _rate(ch: Channel, a: np.ndarray) -> float:
+    """log2+(1 / a^H M^-1 a) of a complex vector a on the cached M^-1."""
+    den = float(np.real(a.conj() @ (ch._gram_inv @ a)))
     if den <= 0:
         raise ValueError(f"rate denominator must be positive, got {den}")
     return max(0.0, math.log2(1.0 / den))
@@ -126,8 +132,7 @@ def computation_rate(ch: Channel, coeff) -> float:
     a = coeff_to_complex(coeff)
     if not np.any(a):
         raise ValueError("coefficient vector must be nonzero")
-    den = float(np.real(a.conj() @ np.linalg.solve(ch.gram(), a)))
-    return _rate_from_denominator(den)
+    return _rate(ch, a)
 
 
 @dataclass
@@ -173,7 +178,7 @@ def design_relays(
 ) -> dict[str, RelayDesign]:
     """Design one relay for each requested strategy, keyed by strategy name.
 
-    The strategies share the channel's Gram matrix, its inverse, the
+    The strategies share the channel's cached Gram inverse, the
     validated basis from cf_basis and one alll_reduce per distinct delta.
     alll / rlll return every transform column sorted by descending rate (for
     alll the columns form a unimodular ring matrix, reduced at delta); svp
@@ -185,22 +190,17 @@ def design_relays(
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
     basis = cf_basis(ch, ring)
-    gram_inv = np.linalg.inv(ch.gram())
     reductions = {}
 
     def reduced_at(dl: float):
         if dl not in reductions:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NonEuclideanRingWarning)
+            with _quiet():
                 reductions[dl] = alll_reduce(basis, delta=dl)
         return reductions[dl]
 
     def ranked(cols):
         """Columns and their rates, sorted by descending rate."""
-        rates = []
-        for c in cols:
-            a = coeff_to_complex(c)
-            rates.append(_rate_from_denominator(float(np.real(a.conj() @ (gram_inv @ a)))))
+        rates = [_rate(ch, coeff_to_complex(c)) for c in cols]
         order = sorted(range(len(cols)), key=lambda i: -rates[i])
         return [cols[i] for i in order], [rates[i] for i in order]
 
@@ -216,9 +216,7 @@ def design_relays(
             _, T, swaps = real_lll(embed(basis), delta=delta)
             vectors, rates = ranked([fold_real_column(T[:, j], ring) for j in range(T.shape[1])])
         else:  # svp: the single best equation
-            rep = reduced_at(PREPROCESS_DELTA)
-            coeff, _ = _svp(rep.reduced)
-            vectors, rates = ranked([canonicalize_by_unit(rep.transform @ coeff, ring)])
+            vectors, rates = ranked([_svp(reduced_at(PREPROCESS_DELTA))[0]])
         first_norm = float(np.linalg.norm(basis.matrix @ coeff_to_complex(vectors[0])))
         parts[c] = vectors, rates, matrix, swaps, first_norm
     designs = {}
@@ -319,21 +317,18 @@ def transmission_rate(designs: list, morphism: FieldMorphism) -> NetworkDesign:
         raise ValueError("relay designs have mismatched sizes")
 
     candidates = _candidate_matrices(designs)
-    rates = []
-    ranks = []
-    for cand in candidates:
-        r = min(
-            computation_rate(designs[l].channel, cand.column(l)) for l in range(n)
-        )
-        rates.append(r)
-        ranks.append(rank_mod_p(cand, morphism))
+    rates = [
+        min(computation_rate(designs[l].channel, cand.column(l)) for l in range(n))
+        for cand in candidates
+    ]
+    # (rank, det) over F_p of each candidate, from one elimination each
+    field = [_eliminate_mod_p(cand, morphism) for cand in candidates]
 
-    usable = [i for i in range(len(candidates)) if ranks[i] == n]
+    usable = [i for i in range(len(candidates)) if field[i][0] == n]
     if not usable:
         raise ValueError("every candidate matrix is rank-deficient over F_p")
     chosen = max(usable, key=lambda i: rates[i])
-    A = candidates[chosen]
-    commutes = morphism.apply(A.det()) == det_mod_p(A, morphism)
+    commutes = morphism.apply(candidates[chosen].det()) == field[chosen][1]
     return NetworkDesign(candidates, chosen, rates[chosen], True, commutes)
 
 

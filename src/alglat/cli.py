@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 import numpy as np
 
 from . import experiments
 from .cf import STRATEGIES, Channel, design_relay
 from .lattices import ComplexBasis, basis_from_json, basis_to_json, embed
-from .reduction import NonEuclideanRingWarning, alll_reduce, gauss_reduce, real_lll
+from .reduction import _quiet, alll_reduce, gauss_reduce, real_lll
 from .rings import morphism_new, parse_ring
 from .svp import shortest_vector
 
@@ -59,8 +58,7 @@ def _verify_report(basis: ComplexBasis, report) -> None:
 
 def _cmd_reduce(args) -> int:
     basis = _load_basis(args.basis, args.ring)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonEuclideanRingWarning)
+    with _quiet():
         if args.algorithm == "gauss":
             if basis.n != 2:
                 raise ValueError("gauss reduction needs a rank-2 basis")
@@ -121,9 +119,7 @@ def _cmd_cf_rate(args) -> int:
         data = json.load(f)
     h = [complex(re, im) for re, im in data["h"]]
     ch = Channel.from_db(np.array(h), args.snr_db)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonEuclideanRingWarning)
-        design = design_relay(ch, ring, args.strategy, delta=args.delta)
+    design = design_relay(ch, ring, args.strategy, delta=args.delta)
     _json_dump(
         {
             "strategy": args.strategy,

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cf import (
-    STRATEGIES,
-    STRATEGY_ALIASES,
     _candidate_matrices,
     db_to_linear,
     default_morphism,
@@ -24,7 +22,7 @@ from .cf import (
     rank_mod_p,
     random_channel,
 )
-from .lattices import ComplexBasis, volume
+from .lattices import ComplexBasis, RingMatrix, volume
 from .reduction import _gauss_batch
 from .rings import FieldMorphism, RingSpec, morphism_new
 from .svp import shortest_vector
@@ -168,38 +166,33 @@ def _resolve_morphism(ring: RingSpec, modulus):
         return None
 
 
-def _rank_failures(designs, morphism: FieldMorphism | None) -> tuple[bool, bool]:
-    """Whether one network's first candidate matrix is singular over the ring
-    and over F_p; a ring-singular matrix counts as a field failure too."""
-    A = _candidate_matrices(designs)[0]
+def _rank_failures(A: RingMatrix, morphism: FieldMorphism | None) -> tuple[bool, bool]:
+    """Whether A is singular over the ring and over F_p; a ring-singular
+    matrix counts as a field failure too.  Full rank over F_p proves
+    f(det A) = det f(A) != 0, so the exact det runs only when F_p cannot tell."""
+    if morphism is not None and rank_mod_p(A, morphism) == A.n:
+        return False, False
     if A.det().is_zero():
         return True, True
-    return False, morphism is not None and rank_mod_p(A, morphism) < len(designs)
+    return False, morphism is not None
 
 
 def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) -> dict:
     """The network-trial loop: an _Acc per (strategy, point index).
 
     Each trial draws one n-relay network and replays its channels for every
-    strategy, so the comparison is paired; each relay is designed once for
-    all canonical strategies, and a strategy and its aliases share a design.
+    strategy, so the comparison is paired; design_relays designs each relay
+    once for all strategies.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
-    canonical = tuple(dict.fromkeys(STRATEGY_ALIASES.get(s, s) for s in strategies))
     acc = {(s, pi): _Acc([], [], []) for s in strategies for pi in range(len(p_linear_list))}
     for pi, _, rng in _trials(seed, len(p_linear_list), trials):
         chans = [random_channel(n, p_linear_list[pi], rng) for _ in range(n)]
-        relays = [design_relays(ch, ring, canonical) for ch in chans]
-        outcomes = {}
-        for c in canonical:
-            designs = [r[c] for r in relays]
-            outcomes[c] = designs, _rank_failures(designs, morphism)
+        relays = [design_relays(ch, ring, strategies) for ch in chans]
         for s in strategies:
-            designs, (ring_fail, field_fail) = outcomes[STRATEGY_ALIASES.get(s, s)]
+            designs = [r[s] for r in relays]
+            ring_fail, field_fail = _rank_failures(_candidate_matrices(designs)[0], morphism)
             a = acc[(s, pi)]
             a.rates.extend(d.best_rate for d in designs)
             a.swaps.extend(d.swaps for d in designs)
@@ -290,6 +283,8 @@ def dof_slope(
     seed: int = 0,
 ) -> float:
     """Least-squares slope of the mean computation rate vs log2(1 + P)."""
+    if channels_per_point < 1:
+        raise ValueError(f"channels_per_point must be >= 1, got {channels_per_point}")
     p_grid_db = list(p_grid_db)
     if len(p_grid_db) < 2 or max(p_grid_db) - min(p_grid_db) < 30:
         raise ValueError("the SNR grid must span at least 30 dB")

@@ -363,21 +363,9 @@ class RingMatrix:
 
 
 def _ring_det(m: RingMatrix) -> RingElem:
+    """Bareiss fraction-free elimination; all divisions are exact in the ring."""
     n = m.n
     ring = m.ring
-    if n == 1:
-        return m.entries[0][0]
-    if n == 2:
-        (a, b), (c, d) = m.entries
-        return a * d - b * c
-    if n == 3:
-        r = m.entries
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
-    # Bareiss fraction-free elimination; all divisions are exact in the ring
     a = [list(row) for row in m.entries]
     sign = 1
     prev = ring.one

@@ -17,9 +17,11 @@ the reduced basis is the input times the exact transform.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,27 @@ STALL_RATIO = 1.0 - 1e-12
 
 class NonEuclideanRingWarning(UserWarning):
     """Reduction over a ring whose quality guarantees do not apply."""
+
+
+#: True inside _quiet(); per thread and task, unlike a warnings filter
+_QUIET = contextvars.ContextVar("alglat_quiet_non_euclidean", default=False)
+
+
+@contextmanager
+def _quiet():
+    """Silence NonEuclideanRingWarning for reductions run in this context only."""
+    token = _QUIET.set(True)
+    try:
+        yield
+    finally:
+        _QUIET.reset(token)
+
+
+def _warn_non_euclidean(warns: list, message: str) -> None:
+    """Record message in a report; warn the reduction's caller unless _quiet()."""
+    warns.append(message)
+    if not _QUIET.get():
+        warnings.warn(message, NonEuclideanRingWarning, stacklevel=3)
 
 
 @dataclass
@@ -247,8 +270,7 @@ def gauss_reduce(b1, b2, ring: RingSpec) -> ReductionReport:
     reduced, log = _gauss_batch(M[None], ring)
     warns = []
     if not ring.euclidean:
-        warns.append(f"ring d={ring.d} is not norm-Euclidean; minima not guaranteed")
-        warnings.warn(warns[-1], NonEuclideanRingWarning, stacklevel=2)
+        _warn_non_euclidean(warns, f"ring d={ring.d} is not norm-Euclidean; minima not guaranteed")
 
     ua, ub = _identity_coords(2)
     events: list[str] = []
@@ -437,11 +459,11 @@ def alll_reduce(
                 "potential argument needs delta > rho^2"
             )
     else:
-        warns.append(
+        _warn_non_euclidean(
+            warns,
             f"ring d={ring.d} is not norm-Euclidean (rho^2={rho2:.3f} >= 1); "
-            "reduction proceeds without quality guarantees"
+            "reduction proceeds without quality guarantees",
         )
-        warnings.warn(warns[-1], NonEuclideanRingWarning, stacklevel=2)
 
     B = np.array(basis.matrix, dtype=complex)
     ua, ub, swaps, size_reductions, events, pot_ratios, stalled = _lll(B, delta, ring)

@@ -13,13 +13,12 @@ point within a fixed radius.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattices import ComplexBasis, coeff_to_complex, embed
-from .reduction import NonEuclideanRingWarning, _r_positive, alll_reduce, gauss_reduce
+from .reduction import ReductionReport, _quiet, _r_positive, alll_reduce, gauss_reduce
 from .rings import RingElem, RingSpec, units
 
 __all__ = [
@@ -202,28 +201,30 @@ def canonicalize_by_unit(coeff, ring: RingSpec):
     return tuple(coeff)
 
 
-def _svp(reduced: ComplexBasis, use_symmetry: bool = True, max_nodes: int = DEFAULT_NODE_BUDGET):
-    """Shortest nonzero vector of an already-reduced basis: (coefficient in
-    that basis's coordinates, not canonicalized; enumerated nodes)."""
+def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAULT_NODE_BUDGET):
+    """Shortest nonzero vector from the PREPROCESS_DELTA ALLL report of a
+    basis: (unit-canonical coefficient in that basis's coordinates, enumerated
+    nodes)."""
+    reduced = rep.reduced
     ring = reduced.ring
     n = reduced.n
     if n > MAX_RANK:
         raise ValueError(f"rank {n} exceeds the enumeration limit of {MAX_RANK}")
-    if n == 1:
-        return (ring.one,), 0
+    coeff, nodes = (ring.one,), 0
+    if n > 1:
+        R = _enumeration_r(reduced)
+        col_norms2 = np.sum(np.abs(reduced.matrix) ** 2, axis=0)
+        jmin = int(np.argmin(col_norms2))
+        x_init = np.zeros(2 * n, dtype=np.int64)
+        x_init[2 * jmin] = 1
+        best2 = float(col_norms2[jmin]) * (1.0 + 1e-9)
 
-    R = _enumeration_r(reduced)
-    col_norms2 = np.sum(np.abs(reduced.matrix) ** 2, axis=0)
-    jmin = int(np.argmin(col_norms2))
-    x_init = np.zeros(2 * n, dtype=np.int64)
-    x_init[2 * jmin] = 1
-    best2 = float(col_norms2[jmin]) * (1.0 + 1e-9)
-
-    mode = _symmetry_mode(ring, use_symmetry)
-    status, xbest, _, nodes, _ = _enum_shortest(R, best2, mode, max_nodes, x_init, False)
-    if status == 1:
-        raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(best2))
-    return _coeff_from_levels(xbest, ring), int(nodes)
+        mode = _symmetry_mode(ring, use_symmetry)
+        status, xbest, _, nodes, _ = _enum_shortest(R, best2, mode, max_nodes, x_init, False)
+        if status == 1:
+            raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(best2))
+        coeff = _coeff_from_levels(xbest, ring)
+    return canonicalize_by_unit(rep.transform @ coeff, ring), int(nodes)
 
 
 def shortest_vector(
@@ -238,11 +239,9 @@ def shortest_vector(
     vector.  The returned coefficient is the canonical representative of its
     unit orbit.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonEuclideanRingWarning)
+    with _quiet():
         rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
-    coeff, nodes = _svp(rep.reduced, use_symmetry, max_nodes)
-    coeff = canonicalize_by_unit(rep.transform @ coeff, basis.ring)
+    coeff, nodes = _svp(rep, use_symmetry, max_nodes)
     norm = float(np.linalg.norm(basis.matrix @ coeff_to_complex(coeff)))
     return SvpResult(coeff, norm, nodes)
 
@@ -260,8 +259,7 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
     ring = basis.ring
     r1 = shortest_vector(basis, max_nodes=max_nodes)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonEuclideanRingWarning)
+    with _quiet():
         rep = gauss_reduce(basis.matrix[:, 0], basis.matrix[:, 1], ring)
     R = _enumeration_r(rep.reduced)
     radius2 = float(max(np.sum(np.abs(rep.reduced.matrix) ** 2, axis=0)))

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from alglat.cf import (
     transmission_rate,
 )
 from alglat.experiments import (
+    _rank_failures,
     _trial_rng,
     cf_experiment,
     dof_slope,
@@ -289,6 +291,11 @@ class TestExperimentOps:
         with pytest.raises(ValueError):
             dof_slope(RING1, 2, "alll", [10, 20], channels_per_point=10, seed=0)
 
+    @pytest.mark.parametrize("channels", (0, -3))
+    def test_dof_channels_per_point_validation(self, channels):
+        with pytest.raises(ValueError, match="channels_per_point must be >= 1"):
+            dof_slope(RING1, 2, "alll", [0, 40], channels_per_point=channels, seed=0)
+
     def test_rank_failure_unimodular_zero(self):
         mor = default_morphism(RING1)
         pr, pf = rank_failure_probability(
@@ -409,6 +416,20 @@ def ring_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
+@given(ring_matrices(), st.booleans())
+def test_rank_failures_rule(A, with_morphism):
+    """F_p first, the exact determinant only when F_p cannot decide: the
+    same verdicts as the determinant and the F_p rank together."""
+    det_zero = A.det().is_zero()
+    if with_morphism:
+        mor = default_morphism(A.ring)
+        expected = (det_zero, det_zero or rank_mod_p(A, mor) < A.n)
+    else:
+        mor, expected = None, (det_zero, det_zero)
+    assert _rank_failures(A, mor) == expected
+
+
+@settings(max_examples=300, deadline=None)
 @given(ring_matrices())
 def test_field_elimination_properties(A):
     mor = default_morphism(A.ring)
@@ -482,6 +503,46 @@ class TestDesignRelays:
         ch = random_channel(4, db_to_linear(30.0), np.random.default_rng(6))
         design_relays(ch, RING1, STRATEGIES, delta)
         assert len(seen) == calls and set(seen) == {delta, 0.99}
+
+    @pytest.mark.parametrize("d", (1, 3, 5))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_rates_are_computation_rates(self, d, n):
+        """The design rates and computation_rate are one evaluation, bit for bit."""
+        rng = np.random.default_rng(100 * d + n)
+        for snr_db in (10.0, 30.0, 50.0):
+            ch = random_channel(n, db_to_linear(snr_db), rng)
+            for s, design in design_relays(ch, ring_new(d), STRATEGIES).items():
+                assert [computation_rate(ch, v) for v in design.vectors] == design.rates, s
+
+    def test_quiet_reductions_keep_other_threads_filters(self, monkeypatch):
+        """design_relays silences its reductions in its own context only: a
+        filter another thread adds while a design runs outlives the design."""
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking(basis, delta=0.99, lambda1=None):
+            entered.set()
+            release.wait(30)
+            return alll_reduce(basis, delta, lambda1)
+
+        class Sentinel(UserWarning):
+            pass
+
+        monkeypatch.setattr(cf, "alll_reduce", blocking)
+        ch = random_channel(3, db_to_linear(20.0), np.random.default_rng(9))
+        out = {}
+        worker = threading.Thread(
+            target=lambda: out.update(design_relays(ch, ring_new(5), ("alll", "svp")))
+        )
+        with warnings.catch_warnings():
+            worker.start()
+            try:
+                assert entered.wait(30)
+                warnings.simplefilter("error", Sentinel)
+            finally:
+                release.set()
+                worker.join(30)
+            assert sorted(out) == ["alll", "svp"]
+            assert any(f[2] is Sentinel for f in warnings.filters)
 
     def test_design_relay_is_the_one_strategy_call(self):
         ch = random_channel(3, db_to_linear(25.0), np.random.default_rng(7))

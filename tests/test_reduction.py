@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,8 +90,9 @@ class TestGauss:
 
     def test_noneuclidean_golden(self):
         b1, b2 = noneuclidean_golden_basis()
-        with pytest.warns(NonEuclideanRingWarning):
+        with pytest.warns(NonEuclideanRingWarning) as rec:
             rep = gauss_reduce(b1, b2, RING5)
+        assert [w.filename for w in rec] == [__file__]  # names the caller
         assert rep.norms_squared_exact == [58, 61]
         assert rep.events == ["size_reduction"]
         assert rep.warnings
@@ -287,11 +289,22 @@ class TestAlll:
     def test_noneuclidean_warns_but_runs(self):
         rng = np.random.default_rng(10)
         B = random_basis(RING5, 4, rng)
-        with pytest.warns(NonEuclideanRingWarning):
+        with pytest.warns(NonEuclideanRingWarning) as rec:
             rep = alll_reduce(B, 0.99)
+        assert [w.filename for w in rec] == [__file__]  # names the caller
         assert rep.warnings
         assert all(c.skipped for c in rep.bound_checks.values())
         assert_transform_valid(B, rep)
+
+    def test_quiet_scope_records_but_does_not_warn(self):
+        B = random_basis(RING5, 2, np.random.default_rng(11))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonEuclideanRingWarning)
+            with reduction._quiet():
+                rep = alll_reduce(B, 0.99)
+                g = gauss_reduce(B.matrix[:, 0], B.matrix[:, 1], RING5)
+            assert not reduction._QUIET.get()
+        assert rep.warnings and g.warnings
 
     def test_quality_bounds_with_oracle(self):
         rng = np.random.default_rng(11)
