@@ -243,7 +243,7 @@ def design_relay(
 def _eliminate_mod_p(matrix: RingMatrix, morphism: FieldMorphism) -> tuple[int, int]:
     """Forward elimination of the entrywise-mapped matrix over F_p: (rank, det)."""
     p = morphism.p
-    a = [[int(v) for v in row] for row in matrix.map_mod_p(morphism)]
+    a = [[morphism.apply(e) for e in row] for row in matrix.entries]
     n = len(a)
     rank = 0
     det = 1
@@ -277,9 +277,7 @@ def det_mod_p(matrix: RingMatrix, morphism: FieldMorphism) -> int:
 
 def default_morphism(ring: RingSpec) -> FieldMorphism:
     """Stock quotient map: F_5 for the Gaussian integers, F_7 for Eisenstein."""
-    if ring.d == 1:
-        return morphism_new(ring, ring.elem(2, 1))
-    if ring.d == 3:
+    if ring.d in (1, 3):
         return morphism_new(ring, ring.elem(2, 1))
     raise ValueError(
         f"no default morphism for d={ring.d}; supply a modulus of prime norm"

@@ -182,7 +182,7 @@ def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) 
 
     Each trial draws one n-relay network and replays its channels for every
     strategy, so the comparison is paired; design_relays designs each relay
-    once for all strategies.
+    once for all strategies, and each distinct candidate matrix is scored once.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -190,9 +190,13 @@ def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) 
     for pi, _, rng in _trials(seed, len(p_linear_list), trials):
         chans = [random_channel(n, p_linear_list[pi], rng) for _ in range(n)]
         relays = [design_relays(ch, ring, strategies) for ch in chans]
+        scored = {}
         for s in strategies:
             designs = [r[s] for r in relays]
-            ring_fail, field_fail = _rank_failures(_candidate_matrices(designs)[0], morphism)
+            A = _candidate_matrices(designs)[0]
+            if A not in scored:
+                scored[A] = _rank_failures(A, morphism)
+            ring_fail, field_fail = scored[A]
             a = acc[(s, pi)]
             a.rates.extend(d.best_rate for d in designs)
             a.swaps.extend(d.swaps for d in designs)

@@ -316,12 +316,6 @@ class RingMatrix:
             [[e.embed() for e in row] for row in self.entries], dtype=complex
         )
 
-    def map_mod_p(self, morphism) -> np.ndarray:
-        """Entrywise image in F_p as an integer array."""
-        return np.array(
-            [[morphism.apply(e) for e in row] for row in self.entries], dtype=object
-        )
-
     def det(self) -> RingElem:
         return _ring_det(self)
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 __all__ = [
     "RingKind",
@@ -364,8 +363,8 @@ def norm_euclidean_sup_distance(ring: RingSpec, grid: int = 400) -> float:
 class FieldMorphism:
     """Ring homomorphism f: Z[xi] -> F_p given by quotienting a prime of norm p.
 
-    f(a + b*xi) = (a + b*xi_image) mod p, where xi_image is a root of xi's
-    minimal polynomial mod p chosen so that f(modulus) = 0.
+    f(a + b*xi) = (a + b*xi_image) mod p, where xi_image is the root of xi's
+    minimal polynomial mod p with f(modulus) = 0.
     """
 
     ring: RingSpec
@@ -382,22 +381,22 @@ class FieldMorphism:
         return f"Z[xi](d={self.ring.d}) -> F_{self.p}, xi -> {self.xi_image}"
 
 
-def _minpoly_mod(ring: RingSpec, r: int, p: int) -> int:
-    s, t = ring.minpoly_coeffs
-    return (r * r - s * r - t) % p
+def _is_prime(n: int) -> bool:
+    """Primality by trial division up to isqrt(n)."""
+    return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
 
 
 def morphism_new(ring: RingSpec, modulus: RingElem) -> FieldMorphism:
-    """Build the quotient morphism Z[xi] -> F_p for a modulus of prime norm."""
+    """Build the quotient morphism Z[xi] -> F_p for a modulus a + b*xi of
+    prime norm p.
+
+    f(modulus) = 0 forces xi -> -a/b (mod p), a root of xi's minimal
+    polynomial since b^2 * minpoly(-a/b) = Nr(modulus).  b is invertible:
+    p | b would give Nr = a^2 (mod p), so p | a and p^2 | Nr = p.
+    """
     if modulus.ring != ring:
         raise ValueError("modulus from a different ring")
     p = modulus.norm()
-    if not sympy.isprime(p):
+    if not _is_prime(p):
         raise ValueError(f"modulus norm {p} is not prime")
-    roots = [r for r in range(p) if _minpoly_mod(ring, r, p) == 0]
-    good = [r for r in roots if (modulus.a + modulus.b * r) % p == 0]
-    if not good:
-        raise ValueError(
-            f"no root of the minimal polynomial mod {p} annihilates {modulus}"
-        )
-    return FieldMorphism(ring, modulus, p, min(good))
+    return FieldMorphism(ring, modulus, p, -modulus.a * pow(modulus.b, -1, p) % p)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alglat import cf
+from alglat import cf, experiments
 from alglat.cf import (
     STRATEGIES,
     Channel,
@@ -317,6 +317,18 @@ class TestExperimentOps:
         rows = cf_experiment(ring_new(5), 2, [10, 30], 5, ["alll", "best_single"], 3)
         assert [r[7] for r in rows if r[0] == "alll"] == [0.0, 0.0]
         assert all(r[8] is None for r in rows)
+
+    def test_equal_candidates_scored_once(self, monkeypatch):
+        # svp and best_single design the same stack, so each trial scores it once
+        calls = []
+
+        def counting(A, mor):
+            calls.append(A)
+            return rank_mod_p(A, mor)
+
+        monkeypatch.setattr(experiments, "rank_mod_p", counting)
+        cf_experiment(ring_new(1), 2, [20], 5, ["svp", "best_single"], 0)
+        assert len(calls) == 5
 
     def test_rank_failure_trials_validation(self):
         mor = default_morphism(RING1)

@@ -1,13 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import alglat
 from alglat.rings import (
     ZERO_RADIUS2,
     RingKind,
+    _is_prime,
     _quantize_pair,
     _quantize_pairs,
     covering_radius_geometric,
@@ -390,3 +397,45 @@ class TestMorphism:
         ring = ring_new(1)
         with pytest.raises(ValueError):
             morphism_new(ring, ring.elem(3, 1))  # norm 10, composite
+
+
+def test_is_prime_matches_sympy():
+    for n in [*range(200_001), 2**31 - 1, 10**9 + 7, 561, 1105, 1729]:
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+def _xi_image_by_root_scan(ring, modulus, p):
+    """The minimal-polynomial root mod p that annihilates the modulus, found
+    by scanning every residue."""
+    s, t = ring.minpoly_coeffs
+    r = np.arange(p, dtype=np.int64)
+    roots = r[(r * r - s * r - t) % p == 0]
+    good = roots[(modulus.a + modulus.b * roots) % p == 0]
+    return int(good.min())
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 19, 23, 31, 43))
+def test_xi_image_is_the_scanned_root(d):
+    ring = ring_new(d)
+    checked = 0
+    for a in range(-25, 26):
+        for b in range(-25, 26):
+            modulus = ring.elem(a, b)
+            p = modulus.norm()
+            if not sympy.isprime(p):
+                with pytest.raises(ValueError, match="not prime"):
+                    morphism_new(ring, modulus)
+                continue
+            assert morphism_new(ring, modulus).xi_image == _xi_image_by_root_scan(ring, modulus, p)
+            checked += 1
+    assert checked > 0
+
+
+def test_import_leaves_sympy_unloaded():
+    src = str(Path(alglat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, alglat; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
