@@ -59,7 +59,10 @@ STRATEGY_ALIASES = {"best_single": "svp"}
 
 
 def db_to_linear(p_db: float) -> float:
-    return 10.0 ** (p_db / 10.0)
+    try:
+        return 10.0 ** (p_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SNR of {p_db} dB overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -287,16 +290,16 @@ def default_morphism(ring: RingSpec) -> FieldMorphism:
 def _candidate_matrices(designs) -> list:
     """Candidate coefficient matrices of one network, column l for relay l.
 
-    Designs with a matrix (alll) offer their unimodular matrices; designs
-    without one (rlll, svp) are single-equation designs and offer the stack
-    of their best vectors.
+    There must be one design per channel dimension.  Designs with a matrix
+    (alll) offer their unimodular matrices; designs without one (rlll, svp)
+    are single-equation designs and offer the stack of their best vectors.
     """
+    if len(designs) != designs[0].channel.n:
+        raise ValueError(f"need one relay design per channel dimension, got {len(designs)}")
     if all(d.matrix is not None for d in designs):
         return [d.matrix for d in designs]
     if any(d.matrix is not None for d in designs):
         raise ValueError("mixed candidate kinds; use one strategy per network")
-    if len(designs) != designs[0].channel.n:
-        raise ValueError("single-equation designs need one relay per dimension")
     return [RingMatrix.from_columns([d.best_vector for d in designs], designs[0].ring)]
 
 

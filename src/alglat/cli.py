@@ -60,9 +60,7 @@ def _cmd_reduce(args) -> int:
     basis = _load_basis(args.basis, args.ring)
     with _quiet():
         if args.algorithm == "gauss":
-            if basis.n != 2:
-                raise ValueError("gauss reduction needs a rank-2 basis")
-            report = gauss_reduce(basis.matrix[:, 0], basis.matrix[:, 1], basis.ring)
+            report = gauss_reduce(basis)
         elif args.algorithm == "alll":
             report = alll_reduce(basis, delta=args.delta)
         else:
@@ -117,7 +115,10 @@ def _cmd_cf_rate(args) -> int:
     ring = parse_ring(args.ring)
     with open(args.channel) as f:
         data = json.load(f)
-    h = [complex(re, im) for re, im in data["h"]]
+    try:
+        h = [complex(re, im) for re, im in data["h"]]
+    except TypeError as exc:
+        raise ValueError(f"malformed channel file: {exc}") from exc
     ch = Channel.from_db(np.array(h), args.snr_db)
     design = design_relay(ch, ring, args.strategy, delta=args.delta)
     _json_dump(
@@ -133,18 +134,28 @@ def _cmd_cf_rate(args) -> int:
     return EXIT_OK
 
 
+def _config_list(cfg: dict, key: str, kinds: tuple) -> list:
+    """cfg[key], which must be a JSON list of kinds: a string would iterate
+    as characters."""
+    value = cfg[key]
+    if not (isinstance(value, list) and all(isinstance(v, kinds) for v in value)):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"config {key!r} must be a list of {names}, got {value!r}")
+    return value
+
+
 def _cmd_cf_experiment(args) -> int:
     with open(args.config) as f:
         cfg = json.load(f)
-    ring = parse_ring(cfg["ring"])
+    try:
+        ring = parse_ring(cfg["ring"])
+        n, trials, seed = int(cfg["n"]), int(cfg["trials"]), int(cfg["seed"])
+        snr_db_list = _config_list(cfg, "snr_db", (int, float))
+        strategies = _config_list(cfg, "strategies", (str,))
+    except TypeError as exc:
+        raise ValueError(f"malformed config: {exc}") from exc
     rows = experiments.cf_experiment(
-        ring=ring,
-        n=int(cfg["n"]),
-        snr_db_list=cfg["snr_db"],
-        trials=int(cfg["trials"]),
-        strategies=cfg["strategies"],
-        seed=int(cfg["seed"]),
-        modulus=cfg.get("modulus"),
+        ring, n, snr_db_list, trials, strategies, seed, modulus=cfg.get("modulus")
     )
     out = args.out or cfg.get("out")
     experiments.write_csv(rows, experiments.CF_CSV_HEADER, out or sys.stdout)

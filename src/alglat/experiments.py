@@ -22,7 +22,7 @@ from .cf import (
     rank_mod_p,
     random_channel,
 )
-from .lattices import ComplexBasis, RingMatrix, volume
+from .lattices import ComplexBasis, RingMatrix, _independent, volume
 from .reduction import _gauss_batch
 from .rings import FieldMorphism, RingSpec, morphism_new
 from .svp import shortest_vector
@@ -118,7 +118,7 @@ def hermite_cdf(rings, trials: int, seed: int) -> dict:
     for ring, bases in zip(rings, draws):
         vals = np.empty(trials)
         if ring.euclidean:
-            reduced, _ = _gauss_batch(bases, ring)
+            reduced, _ = _gauss_batch(_independent(bases), ring)
             lam1 = np.linalg.norm(reduced, axis=1)[:, 0].tolist()
             dets = np.linalg.det(reduced)
             det_phi2 = ring.det_phi**2
@@ -186,6 +186,8 @@ def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) 
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     acc = {(s, pi): _Acc([], [], []) for s in strategies for pi in range(len(p_linear_list))}
     for pi, _, rng in _trials(seed, len(p_linear_list), trials):
         chans = [random_channel(n, p_linear_list[pi], rng) for _ in range(n)]

@@ -431,12 +431,12 @@ def basis_from_json(text: str) -> ComplexBasis:
         ring = parse_ring(data["ring"])
         n = int(data["n"])
         cols = data["columns"]
+        if len(cols) != n or any(len(c) != n for c in cols):
+            raise ValueError(f"basis file claims n={n} but columns disagree")
+        m = np.empty((n, n), dtype=complex)
+        for j, col in enumerate(cols):
+            for i, (re, im) in enumerate(col):
+                m[i, j] = complex(re, im)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed basis file: {exc}") from exc
-    if len(cols) != n or any(len(c) != n for c in cols):
-        raise ValueError(f"basis file claims n={n} but columns disagree")
-    m = np.empty((n, n), dtype=complex)
-    for j, col in enumerate(cols):
-        for i, (re, im) in enumerate(col):
-            m[i, j] = complex(re, im)
     return ComplexBasis(m, ring)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattices import ComplexBasis, RingMatrix, _independent, orthogonality_defect
+from .lattices import ComplexBasis, RingMatrix, orthogonality_defect
 from .rings import RingSpec, _quantize_pair, _quantize_pairs, quantize  # noqa: F401  (perfbench traces and checks alglat.reduction.quantize)
 
 __all__ = [
@@ -200,8 +200,8 @@ def _exact_norms_squared(basis: ComplexBasis, ua, ub) -> list | None:
 def _gauss_batch(M: np.ndarray, ring: RingSpec):
     """Gauss-reduce a stack of rank-2 bases, each exactly as it would be alone.
 
-    M is an (N, 2, 2) complex stack whose columns are basis vectors.  Each
-    basis is validated as ComplexBasis validates it, and gets its own
+    M is an (N, 2, 2) complex stack whose columns are basis vectors, each
+    basis already validated (lattices._independent).  Each gets its own
     GAUSS_ITER_FACTOR budget; only the trials still swapping stay active.
 
     Returns (reduced, log): the (N, 2, 2) stack of reduced bases, and per
@@ -210,10 +210,6 @@ def _gauss_batch(M: np.ndarray, ring: RingSpec):
     whether they then swapped.  The first entry orders the input columns by
     norm, with ca = cb = 0.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 3 or M.shape[1:] != (2, 2):
-        raise ValueError(f"gauss reduction needs 2 x 2 bases, got shape {M.shape}")
-    _independent(M)
     b0, b1 = M[:, :, 0], M[:, :, 1]
     rows = np.arange(len(M))
     swap = np.vecdot(b0, b0).real > np.vecdot(b1, b1).real
@@ -252,7 +248,7 @@ def _trial_steps(log, t: int) -> list:
     return steps
 
 
-def gauss_reduce(b1, b2, ring: RingSpec) -> ReductionReport:
+def gauss_reduce(basis: ComplexBasis) -> ReductionReport:
     """Reduce a rank-2 basis so that ||b1|| <= ||b2|| and the Gram-Schmidt
     coefficient of the pair quantizes to zero.
 
@@ -262,12 +258,10 @@ def gauss_reduce(b1, b2, ring: RingSpec) -> ReductionReport:
     exact transform.
     """
     t0 = time.perf_counter()
-    b1 = np.array(b1, dtype=complex)
-    b2 = np.array(b2, dtype=complex)
-    if b1.shape != b2.shape or b1.ndim != 1:
-        raise ValueError("inputs must be complex vectors of equal length")
-    M = np.column_stack([b1, b2])
-    reduced, log = _gauss_batch(M[None], ring)
+    if basis.n != 2:
+        raise ValueError("gauss reduction needs a rank-2 basis")
+    ring = basis.ring
+    reduced, log = _gauss_batch(basis.matrix[None], ring)
     warns = []
     if not ring.euclidean:
         _warn_non_euclidean(warns, f"ring d={ring.d} is not norm-Euclidean; minima not guaranteed")
@@ -294,7 +288,7 @@ def gauss_reduce(b1, b2, ring: RingSpec) -> ReductionReport:
         delta=None,
         warnings=warns,
         events=events,
-        norms_squared_exact=_exact_norms_squared(ComplexBasis._derived(M, ring), ua, ub),
+        norms_squared_exact=_exact_norms_squared(basis, ua, ub),
         wall_time=time.perf_counter() - t0,
     )
 

@@ -150,6 +150,8 @@ def ring_new(d: int) -> RingSpec:
 
 def parse_ring(text: str) -> RingSpec:
     """Parse a ring spec string: "d=<int>", "gaussian" or "eisenstein"."""
+    if not isinstance(text, str):
+        raise ValueError(f"ring spec must be a string, got {text!r}")
     s = text.strip().lower()
     if s in RING_ALIASES:
         return ring_new(RING_ALIASES[s])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattices import ComplexBasis, coeff_to_complex, embed
-from .reduction import ReductionReport, _quiet, _r_positive, alll_reduce, gauss_reduce
+from .reduction import ReductionReport, _quiet, _r_positive, alll_reduce
 from .rings import RingElem, RingSpec, units
 
 __all__ = [
@@ -249,36 +249,36 @@ def shortest_vector(
 def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDGET):
     """First two successive minima of a rank-2 lattice with witness vectors.
 
-    lambda2 is found by enumerating all vectors up to the norm of the second
-    reduced basis vector (always an upper bound for lambda2) and taking the
-    shortest one whose coefficient pair is ring-independent of the first.
-    Each enumeration raises EnumerationBudgetError past max_nodes nodes.
+    One ALLL reduction and one enumeration: every vector up to the longer
+    reduced basis vector (always an upper bound for lambda2) is listed by
+    norm; lambda1 is the first, and lambda2 the first later one whose
+    coefficient pair is ring-independent of it.  The enumeration raises
+    EnumerationBudgetError past max_nodes nodes.
     """
     if basis.n != 2:
         raise ValueError("successive_minima_2d needs a rank-2 basis")
     ring = basis.ring
-    r1 = shortest_vector(basis, max_nodes=max_nodes)
-
     with _quiet():
-        rep = gauss_reduce(basis.matrix[:, 0], basis.matrix[:, 1], ring)
+        rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
     R = _enumeration_r(rep.reduced)
     radius2 = float(max(np.sum(np.abs(rep.reduced.matrix) ** 2, axis=0)))
 
     mode = _symmetry_mode(ring, True)
     x_none = np.zeros(4, dtype=np.int64)
-    c1 = r1.coefficient
     for _ in range(6):
         status, _, _, nodes, points = _enum_shortest(
             R, radius2 * (1 + 1e-9), mode, max_nodes, x_none, True
         )
         if status == 1:
             raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(radius2))
-        for _, xv in sorted((d, tuple(int(v) for v in x)) for d, x in points):
-            cand = rep.transform @ _coeff_from_levels(xv, ring)
-            cross = c1[0] * cand[1] - c1[1] * cand[0]
-            if not cross.is_zero():
-                cand = canonicalize_by_unit(cand, ring)
-                lam2 = float(np.linalg.norm(basis.matrix @ coeff_to_complex(cand)))
-                return r1.norm, lam2, (c1, cand)
+        # stable sort: of equal norms, the first listed is shortest_vector's
+        # choice.  U is unimodular, so independence is tested before applying it.
+        coeffs = (_coeff_from_levels(x, ring) for _, x in sorted(points, key=lambda p: p[0]))
+        first = next(coeffs)
+        second = next((c for c in coeffs if not (first[0] * c[1] - first[1] * c[0]).is_zero()), None)
+        if second is not None:
+            c1, c2 = (canonicalize_by_unit(rep.transform @ c, ring) for c in (first, second))
+            l1, l2 = (float(np.linalg.norm(basis.matrix @ coeff_to_complex(c))) for c in (c1, c2))
+            return l1, l2, (c1, c2)
         radius2 *= 1.5
     raise RuntimeError("no independent second minimum found; basis may be degenerate")

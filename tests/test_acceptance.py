@@ -66,7 +66,7 @@ def warm_enumerator():
 def test_criterion_01_golden_euclidean_example():
     t0 = time.perf_counter()
     B = eisenstein_golden_basis()
-    rep = gauss_reduce(B.matrix[:, 0], B.matrix[:, 1], RING3)
+    rep = gauss_reduce(B)
     assert rep.norms_squared_exact == [16, 28]
     assert rep.norms[0] ** 2 == pytest.approx(16.0, abs=1e-6)
     assert rep.norms[1] ** 2 == pytest.approx(28.0, abs=1e-6)
@@ -82,7 +82,7 @@ def test_criterion_01_golden_euclidean_example():
 def test_criterion_02_golden_noneuclidean_example():
     t0 = time.perf_counter()
     B = noneuclid_golden_basis()
-    rep = gauss_reduce(B.matrix[:, 0], B.matrix[:, 1], RING5)
+    rep = gauss_reduce(B)
     assert rep.norms_squared_exact == [58, 61]
     res = shortest_vector(B)
     assert res.norm_squared == pytest.approx(20.0, abs=1e-6)
@@ -100,7 +100,7 @@ def test_criterion_03_gauss_optimality():
         rng = np.random.default_rng(1000 + d)
         for _ in range(trials):
             B = random_basis(ring, 2, rng)
-            rep = gauss_reduce(B.matrix[:, 0], B.matrix[:, 1], ring)
+            rep = gauss_reduce(B)
             l1, l2, _ = successive_minima_2d(B)
             assert abs(rep.norms[0] - l1) < 1e-7
             assert abs(rep.norms[1] - l2) < 1e-7

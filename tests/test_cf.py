@@ -267,6 +267,16 @@ class TestTransmissionRate:
         with pytest.raises(ValueError, match="mixed candidate kinds"):
             transmission_rate(designs, mor)
 
+    @pytest.mark.parametrize("relays", (1, 3))
+    def test_relay_count_must_match_dimension(self, relays):
+        """One alll design per channel dimension: with fewer the rate loop
+        indexed past the designs, with more it left the extra relays'
+        channels out of the rate while offering their matrices."""
+        mor = default_morphism(RING1)
+        designs = [design_relay(h, RING1, "alll") for h in (H1, H2, H1)[:relays]]
+        with pytest.raises(ValueError, match="one relay design per channel dimension"):
+            transmission_rate(designs, mor)
+
     def test_mismatched_sizes_rejected(self):
         mor = default_morphism(RING1)
         rng = np.random.default_rng(8)
@@ -295,6 +305,12 @@ class TestExperimentOps:
     def test_dof_channels_per_point_validation(self, channels):
         with pytest.raises(ValueError, match="channels_per_point must be >= 1"):
             dof_slope(RING1, 2, "alll", [0, 40], channels_per_point=channels, seed=0)
+
+    def test_network_loop_rejects_no_relays(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            cf_experiment(RING1, 0, [10], 2, ["alll"], 0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            rank_failure_probability(RING1, default_morphism(RING1), 0, 10.0, 2)
 
     def test_rank_failure_unimodular_zero(self):
         mor = default_morphism(RING1)
@@ -375,7 +391,7 @@ class TestTrialSeeding:
                 rng = _trial_rng(seed, ri * trials + t)
                 m = math.sqrt(0.5) * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
                 if ring.euclidean:
-                    rep = gauss_reduce(m[:, 0], m[:, 1], ring)
+                    rep = gauss_reduce(ComplexBasis(m, ring))
                     basis, lam1 = rep.reduced, rep.norms[0]
                 else:
                     basis = ComplexBasis(m, ring)

@@ -18,6 +18,7 @@ from alglat.rings import ring_new
 
 RING3 = ring_new(3)
 RING5 = ring_new(5)
+CONFIG = {"ring": "d=1", "n": 2, "snr_db": [10], "trials": 2, "strategies": ["alll"], "seed": 1}
 
 
 @pytest.fixture
@@ -209,6 +210,39 @@ class TestCli:
         assert code == 0
         line = out.read_text().splitlines()[1].split(",")
         assert float(line[3]) == 0.0 and float(line[4]) == 0.0
+
+    @pytest.mark.parametrize(
+        "command, flag, content, extra, says",
+        [
+            ("reduce", "--basis", {"ring": "d=1", "n": 1, "columns": [[5]]}, [], "basis"),
+            ("svp", "--basis", {"ring": "d=1", "n": 1, "columns": [[["a", "b"]]]}, [], "basis"),
+            ("cf-rate", "--channel", {"h": 5}, ["--ring", "d=1", "--snr-db", "10"], "channel"),
+            (
+                "cf-rate", "--channel", {"h": [[1, 0], [0, 1]]},
+                ["--ring", "d=1", "--snr-db", "4000"], "4000",
+            ),
+            ("cf-experiment", "--config", {**CONFIG, "n": None}, [], "config"),
+            ("cf-experiment", "--config", {**CONFIG, "strategies": "alll"}, [], "'strategies'"),
+            ("cf-experiment", "--config", {**CONFIG, "strategies": [["alll"]]}, [], "'strategies'"),
+        ],
+        ids=["basis-bare-number", "basis-string-pair", "channel-not-a-list", "snr-overflow",
+             "config-null-n", "config-strategies-string", "config-strategies-nested"],
+    )
+    def test_malformed_input_is_an_error(self, tmp_path, capsys, command, flag, content, extra, says):
+        """Malformed files and values end in 'error: ...' and exit 1, not a traceback."""
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        assert main([command, flag, str(path), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and says in err
+
+    def test_rank_failure_no_relays(self, capsys):
+        code = main([
+            "rank-failure", "--ring", "gaussian", "--n", "0", "--snr-db", "25",
+            "--trials", "2", "--seed", "4",
+        ])
+        assert code == 1
+        assert "n must be >= 1" in capsys.readouterr().err
 
     def test_invalid_strategy_ring_combo(self, tmp_path):
         cfg = tmp_path / "cfg.json"

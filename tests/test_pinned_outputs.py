@@ -169,7 +169,7 @@ def test_gauss_reports(d):
     ring = ring_new(d)
     h = hashlib.sha256()
     for m in pin_bases(d, 2, GAUSS_COUNT):
-        h.update(report_digest(gauss_reduce(m[:, 0], m[:, 1], ring)).encode())
+        h.update(report_digest(gauss_reduce(ComplexBasis(m, ring))).encode())
     assert h.hexdigest() == REPORT_SHA256["gauss"][d]
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alglat.cf import Channel, cf_basis, design_relay
-from alglat.lattices import ComplexBasis, RingMatrix, embed
+from alglat.lattices import ComplexBasis, RingMatrix, _independent, embed
 from alglat import reduction
 from alglat.reduction import (
     NonEuclideanRingWarning,
@@ -76,41 +76,44 @@ def assert_alll_conditions(report):
 
 class TestGauss:
     def test_eisenstein_golden(self):
-        b1, b2 = eisenstein_golden_basis()
-        rep = gauss_reduce(b1, b2, RING3)
+        B = ComplexBasis(np.column_stack(eisenstein_golden_basis()), RING3)
+        rep = gauss_reduce(B)
         assert rep.norms_squared_exact == [16, 28]
         assert rep.events == ["swap", "size_reduction", "swap"]
         assert rep.swaps == 2 and rep.size_reductions == 1
         assert not rep.warnings
-        assert_transform_valid(ComplexBasis(np.column_stack([b1, b2]), RING3), rep)
+        assert_transform_valid(B, rep)
         # the pair's Gram-Schmidt ratio quantizes to zero on exit
         c0, c1 = rep.reduced.matrix[:, 0], rep.reduced.matrix[:, 1]
         mu = np.vdot(c0, c1) / np.vdot(c0, c0)
         assert quantize(mu, RING3).is_zero()
 
     def test_noneuclidean_golden(self):
-        b1, b2 = noneuclidean_golden_basis()
+        B = ComplexBasis(np.column_stack(noneuclidean_golden_basis()), RING5)
         with pytest.warns(NonEuclideanRingWarning) as rec:
-            rep = gauss_reduce(b1, b2, RING5)
+            rep = gauss_reduce(B)
         assert [w.filename for w in rec] == [__file__]  # names the caller
         assert rep.norms_squared_exact == [58, 61]
         assert rep.events == ["size_reduction"]
         assert rep.warnings
         # the oracle finds a strictly shorter vector: reduction is not optimal here
-        B = ComplexBasis(np.column_stack([b1, b2]), RING5)
         assert shortest_vector(B).norm_squared == pytest.approx(20.0, abs=1e-6)
 
     def test_already_reduced_pair_unchanged(self):
         b1 = np.array([1.0 + 0j, 0.0 + 0j])
         b2 = np.array([0.0 + 0j, 2.0 + 0j])
-        rep = gauss_reduce(b1, b2, RING1)
+        rep = gauss_reduce(ComplexBasis(np.column_stack([b1, b2]), RING1))
         assert rep.swaps == 0 and rep.size_reductions == 0
         np.testing.assert_allclose(rep.reduced.matrix, np.column_stack([b1, b2]))
+
+    def test_rank_other_than_two_rejected(self):
+        with pytest.raises(ValueError, match="rank-2"):
+            gauss_reduce(ComplexBasis(np.eye(3, dtype=complex), RING1))
 
     def test_dependent_inputs_rejected(self):
         v = np.array([1.0 + 1j, 2.0 - 1j])
         with pytest.raises(ValueError):
-            gauss_reduce(v, 3 * v, RING1)
+            gauss_reduce(ComplexBasis(np.column_stack([v, 3 * v]), RING1))
 
     @pytest.mark.parametrize("d", EUCLIDEAN_D)
     def test_matches_successive_minima(self, d):
@@ -119,7 +122,7 @@ class TestGauss:
         rng = np.random.default_rng(d)
         for _ in range(60):
             B = random_basis(ring, 2, rng)
-            rep = gauss_reduce(B.matrix[:, 0], B.matrix[:, 1], ring)
+            rep = gauss_reduce(B)
             l1, l2, _ = successive_minima_2d(B)
             assert rep.norms[0] == pytest.approx(l1, abs=1e-7)
             assert rep.norms[1] == pytest.approx(l2, abs=1e-7)
@@ -164,7 +167,7 @@ class TestGaussBatch:
         M = gauss_stack(ring, [False, True] * 10, 5)
         reduced, log = _gauss_batch(M, ring)
         for t, m in enumerate(M):
-            rep = gauss_reduce(m[:, 0], m[:, 1], ring)
+            rep = gauss_reduce(ComplexBasis(m, ring))
             assert reduced[t].tobytes() == rep.reduced.matrix.tobytes()
             steps = _trial_steps(log, t)
             assert rep.swaps == sum(sw for _, _, sw in steps)
@@ -176,18 +179,19 @@ class TestGaussBatch:
         with pytest.raises(RuntimeError, match="iteration budget"):
             _gauss_batch(M, RING1)
         with pytest.raises(RuntimeError, match="iteration budget"):
-            gauss_reduce(M[0, :, 0], M[0, :, 1], RING1)
+            gauss_reduce(ComplexBasis(M[0], RING1))
 
     def test_validation(self):
+        """_gauss_batch validates nothing; its callers check each stack with
+        _independent, as hermite_cdf does."""
         M = gauss_stack(RING1, [False, False], 2)
+        assert _independent(M) is M
         M[1, :, 1] = 2 * M[1, :, 0]
         with pytest.raises(ValueError, match="numerically dependent"):
-            _gauss_batch(M, RING1)
+            _independent(M)
         M[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            _gauss_batch(M, RING1)
-        with pytest.raises(ValueError, match="2 x 2 bases"):
-            _gauss_batch(np.eye(3, dtype=complex)[None], RING1)
+            _independent(M)
 
 
 class TestTinyFloatBasis:
@@ -202,8 +206,7 @@ class TestTinyFloatBasis:
         assert self.basis(3).exact_entries() is None
 
     def test_gauss_norms_not_exact(self):
-        m = self.basis(2).matrix
-        assert gauss_reduce(m[:, 0], m[:, 1], RING1).norms_squared_exact is None
+        assert gauss_reduce(self.basis(2)).norms_squared_exact is None
 
     def test_alll_norms_not_exact(self):
         assert alll_reduce(self.basis(3)).norms_squared_exact is None
@@ -217,8 +220,7 @@ class TestTinyFloatBasis:
     def test_large_entry_does_not_widen_tolerance(self):
         B = ComplexBasis(np.array([[1e6, 1e-4], [0, 1]], dtype=complex), RING1)
         assert B.exact_entries() is None
-        m = B.matrix
-        assert gauss_reduce(m[:, 0], m[:, 1], RING1).norms_squared_exact is None
+        assert gauss_reduce(B).norms_squared_exact is None
         assert alll_reduce(B).norms_squared_exact is None
 
 
@@ -244,7 +246,7 @@ class TestAlll:
         for _ in range(40):
             B = random_basis(ring, 2, rng)
             ra = alll_reduce(B, 0.99)
-            rg = gauss_reduce(B.matrix[:, 0], B.matrix[:, 1], ring)
+            rg = gauss_reduce(B)
             assert ra.norms[0] == pytest.approx(rg.norms[0], rel=1e-7)
 
     @pytest.mark.parametrize("d", EUCLIDEAN_D)
@@ -302,7 +304,7 @@ class TestAlll:
             warnings.simplefilter("error", NonEuclideanRingWarning)
             with reduction._quiet():
                 rep = alll_reduce(B, 0.99)
-                g = gauss_reduce(B.matrix[:, 0], B.matrix[:, 1], RING5)
+                g = gauss_reduce(B)
             assert not reduction._QUIET.get()
         assert rep.warnings and g.warnings
 
@@ -366,9 +368,9 @@ class TestDerivedBases:
     def test_gauss_reduce_runs_cond_once(self, cond_calls, d):
         rng = np.random.default_rng(d)
         for _ in range(20):
-            b1, b2 = random_basis(ring_new(d), 2, rng).matrix.T
+            m = random_basis(ring_new(d), 2, rng).matrix
             cond_calls.clear()
-            gauss_reduce(b1, b2, ring_new(d))
+            gauss_reduce(ComplexBasis(m, ring_new(d)))
             assert len(cond_calls) == 1
 
     @pytest.mark.parametrize("d", (1, 3, 5))

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from alglat import reduction, svp
 from alglat.lattices import ComplexBasis, coeff_to_complex, minkowski_check
 from alglat.reduction import NonEuclideanRingWarning, alll_reduce
 from alglat.rings import ring_new, units
@@ -183,6 +184,29 @@ class TestSuccessiveMinima:
                 l1, l2, (v1, v2) = successive_minima_2d(B)
                 assert l1 <= l2 + 1e-12
                 assert not (v1[0] * v2[1] - v1[1] * v2[0]).is_zero()
+
+    def test_one_reduction_one_enumeration(self, monkeypatch):
+        """The oracle runs neither Gauss nor shortest_vector, so acceptance
+        criterion 3 compares Gauss with an independent computation."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the minima oracle must not call this")
+
+        monkeypatch.setattr(reduction, "gauss_reduce", forbidden)
+        monkeypatch.setattr(reduction, "_gauss_batch", forbidden)
+        monkeypatch.setattr(svp, "shortest_vector", forbidden)
+        calls = []
+        for name in ("alll_reduce", "_enum_shortest"):
+            def counted(*args, _f=getattr(svp, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(svp, name, counted)
+        w = RING3.xi
+        B = ComplexBasis(np.array([[4 + w, 1 + 4 * w], [-1 + 5 * w, 1 + 2 * w]]), RING3)
+        l1, l2, _ = successive_minima_2d(B)
+        assert calls == ["alll_reduce", "_enum_shortest"]
+        assert (l1**2, l2**2) == (pytest.approx(16.0), pytest.approx(28.0))
 
     def test_rank_validation(self):
         B = ComplexBasis(np.eye(3, dtype=complex), RING1)
