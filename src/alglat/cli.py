@@ -152,10 +152,17 @@ def _cmd_cf_experiment(args) -> int:
         n, trials, seed = int(cfg["n"]), int(cfg["trials"]), int(cfg["seed"])
         snr_db_list = _config_list(cfg, "snr_db", (int, float))
         strategies = _config_list(cfg, "strategies", (str,))
+        modulus = cfg.get("modulus")
+        if modulus is not None and not (
+            isinstance(modulus, list)
+            and len(modulus) == 2
+            and all(type(c) is int for c in modulus)
+        ):
+            raise TypeError(f"'modulus' must be a list of two ints, got {modulus!r}")
     except TypeError as exc:
         raise ValueError(f"malformed config: {exc}") from exc
     rows = experiments.cf_experiment(
-        ring, n, snr_db_list, trials, strategies, seed, modulus=cfg.get("modulus")
+        ring, n, snr_db_list, trials, strategies, seed, modulus=modulus
     )
     out = args.out or cfg.get("out")
     experiments.write_csv(rows, experiments.CF_CSV_HEADER, out or sys.stdout)

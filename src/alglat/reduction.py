@@ -13,6 +13,11 @@ real_lll runs it over Z (covering radius 1/2), where the nearest ring element
 is the nearest integer, xi is 0, R stays real and the rotation is a Givens
 rotation.  real_lll returns matrix @ T, the rule alll_reduce follows too:
 the reduced basis is the input times the exact transform.
+
+The loop skips a Gram-Schmidt ratio R[k, j] / R[k, k] that rounded to 0 when
+neither row k nor column j of R has been written since; it would read the
+same two floats again, so every output is bit for bit that of rounding
+every ratio on every pass.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattices import ComplexBasis, RingMatrix, orthogonality_defect
+from .lattices import MAX_CONDITION, ComplexBasis, RingMatrix, _finite, orthogonality_defect
 from .rings import RingSpec, _quantize_pair, _quantize_pairs, quantize  # noqa: F401  (perfbench traces and checks alglat.reduction.quantize)
 
 __all__ = [
@@ -317,7 +322,17 @@ def quaternion_rotation(r_above: complex, r_below: complex) -> np.ndarray:
 
 
 def _phase_normalize(R: np.ndarray, rows) -> None:
-    """Rescale the given rows of R so its diagonal there is real-positive."""
+    """Rescale the given rows of R so its diagonal there is real-positive.
+
+    A real row is negated when its diagonal is negative: that is the
+    complex rule's multiplication by conj(rii / |rii|) = -1.0 or 1.0, bit
+    for bit, without the division and the scaling.
+    """
+    if R.dtype.kind == "f":
+        for i in rows:
+            if R[i, i] < 0.0:
+                R[i, :] *= -1.0
+        return
     for i in rows:
         rii = R[i, i]
         mag = abs(rii)
@@ -373,47 +388,76 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     consecutive swaps that each leave the potential within STALL_RATIO of
     where it was.
 
+    The skip: version[k] counts the writes to row k of R (the rotation of
+    rows j-1 and j at a swap, every row at a refactor), and zero_at[j][k] is
+    the version of row k when column j's ratio there last rounded to 0; it
+    moves with column j when it swaps.  Size-reducing column j at row k
+    writes its rows 0..k, so every ratio below k is evaluated again.
+
+    Raises ValueError when the diagonal of R is zero or spans more than
+    MAX_CONDITION (a lower bound on the condition number of B).
+
     Returns (ua, ub, swaps, size_reductions, events, potential_ratios,
     stalled), with U = ua + xi*ub as in _sub_multiple (ub stays zero over Z).
     """
     n = B.shape[1]
     xi = 0.0 if ring is None else ring.xi
     R = _r_positive(B)
+    diag = np.abs(np.diagonal(R))
+    if not 0.0 < diag.max() <= diag.min() * MAX_CONDITION:
+        raise ValueError("basis columns are numerically dependent")
     ua, ub = _identity_coords(n)
 
     swaps = size_reductions = 0
-    events: list[str] = []
+    steps: list[tuple[str, int]] = []
     pot_ratios: list[float] = []
     stalled = False
     stall_run = 0
+    version = [0] * n
+    zero_at = [[-1] * n for _ in range(n)]
 
     j = 1
     while j < n:
+        seen = zero_at[j]
+        written = False  # whether column j was size-reduced in this pass
         for k in range(j - 1, -1, -1):
+            if not written and seen[k] == version[k]:
+                continue
             mu = R[k, j] / R[k, k]
             if ring is None:
-                ca, cb = _round_half_down(mu), 0
+                ca, cb = math.ceil(mu - 0.5), 0
             else:
                 ca, cb = _quantize_pair(complex(mu), ring)
             if ca or cb:
                 R[: k + 1, j] -= (ca + cb * xi) * R[: k + 1, k]
                 _sub_multiple(ua, ub, j, k, ca, cb, ring)
                 size_reductions += 1
-                events.append(f"size_reduction:{j}")
-        if delta * abs(R[j - 1, j - 1]) ** 2 > abs(R[j, j]) ** 2 + abs(R[j - 1, j]) ** 2:
-            ratio = (abs(R[j - 1, j]) ** 2 + abs(R[j, j]) ** 2) / abs(R[j - 1, j - 1]) ** 2
+                steps.append(("size_reduction", j))
+                seen[k] = -1
+                written = True
+            else:
+                seen[k] = version[k]
+        r_diag2 = abs(R[j - 1, j - 1]) ** 2
+        r_next2 = abs(R[j, j]) ** 2 + abs(R[j - 1, j]) ** 2
+        if delta * r_diag2 > r_next2:
+            ratio = r_next2 / r_diag2
             pot_ratios.append(ratio)
             M = quaternion_rotation(R[j - 1, j], R[j, j])
-            R[:, [j - 1, j]] = R[:, [j, j - 1]]
+            pair = R[:, j - 1 : j + 1]
+            pair[:] = pair[:, ::-1]
             ua[j - 1], ua[j] = ua[j], ua[j - 1]
             ub[j - 1], ub[j] = ub[j], ub[j - 1]
+            zero_at[j - 1], zero_at[j] = zero_at[j], zero_at[j - 1]
             R[j - 1 : j + 1, :] = M @ R[j - 1 : j + 1, :]
             R[j, j - 1] = 0.0
             _phase_normalize(R, (j - 1, j))
+            version[j - 1] += 1
+            version[j] += 1
             swaps += 1
-            events.append(f"swap:{j}")
+            steps.append(("swap", j))
             if swaps % REFACTOR_EVERY == 0:
                 R = _r_positive(B @ _embed_coords(ua, ub, xi))
+                version = [v + 1 for v in version]
             if ratio >= STALL_RATIO:
                 stall_run += 1
                 if stall_run >= 3 * n:
@@ -424,6 +468,7 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
             j = max(j - 1, 1)
         else:
             j += 1
+    events = [f"{kind}:{col}" for kind, col in steps]
     return ua, ub, swaps, size_reductions, events, pot_ratios, stalled
 
 
@@ -438,13 +483,14 @@ def alll_reduce(
     Gram-Schmidt ratios quantize to zero) and the Lovasz condition with
     parameter delta.  Quality bounds are evaluated with eps = delta - rho^2
     where rho is the covering radius of the ring; for non-Euclidean rings
-    eps <= 0 and the bound checks are skipped with a warning.
+    eps <= 0 and the bound checks are skipped with a warning.  delta must be
+    in (0, 1] on every ring, and above rho^2 on a Euclidean one.
     """
     t0 = time.perf_counter()
     ring = basis.ring
     rho2 = ring.covering_radius**2
-    if delta > 1.0:
-        raise ValueError(f"delta must be <= 1, got {delta}")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
     warns: list[str] = []
     if ring.euclidean:
         if delta <= rho2:
@@ -546,19 +592,15 @@ def real_lll(matrix: np.ndarray, delta: float = 0.99):
     T is the integer unimodular transform as an object array of Python ints,
     and reduced = matrix @ T (computed in floats).  This is _lll over Z.  At
     delta < 1 every swap cuts the potential by at least delta; at delta = 1
-    the loop ends by the same stall rule as alll_reduce.
+    the loop ends by the same stall rule as alll_reduce.  A non-finite or
+    numerically dependent matrix raises ValueError, as in ComplexBasis.
     """
     if not 0.25 < delta <= 1.0:
         raise ValueError(f"delta must be in (0.25, 1], got {delta}")
     B = np.array(matrix, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError("basis must be a square matrix")
-    ua, _, swaps, *_ = _lll(B, delta, None)
+    if B.ndim != 2 or B.shape[0] != B.shape[1] or B.size == 0:
+        raise ValueError(f"basis must be square and non-empty, got shape {B.shape}")
+    ua, _, swaps, *_ = _lll(_finite(B), delta, None)
     m = B.shape[0]
     T = np.array([[ua[j][i] for j in range(m)] for i in range(m)], dtype=object)
     return B @ T.astype(float), T, swaps
-
-
-def _round_half_down(x: float) -> int:
-    """Nearest integer, ties toward the smaller integer."""
-    return math.ceil(x - 0.5)

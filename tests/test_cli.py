@@ -224,9 +224,15 @@ class TestCli:
             ("cf-experiment", "--config", {**CONFIG, "n": None}, [], "config"),
             ("cf-experiment", "--config", {**CONFIG, "strategies": "alll"}, [], "'strategies'"),
             ("cf-experiment", "--config", {**CONFIG, "strategies": [["alll"]]}, [], "'strategies'"),
+            ("cf-experiment", "--config", {**CONFIG, "modulus": 5}, [], "malformed config: 'modulus'"),
+            (
+                "cf-experiment", "--config", {**CONFIG, "modulus": ["a", 1]}, [],
+                "malformed config: 'modulus'",
+            ),
         ],
         ids=["basis-bare-number", "basis-string-pair", "channel-not-a-list", "snr-overflow",
-             "config-null-n", "config-strategies-string", "config-strategies-nested"],
+             "config-null-n", "config-strategies-string", "config-strategies-nested",
+             "config-modulus-number", "config-modulus-string-entry"],
     )
     def test_malformed_input_is_an_error(self, tmp_path, capsys, command, flag, content, extra, says):
         """Malformed files and values end in 'error: ...' and exit 1, not a traceback."""
@@ -235,6 +241,15 @@ class TestCli:
         assert main([command, flag, str(path), *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and says in err
+
+    @pytest.mark.parametrize("algorithm", ("alll", "rlll"))
+    def test_reduce_nan_delta_is_an_error(self, golden_basis_file, capsys, algorithm):
+        code = main([
+            "reduce", "--basis", str(golden_basis_file), "--algorithm", algorithm,
+            "--delta", "nan",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: delta must be in")
 
     def test_rank_failure_no_relays(self, capsys):
         code = main([

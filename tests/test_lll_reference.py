@@ -1,0 +1,138 @@
+"""reduction._lll against the loop it replaced (tests/lll_reference.py).
+
+The library loop skips Gram-Schmidt ratios that cannot have changed since
+they last rounded to 0, and swaps with cheaper numpy calls; its whole
+output (ua, ub, swaps, size_reductions, events, potential_ratios, stalled)
+must equal the reference's bit for bit, while it rounds fewer ratios.
+"""
+
+import math
+import types
+
+import numpy as np
+import pytest
+
+import lll_reference
+from alglat import reduction
+from alglat.cf import Channel, cf_basis
+from alglat.lattices import embed, random_unimodular
+from alglat.rings import ring_new
+
+RINGS = [None] + [ring_new(d) for d in (1, 2, 3, 5, 7)]
+DELTAS = (0.75, 0.99, 1.0)
+
+
+def ring_id(ring):
+    return "Z" if ring is None else f"d={ring.d}"
+
+
+def cn_basis(ring, n, rng):
+    """CN(0,1) entries; standard normal ones over Z."""
+    if ring is None:
+        return rng.standard_normal((n, n))
+    return math.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def cf_shape_basis(ring, n, rng):
+    """The compute-and-forward lattice of one relay hearing n transmitters
+    at 10, 30 or 50 dB; real LLL reduces its real embedding of rank 2n."""
+    h = math.sqrt(0.5) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    ch = Channel.from_db(h, float(rng.choice([10.0, 30.0, 50.0])))
+    basis = cf_basis(ch, ring_new(1) if ring is None else ring)
+    return embed(basis) if ring is None else np.array(basis.matrix, dtype=complex)
+
+
+def assert_same_run(B, delta, ring):
+    got = reduction._lll(B, delta, ring)
+    want = lll_reference._lll(B, delta, ring)
+    assert got == want
+    assert [r.hex() for r in got[5]] == [r.hex() for r in want[5]]
+    return got
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("ring", RINGS, ids=ring_id)
+def test_same_output_as_reference(ring, delta):
+    rng = np.random.default_rng([int(delta * 100), 0 if ring is None else ring.d])
+    swaps = 0
+    for n in range(2, 9):
+        for make in (cn_basis, cf_shape_basis) * 3:
+            swaps += assert_same_run(make(ring, n, rng), delta, ring)[2]
+    assert swaps > 0
+
+
+def scrambled_rank16():
+    ring = ring_new(3)
+    rng = np.random.default_rng(16)
+    n = 16
+    base = np.eye(n) + 0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return base @ random_unimodular(ring, n, rng, ops=240).to_complex(), ring
+
+
+def test_same_output_across_refactors():
+    """A scrambled rank-16 basis swaps past REFACTOR_EVERY, so R is
+    recomputed mid-run."""
+    B, ring = scrambled_rank16()
+    assert assert_same_run(B, 0.99, ring)[2] > reduction.REFACTOR_EVERY
+
+
+def test_refactor_voids_every_skip(monkeypatch):
+    """A refactor rewrites all of R, so no ratio may be skipped after it.
+    Each refactored R here gets R[0, 0] added to the rest of row 0, which
+    moves every ratio of row 0 by 1: both loops must see and undo that."""
+
+    def shifted(r_positive):
+        calls = []
+
+        def wrapped(B):
+            R = r_positive(B)
+            if calls:
+                R[0, 1:] += R[0, 0]
+            calls.append(None)
+            return R
+
+        return wrapped
+
+    monkeypatch.setattr(reduction, "_r_positive", shifted(reduction._r_positive))
+    monkeypatch.setattr(lll_reference, "_r_positive", shifted(lll_reference._r_positive))
+    B, ring = scrambled_rank16()
+    assert assert_same_run(B, 0.99, ring)[2] > reduction.REFACTOR_EVERY
+
+
+def test_same_output_when_stalled():
+    """Two embedded columns of equal norm: at delta = 1 the loop ends by the
+    stall rule."""
+    B = embed(cf_basis(Channel.from_db([0.1 + 0.1j], 20), ring_new(3)))
+    assert assert_same_run(B, 1.0, None)[6]
+
+
+@pytest.mark.parametrize("ring", [None, ring_new(1)], ids=ring_id)
+def test_fewer_ratio_evaluations(ring, monkeypatch):
+    """The loop must round fewer ratios than the reference on the same run,
+    so the skip cannot silently disappear."""
+    calls = {"new": 0, "reference": 0}
+
+    def counting(name, inner):
+        def wrapped(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapped
+
+    if ring is None:
+        # over Z the rounding is math.ceil(mu - 0.5), inline in the loop
+        ceil = counting("new", math.ceil)
+        monkeypatch.setattr(reduction, "math", types.SimpleNamespace(**{**vars(math), "ceil": ceil}))
+        monkeypatch.setattr(
+            lll_reference, "_round_half_down", counting("reference", lll_reference._round_half_down)
+        )
+    else:
+        monkeypatch.setattr(reduction, "_quantize_pair", counting("new", reduction._quantize_pair))
+        monkeypatch.setattr(
+            lll_reference, "_quantize_pair", counting("reference", lll_reference._quantize_pair)
+        )
+    B = cf_shape_basis(ring, 4, np.random.default_rng(1001))
+    got = reduction._lll(B, 0.99, ring)
+    assert got == lll_reference._lll(B, 0.99, ring)
+    assert got[2] > 0
+    assert 0 < calls["new"] < calls["reference"]

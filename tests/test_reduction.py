@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alglat.cf import Channel, cf_basis, design_relay
-from alglat.lattices import ComplexBasis, RingMatrix, _independent, embed
+from alglat.lattices import MAX_CONDITION, ComplexBasis, RingMatrix, _independent, embed
 from alglat import reduction
 from alglat.reduction import (
     NonEuclideanRingWarning,
@@ -288,6 +288,15 @@ class TestAlll:
         with pytest.raises(ValueError):
             alll_reduce(B, 1.2)
 
+    @pytest.mark.parametrize("d", (1, 5))
+    @pytest.mark.parametrize("delta", (math.nan, math.inf, -math.inf, 0.0, -1.0))
+    def test_meaningless_delta_rejected(self, d, delta):
+        """A NaN delta made no swap and NaN bound checks, and on a
+        non-Euclidean ring delta <= 0 ran as if valid."""
+        B = random_basis(ring_new(d), 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="delta must be in"):
+            alll_reduce(B, delta)
+
     def test_noneuclidean_warns_but_runs(self):
         rng = np.random.default_rng(10)
         B = random_basis(RING5, 4, rng)
@@ -452,6 +461,33 @@ class TestRealLll:
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             real_lll(np.eye(2), delta=0.2)
+
+    @pytest.mark.parametrize(
+        "matrix, says",
+        [
+            ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]], "numerically dependent"),
+            ([[1.0, 2.0], [2.0, 4.0]], "numerically dependent"),
+            (np.zeros((3, 3)), "numerically dependent"),
+            ([[1.0, math.nan], [0.0, 1.0]], "non-finite"),
+            ([[math.inf, 0.0], [0.0, 1.0]], "non-finite"),
+            (np.zeros((0, 0)), "non-empty"),
+        ],
+        ids=["rank-2-of-3", "rank-1-of-2", "zero", "nan", "inf", "empty"],
+    )
+    def test_invalid_basis_rejected(self, matrix, says):
+        """These returned a 'reduced' basis with a zero column, or failed
+        with 'cannot convert float NaN to integer'."""
+        with pytest.raises(ValueError, match=says):
+            real_lll(matrix)
+
+    def test_dependence_test_is_on_the_diagonal_of_r(self):
+        """A basis ComplexBasis accepts is accepted here too: max/min of
+        |R_ii| is a lower bound on the condition number."""
+        B = np.diag([1.0, 1e-11])
+        assert np.linalg.cond(B) <= MAX_CONDITION
+        assert real_lll(B)[2] == 1
+        with pytest.raises(ValueError, match="numerically dependent"):
+            real_lll(np.diag([1.0, 1e-13]))
 
 
 class TestPotentialAndRadius:
