@@ -23,8 +23,6 @@ from .lattices import (
     RingMatrix,
     embed,
     hermite_factor,
-    is_unimodular,
-    minkowski_check,
     orthogonality_defect,
     volume,
 )

@@ -12,6 +12,10 @@ The strategies of one relay share their per-channel work (design_relays):
 the Gram matrix I + P h h^H and its inverse, the validated channel basis, and
 one ALLL reduction per distinct delta.  The svp design enumerates from the
 ALLL reduction at 0.99, whatever delta the alll design uses.
+
+One elimination over F_p (_eliminate_mod_p) gives a mapped matrix's rank
+and determinant; rank_mod_p returns the rank.  The MAC rate floor that
+tests hold the designs to is in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -22,15 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattices import (
-    ComplexBasis,
-    RingMatrix,
-    coeff_to_complex,
-    embed,
-    fold_real_column,
-    hermite_constant_2n,
-)
-from .reduction import _quiet, alll_reduce, real_lll, reduction_epsilon
+from .lattices import ComplexBasis, RingMatrix, coeff_to_complex, embed, fold_real_column
+from .reduction import _quiet, alll_reduce, real_lll
 from .rings import FieldMorphism, RingSpec, morphism_new
 from .svp import PREPROCESS_DELTA, _svp
 
@@ -46,7 +43,6 @@ __all__ = [
     "design_relays",
     "transmission_rate",
     "rank_mod_p",
-    "det_mod_p",
     "default_morphism",
     "random_channel",
     "db_to_linear",
@@ -168,10 +164,6 @@ class NetworkDesign:
     field_rank_ok: bool
     det_commutes: bool
 
-    @property
-    def chosen_matrix(self) -> RingMatrix:
-        return self.matrices[self.chosen_index]
-
 
 def design_relays(
     ch: Channel,
@@ -273,11 +265,6 @@ def rank_mod_p(matrix: RingMatrix, morphism: FieldMorphism) -> int:
     return _eliminate_mod_p(matrix, morphism)[0]
 
 
-def det_mod_p(matrix: RingMatrix, morphism: FieldMorphism) -> int:
-    """Determinant of the mapped matrix over F_p."""
-    return _eliminate_mod_p(matrix, morphism)[1]
-
-
 def default_morphism(ring: RingSpec) -> FieldMorphism:
     """Stock quotient map: F_5 for the Gaussian integers, F_7 for Eisenstein."""
     if ring.d in (1, 3):
@@ -331,16 +318,3 @@ def transmission_rate(designs: list, morphism: FieldMorphism) -> NetworkDesign:
     chosen = max(usable, key=lambda i: rates[i])
     commutes = morphism.apply(candidates[chosen].det()) == field[chosen][1]
     return NetworkDesign(candidates, chosen, rates[chosen], True, commutes)
-
-
-def mac_rate_floor(ring: RingSpec, ch: Channel, delta: float = 0.99) -> float:
-    """Lower bound on the best rate: the per-user MAC capacity share minus the
-    ring- and reduction-dependent constant."""
-    n = ch.n
-    eps = reduction_epsilon(ring, delta)
-    gamma = hermite_constant_2n(n)
-    if gamma is None or eps <= 0:
-        raise ValueError("no bound available for this ring/dimension")
-    cap = max(0.0, math.log2(1.0 + ch.p * float(np.linalg.norm(ch.h)) ** 2)) / n
-    penalty = max(0.0, math.log2(eps ** (-(n - 1)) * gamma * ring.det_phi))
-    return cap - penalty

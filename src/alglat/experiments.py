@@ -188,6 +188,12 @@ def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) 
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not p_linear_list:
+        raise ValueError("need at least one SNR point")
+    if not strategies:
+        raise ValueError("need at least one strategy")
+    if len(set(strategies)) < len(strategies):
+        raise ValueError("each strategy may appear only once; a repeat would share its counts")
     acc = {(s, pi): _Acc([], [], []) for s in strategies for pi in range(len(p_linear_list))}
     for pi, _, rng in _trials(seed, len(p_linear_list), trials):
         chans = [random_channel(n, p_linear_list[pi], rng) for _ in range(n)]
@@ -223,7 +229,8 @@ def cf_experiment(
     paired.  Rank failure is scored on a unimodular matrix for alll, with or
     without a field map, and on the stack of per-relay best equations
     otherwise; field-rank columns are empty when the ring has no default
-    morphism and none is supplied.
+    morphism and none is supplied.  Both lists must be non-empty, and a
+    strategy may appear only once.
     """
     morphism = _resolve_morphism(ring, modulus)
     snr_db_list = list(snr_db_list)

@@ -1,58 +1,39 @@
-"""Complex algebraic lattice bases and exact unimodularity machinery.
+"""Complex algebraic lattice bases and exact matrices over the ring.
 
 A rank-n lattice over Z[xi] is spanned by the columns of a complex n x n
 basis matrix.  Embedding into R^(2n) stacks real parts over imaginary parts
 of each column; coefficient vectors a + b*xi split into [a-block; b-block].
+RingMatrix holds an exact transform, with a fraction-free determinant and
+the unimodularity test on it.  Random unimodular matrices, the exact inverse
+and the Minkowski-bound check are test oracles, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import RingElem, RingKind, RingSpec, _quantize_pair, parse_ring, units
+from .rings import RingElem, RingKind, RingSpec, _quantize_pair, parse_ring
 
 __all__ = [
     "ComplexBasis",
     "RingMatrix",
     "embed",
     "fold_real_column",
-    "embed_vector",
     "coeff_to_complex",
     "volume",
     "orthogonality_defect",
     "hermite_factor",
-    "is_unimodular",
-    "minkowski_check",
-    "hermite_constant_2n",
     "basis_to_json",
     "basis_from_json",
-    "random_unimodular",
 ]
 
 MAX_CONDITION = 1e12
 #: largest distance from the ring at which an entry still reads as exact
 _EXACT_TOL = 1e-9
-
-#: Hermite's constants for real lattices of dimension 2, 4, 6, 8.  Only the
-#: dimension-4 value is forced by the quality bounds here; the others are the
-#: standard tabulated constants.
-HERMITE_CONSTANTS = {
-    2: 2.0 / math.sqrt(3.0),
-    4: math.sqrt(2.0),
-    6: (64.0 / 3.0) ** (1.0 / 6.0),
-    8: 2.0,
-}
-
-
-def hermite_constant_2n(n: int) -> float | None:
-    """gamma_{2n} for complex rank n, or None when outside the table."""
-    return HERMITE_CONSTANTS.get(2 * n)
-
 
 def _finite(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m.view(float))):
@@ -100,12 +81,6 @@ class ComplexBasis:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def column(self, j: int) -> np.ndarray:
-        return np.array(self.matrix[:, j])
-
-    def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.matrix, axis=0)
-
     def exact_entries(self) -> "RingMatrix | None":
         """Recover exact ring entries when every entry is a ring element, to
         within _EXACT_TOL, scaled down for a basis whose entries are all below 1."""
@@ -131,12 +106,6 @@ class ComplexBasis:
                 row.append((a, b))
             rows.append(row)
         return rows
-
-
-def embed_vector(v: np.ndarray) -> np.ndarray:
-    """Stack real parts over imaginary parts of a complex vector."""
-    v = np.asarray(v, dtype=complex)
-    return np.concatenate([v.real, v.imag])
 
 
 def coeff_to_complex(coeff) -> np.ndarray:
@@ -191,39 +160,6 @@ def hermite_factor(basis: ComplexBasis, lambda1: float) -> float:
     return lambda1**2 / volume(basis) ** (1.0 / basis.n)
 
 
-def minkowski_check(basis: ComplexBasis, minima) -> dict:
-    """Check the first/second-minimum bounds against the gamma table.
-
-    Returns a report dict; for n > 4 the bounds are skipped (no exact
-    gamma_{2n} in the table) with a warning entry.
-    """
-    n = basis.n
-    gamma = hermite_constant_2n(n)
-    report: dict = {"n": n, "gamma_2n": gamma, "skipped": gamma is None}
-    if gamma is None:
-        warnings.warn(f"no tabulated Hermite constant for dimension {2 * n}; bounds skipped")
-        return report
-    absdet = abs(np.linalg.det(basis.matrix))
-    d_phi = basis.ring.det_phi
-    first_bound = gamma * d_phi * absdet ** (2.0 / n)
-    report["first_ok"] = minima[0] ** 2 <= first_bound + 1e-9
-    report["first_lhs"] = minima[0] ** 2
-    report["first_bound"] = first_bound
-    prod_sq = float(np.prod([m**2 for m in minima]))
-    # pad the product bound when fewer than n minima are supplied
-    k = len(minima)
-    second_bound = gamma**n * d_phi**n * absdet**2
-    if k < n:
-        # lambda_j >= lambda_1 for the missing terms would only weaken the
-        # left side, so check the partial product against the full bound
-        report["partial"] = True
-    report["second_ok"] = prod_sq <= second_bound + 1e-9
-    report["second_lhs"] = prod_sq
-    report["second_bound"] = second_bound
-    report["ok"] = bool(report["first_ok"] and report["second_ok"])
-    return report
-
-
 # ---------------------------------------------------------------------------
 # exact matrices over the ring
 
@@ -237,6 +173,8 @@ class RingMatrix:
 
     def __post_init__(self):
         n = len(self.entries)
+        if n == 0:
+            raise ValueError("ring matrix must be square and non-empty, got 0 rows")
         rows = []
         for row in self.entries:
             if len(row) != n:
@@ -246,16 +184,6 @@ class RingMatrix:
                     raise ValueError("entry from a different ring")
             rows.append(tuple(row))
         object.__setattr__(self, "entries", tuple(rows))
-
-    @classmethod
-    def identity(cls, n: int, ring: RingSpec) -> "RingMatrix":
-        return cls(
-            tuple(
-                tuple(ring.elem(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            ),
-            ring,
-        )
 
     @classmethod
     def from_int_rows(cls, rows, ring: RingSpec) -> "RingMatrix":
@@ -322,39 +250,6 @@ class RingMatrix:
     def is_unimodular(self) -> bool:
         return self.det().norm() == 1
 
-    def inverse_unimodular(self) -> "RingMatrix":
-        """Exact inverse, valid when the determinant is a unit."""
-        d = self.det()
-        if d.norm() != 1:
-            raise ValueError("matrix is not unimodular")
-        # adj(U) / det(U); det is a unit so dividing is multiplying by d^-1,
-        # and d^-1 = conj(d) when Nr(d) = 1
-        dinv = d.conj()
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = _ring_det(self._minor(j, i))
-                sign = 1 if (i + j) % 2 == 0 else -1
-                row.append(minor * dinv * sign)
-            rows.append(tuple(row))
-        return RingMatrix(tuple(rows), self.ring)
-
-    def _minor(self, drop_row: int, drop_col: int) -> "RingMatrix":
-        rows = []
-        for i in range(self.n):
-            if i == drop_row:
-                continue
-            rows.append(
-                tuple(
-                    self.entries[i][j] for j in range(self.n) if j != drop_col
-                )
-            )
-        if not rows:
-            return RingMatrix(((self.ring.one,),), self.ring)
-        return RingMatrix(tuple(rows), self.ring)
-
 
 def _ring_det(m: RingMatrix) -> RingElem:
     """Bareiss fraction-free elimination; all divisions are exact in the ring."""
@@ -380,34 +275,6 @@ def _ring_det(m: RingMatrix) -> RingElem:
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return det if sign == 1 else -det
-
-
-def is_unimodular(entries, ring: RingSpec) -> bool:
-    """True iff the ring matrix has unit determinant (exact arithmetic)."""
-    if isinstance(entries, RingMatrix):
-        return entries.is_unimodular()
-    return RingMatrix(tuple(tuple(row) for row in entries), ring).is_unimodular()
-
-
-def random_unimodular(ring: RingSpec, n: int, rng, ops: int = 12) -> RingMatrix:
-    """Random unimodular matrix from elementary column operations."""
-    cols = [list(col) for col in RingMatrix.identity(n, ring).columns()]
-    us = units(ring)
-    for _ in range(ops):
-        kind = rng.integers(0, 3)
-        j = int(rng.integers(0, n))
-        if kind == 0 and n > 1:
-            k = int(rng.integers(0, n - 1))
-            k = k if k < j else k + 1
-            c = ring.elem(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-            cols[j] = [cols[j][i] + c * cols[k][i] for i in range(n)]
-        elif kind == 1:
-            u = us[int(rng.integers(0, len(us)))]
-            cols[j] = [u * cols[j][i] for i in range(n)]
-        else:
-            k = int(rng.integers(0, n))
-            cols[j], cols[k] = cols[k], cols[j]
-    return RingMatrix.from_columns([tuple(c) for c in cols], ring)
 
 
 # ---------------------------------------------------------------------------

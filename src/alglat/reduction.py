@@ -151,10 +151,12 @@ def _identity_coords(n: int):
 
 def _sub_multiple(ua, ub, j: int, k: int, ca: int, cb: int, ring: RingSpec | None) -> None:
     """Column j of U -= (ca + cb*xi) * column k, using xi^2 = s*xi + t.
-    ring is read only when cb != 0, so it is None over Z."""
+    ring is None over Z, where cb is 0 and ub stays all zero, so ub is
+    left alone."""
     if cb == 0:
         ua[j] = [x - ca * y for x, y in zip(ua[j], ua[k])]
-        ub[j] = [x - ca * y for x, y in zip(ub[j], ub[k])]
+        if ring is not None:
+            ub[j] = [x - ca * y for x, y in zip(ub[j], ub[k])]
         return
     s, t = ring.minpoly_coeffs
     tb, sb = t * cb, ca + s * cb

@@ -3,7 +3,10 @@
 For a square-free d > 0 the ring of integers of Q(sqrt(-d)) is Z[xi] with
 xi = sqrt(-d) when -d = 2, 3 (mod 4) ("type I") and xi = (1 + sqrt(-d))/2
 when -d = 1 (mod 4) ("type II").  Elements are stored as integer pairs
-(a, b) meaning a + b*xi, so all ring arithmetic is exact.
+(a, b) meaning a + b*xi, so all ring arithmetic is exact.  The module also
+holds the nearest-element quantizer, the unit groups and the quotient maps
+Z[xi] -> F_p; the geometric covering-radius and Euclidean-set references
+that tests compare against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ __all__ = [
     "parse_ring",
     "units",
     "quantize",
-    "covering_radius_geometric",
-    "norm_euclidean_sup_distance",
     "morphism_new",
 ]
 
@@ -80,14 +81,6 @@ class RingSpec:
         return complex(0.5, root / 2.0)
 
     @property
-    def phi(self):
-        """2x2 real generator matrix of Z[xi] embedded in R^2 (columns 1, xi)."""
-        root = math.sqrt(self.d)
-        if self.kind is RingKind.TYPE_I:
-            return np.array([[1.0, 0.0], [0.0, root]])
-        return np.array([[1.0, 0.5], [0.0, root / 2.0]])
-
-    @property
     def det_phi(self) -> float:
         root = math.sqrt(self.d)
         return root if self.kind is RingKind.TYPE_I else root / 2.0
@@ -129,9 +122,6 @@ class RingSpec:
     @property
     def one(self) -> "RingElem":
         return self.elem(1, 0)
-
-    def units(self) -> tuple["RingElem", ...]:
-        return units(self)
 
     def __str__(self):
         return f"d={self.d}"
@@ -230,9 +220,6 @@ class RingElem:
     def __bool__(self):
         return not self.is_zero()
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     def divide_exact(self, other: "RingElem") -> "RingElem":
         """Exact division; raises if other does not divide self in the ring."""
         self._check_same_ring(other)
@@ -320,45 +307,6 @@ def quantize(x: complex, ring: RingSpec) -> RingElem:
     """
     a, b = _quantize_pair(complex(x), ring)
     return RingElem(a, b, ring)
-
-
-def covering_radius_geometric(ring: RingSpec) -> float:
-    """Covering radius computed from the Voronoi geometry of the embedded ring.
-
-    Type I: half-diagonal of the rectangular cell spanned by 1 and sqrt(-d).
-    Type II: circumradius of the triangle (0, 1, xi), whose circumcenter is the
-    deep hole of the triangular-ish cell.  Serves as an independent check of
-    the closed forms in :attr:`RingSpec.covering_radius`.
-    """
-    root = math.sqrt(ring.d)
-    if ring.kind is RingKind.TYPE_I:
-        return math.hypot(0.5, root / 2.0)
-    v1 = complex(1.0, 0.0)
-    v2 = ring.xi
-    a = abs(v1)
-    b = abs(v2)
-    c = abs(v2 - v1)
-    area = abs(v1.real * v2.imag - v1.imag * v2.real) / 2.0
-    return a * b * c / (4.0 * area)
-
-
-def norm_euclidean_sup_distance(ring: RingSpec, grid: int = 400) -> float:
-    """Numeric sup of |x - Q(x)| over a grid covering a fundamental cell.
-
-    The ring is norm-Euclidean iff this sup is < 1.
-    """
-    root = math.sqrt(ring.d)
-    height = root if ring.kind is RingKind.TYPE_I else root / 2.0
-    worst = 0.0
-    for i in range(grid + 1):
-        re = i / grid
-        for j in range(grid + 1):
-            im = height * j / grid
-            x = complex(re, im)
-            dist = abs(x - quantize(x, ring).embed())
-            if dist > worst:
-                worst = dist
-    return worst
 
 
 @dataclass(frozen=True)

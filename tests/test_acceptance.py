@@ -31,8 +31,9 @@ from alglat.reduction import (
     real_lll,
     reduction_epsilon,
 )
-from alglat.rings import covering_radius_geometric, quantize, ring_new
+from alglat.rings import quantize, ring_new
 from alglat.svp import shortest_vector, successive_minima_2d
+from oracles import covering_radius_geometric
 
 EUCLIDEAN_D = (1, 2, 3, 7, 11)
 DELTA = 0.99

@@ -17,8 +17,6 @@ from alglat.cf import (
     default_morphism,
     design_relay,
     design_relays,
-    det_mod_p,
-    mac_rate_floor,
     rank_mod_p,
     random_channel,
     transmission_rate,
@@ -36,13 +34,13 @@ from alglat.lattices import (
     RingMatrix,
     coeff_to_complex,
     embed,
-    random_unimodular,
     volume,
 )
 from alglat.reduction import NonEuclideanRingWarning, alll_reduce, gauss_reduce, real_lll
 from alglat.reduction import reduction_epsilon
 from alglat.rings import morphism_new, ring_new
 from alglat.svp import shortest_vector
+from oracles import identity_matrix, mac_rate_floor, random_unimodular
 
 RING1 = ring_new(1)
 RING3 = ring_new(3)
@@ -126,7 +124,7 @@ class TestDesignRelay:
     def test_zero_channel_identity(self):
         ch = Channel(np.zeros(2, dtype=complex), 5.0)
         d = design_relay(ch, RING1, "alll")
-        assert d.matrix.entries == RingMatrix.identity(2, RING1).entries
+        assert d.matrix.entries == identity_matrix(2, RING1).entries
 
     @pytest.mark.parametrize("strategy", ("alll", "rlll", "svp", "best_single"))
     def test_strategies_run(self, strategy):
@@ -171,7 +169,7 @@ class TestDesignRelay:
 class TestFiniteField:
     def test_rank_identity(self):
         mor = default_morphism(RING1)
-        I = RingMatrix.identity(3, RING1)
+        I = identity_matrix(3, RING1)
         assert rank_mod_p(I, mor) == 3
 
     def test_rank_drops_on_modulus_multiple(self):
@@ -198,7 +196,7 @@ class TestFiniteField:
                     ],
                     ring,
                 )
-                assert mor.apply(A.det()) == det_mod_p(A, mor)
+                assert mor.apply(A.det()) == cf._eliminate_mod_p(A, mor)[1]
 
     def test_default_morphisms(self):
         assert default_morphism(RING1).p == 5
@@ -222,7 +220,7 @@ class TestTransmissionRate:
         nd = transmission_rate(designs, mor)
         assert nd.field_rank_ok
         assert nd.det_commutes
-        assert nd.chosen_matrix.is_unimodular()
+        assert nd.matrices[nd.chosen_index].is_unimodular()
         assert nd.rate > 0
 
     def test_best_single_stack_of_worked_example_fails_over_field(self):
@@ -311,6 +309,22 @@ class TestExperimentOps:
             cf_experiment(RING1, 0, [10], 2, ["alll"], 0)
         with pytest.raises(ValueError, match="n must be >= 1"):
             rank_failure_probability(RING1, default_morphism(RING1), 0, 10.0, 2)
+
+    @pytest.mark.parametrize(
+        "snr_db, strategies, says",
+        [
+            ([25.0], ["best_single", "best_single"], "only once"),
+            ([25.0], ["alll", "svp", "alll"], "only once"),
+            ([], ["alll"], "at least one SNR point"),
+            ([25.0], [], "at least one strategy"),
+        ],
+        ids=["repeat", "repeat-apart", "no-snr", "no-strategy"],
+    )
+    def test_network_loop_rejects_repeated_or_empty_lists(self, snr_db, strategies, says):
+        """A repeated strategy would share one accumulator and double its
+        failure counts and rows; an empty list would give a header-only table."""
+        with pytest.raises(ValueError, match=says):
+            cf_experiment(RING1, 2, snr_db, 60, strategies, 3)
 
     def test_rank_failure_unimodular_zero(self):
         mor = default_morphism(RING1)
@@ -461,7 +475,7 @@ def test_rank_failures_rule(A, with_morphism):
 @given(ring_matrices())
 def test_field_elimination_properties(A):
     mor = default_morphism(A.ring)
-    det = det_mod_p(A, mor)
+    det = cf._eliminate_mod_p(A, mor)[1]
     rank = rank_mod_p(A, mor)
     assert det == mor.apply(A.det())
     assert (rank == A.n) == (det != 0)

@@ -229,10 +229,14 @@ class TestCli:
                 "cf-experiment", "--config", {**CONFIG, "modulus": ["a", 1]}, [],
                 "malformed config: 'modulus'",
             ),
+            ("cf-experiment", "--config", {**CONFIG, "strategies": ["alll", "alll"]}, [], "only once"),
+            ("cf-experiment", "--config", {**CONFIG, "strategies": []}, [], "at least one strategy"),
+            ("cf-experiment", "--config", {**CONFIG, "snr_db": []}, [], "at least one SNR point"),
         ],
         ids=["basis-bare-number", "basis-string-pair", "channel-not-a-list", "snr-overflow",
              "config-null-n", "config-strategies-string", "config-strategies-nested",
-             "config-modulus-number", "config-modulus-string-entry"],
+             "config-modulus-number", "config-modulus-string-entry",
+             "config-strategies-repeated", "config-strategies-empty", "config-snr-empty"],
     )
     def test_malformed_input_is_an_error(self, tmp_path, capsys, command, flag, content, extra, says):
         """Malformed files and values end in 'error: ...' and exit 1, not a traceback."""

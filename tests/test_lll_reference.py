@@ -15,8 +15,9 @@ import pytest
 import lll_reference
 from alglat import reduction
 from alglat.cf import Channel, cf_basis
-from alglat.lattices import embed, random_unimodular
+from alglat.lattices import embed
 from alglat.rings import ring_new
+from oracles import random_unimodular
 
 RINGS = [None] + [ring_new(d) for d in (1, 2, 3, 5, 7)]
 DELTAS = (0.75, 0.99, 1.0)

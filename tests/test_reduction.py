@@ -23,6 +23,7 @@ from alglat.reduction import (
 from alglat.reduction import _gauss_batch, _r_positive, _trial_steps
 from alglat.rings import quantize, ring_new
 from alglat.svp import shortest_vector, successive_minima_2d
+from oracles import identity_matrix
 
 RING1 = ring_new(1)
 RING3 = ring_new(3)
@@ -229,7 +230,7 @@ class TestAlll:
         B = ComplexBasis(np.eye(2, dtype=complex), RING1)
         rep = alll_reduce(B, 0.99)
         assert rep.swaps == 0
-        assert rep.transform.entries == type(rep.transform).identity(2, RING1).entries
+        assert rep.transform.entries == identity_matrix(2, RING1).entries
         np.testing.assert_allclose(rep.reduced.matrix, np.eye(2))
 
     def test_golden_first_vector_matches_gauss(self):
@@ -332,7 +333,7 @@ class TestAlll:
     def test_scrambled_basis_crosses_refactor_threshold(self):
         """A heavily scrambled basis forces >100 swaps, exercising the
         periodic QR refactorization; the transform must stay exact."""
-        from alglat.lattices import random_unimodular
+        from oracles import random_unimodular
 
         rng = np.random.default_rng(1)
         n = 8

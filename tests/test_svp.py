@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from alglat import reduction, svp
-from alglat.lattices import ComplexBasis, coeff_to_complex, minkowski_check
+from alglat.lattices import ComplexBasis, coeff_to_complex
 from alglat.reduction import NonEuclideanRingWarning, alll_reduce
 from alglat.rings import ring_new, units
 from alglat.svp import (
@@ -14,6 +14,7 @@ from alglat.svp import (
     shortest_vector,
     successive_minima_2d,
 )
+from oracles import minkowski_check
 
 RING1 = ring_new(1)
 RING3 = ring_new(3)
