@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,15 +145,44 @@ def volume(basis: ComplexBasis) -> float:
     return abs(np.linalg.det(basis.matrix)) ** 2 * basis.ring.det_phi**basis.n
 
 
+def _in_range(x: float) -> bool:
+    """Whether |x| is a finite, normal float: not 0, subnormal, inf or NaN."""
+    return sys.float_info.min <= abs(x) < math.inf
+
+
+def _times_pow2(x, k: int):
+    """x * 2**k, in two exact steps so that 2**k itself need not be a float.
+    Exact unless the result overflows or underflows."""
+    h = k // 2
+    return x * 2.0**h * 2.0 ** (k - h)
+
+
+def _pow2_normalized(m: np.ndarray) -> tuple:
+    """(m * 2**-e, e), with e the exponent that puts the largest entry
+    magnitude of m in [0.5, 1).  Scaling by a power of two commutes with
+    IEEE arithmetic away from overflow and underflow."""
+    e = math.frexp(float(np.max(np.abs(m))))[1]
+    return _times_pow2(m, -e), e
+
+
 def orthogonality_defect(basis: ComplexBasis) -> float:
     """prod ||b_j|| / (det(Phi)^n |det B|); >= det(Phi)^-n by Hadamard.
 
     The denominator uses |det B| to first power (the complex Hadamard
     normalization); the embedded real volume would square it and break the
-    det(Phi)^-n lower bound.
+    det(Phi)^-n lower bound.  The defect does not depend on the scale of B:
+    when the norm product or |det B| is out of the normal float range, both
+    are taken of B scaled by a power of two (_pow2_normalized).
     """
-    prod = float(np.prod(np.linalg.norm(basis.matrix, axis=0)))
-    return prod / (basis.ring.det_phi**basis.n * abs(np.linalg.det(basis.matrix)))
+    m = basis.matrix
+    with np.errstate(over="ignore", under="ignore"):
+        prod = float(np.prod(np.linalg.norm(m, axis=0)))
+        absdet = abs(np.linalg.det(m))
+    if not (_in_range(prod) and _in_range(absdet)):
+        m = _pow2_normalized(m)[0]
+        prod = float(np.prod(np.linalg.norm(m, axis=0)))
+        absdet = abs(np.linalg.det(m))
+    return prod / (basis.ring.det_phi**basis.n * absdet)
 
 
 def hermite_factor(basis: ComplexBasis, lambda1: float) -> float:

@@ -8,6 +8,13 @@ is visited (a quarter of the points for the Gaussian integers, a sixth for
 the Eisenstein integers, half elsewhere).  One Schnorr-Euchner zig-zag
 kernel serves both the shortest-vector search and the collection of every
 point within a fixed radius.
+
+The kernel runs on Python lists of floats and ints (R.tolist()): each of its
+steps is one IEEE product, sum or division, or a floor, which Python rounds
+exactly as numpy scalars do, at about a quarter of their cost per node.  The
+winning levels map back to the original basis's coordinates through the
+reduction's exact transform on (a, b) integer pairs, and the RingElem
+coefficient is built once, at the edge.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import ComplexBasis, coeff_to_complex, embed
+from .lattices import ComplexBasis, RingMatrix, coeff_to_complex, embed
 from .reduction import ReductionReport, _quiet, _r_positive, alll_reduce
-from .rings import RingElem, RingSpec, units
+from .rings import RingSpec, units
 
 __all__ = [
     "SvpResult",
@@ -77,16 +84,19 @@ def _enum_shortest(R, best2, mode, budget, x_init, collect):
     mode > 0), under the same pruning and node budget.
 
     Returns (status, best_x, best_norm2, nodes, points); status 1 = budget
-    exceeded; points holds (squared norm, x) pairs in collect mode.
+    exceeded; points holds (squared norm, x) pairs in collect mode.  The
+    levels best_x and x are lists of Python ints; R may be a numpy array,
+    the kernel reads it as R.tolist().
     """
-    m = R.shape[0]
-    x = np.zeros(m, dtype=np.int64)
-    best_x = x_init.copy()
-    center = np.zeros(m)
-    pdist = np.zeros(m)  # squared contribution of levels above i
-    step = np.zeros(m, dtype=np.int64)
-    constrained = np.zeros(m, dtype=np.uint8)
-    nzsuf = np.zeros(m, dtype=np.int64)  # nonzero count at levels > i
+    m = len(R)
+    R = R.tolist()
+    x = [0] * m
+    best_x = [int(v) for v in x_init]
+    center = [0.0] * m
+    pdist = [0.0] * m  # squared contribution of levels above i
+    step = [0] * m
+    constrained = [False] * m
+    nzsuf = [0] * m  # nonzero count at levels > i
     nodes = 0
     points = []
 
@@ -107,11 +117,10 @@ def _enum_shortest(R, best2, mode, budget, x_init, collect):
                     elif mode == 2:
                         lo_active = True
                         lo = 1
+        constrained[i] = lo_active
         if lo_active:
-            constrained[i] = 1
             x[i] = lo
         else:
-            constrained[i] = 0
             x0 = math.floor(center[i] + 0.5)
             x[i] = x0
             step[i] = 1 if center[i] >= x0 else -1
@@ -124,15 +133,14 @@ def _enum_shortest(R, best2, mode, budget, x_init, collect):
             step[i] = -step[i] - (1 if step[i] > 0 else -1)
 
     i = m - 1
-    center[i] = 0.0
-    nzsuf[i] = 0
     init_level(i)
     cur_best2 = best2
     while True:
         nodes += 1
         if nodes > budget:
             return 1, best_x, cur_best2, nodes, points
-        y = R[i, i] * (x[i] - center[i])
+        Ri = R[i]
+        y = Ri[i] * (x[i] - center[i])
         d = pdist[i] + y * y
         if d < cur_best2:
             if i == 0:
@@ -147,10 +155,11 @@ def _enum_shortest(R, best2, mode, budget, x_init, collect):
                 nzsuf[i - 1] = nzsuf[i] + (1 if x[i] != 0 else 0)
                 pdist[i - 1] = d
                 i -= 1
+                Ri = R[i]
                 acc = 0.0
                 for k in range(i + 1, m):
-                    acc += R[i, k] * x[k]
-                center[i] = -acc / R[i, i]
+                    acc += Ri[k] * x[k]
+                center[i] = -acc / Ri[i]
                 init_level(i)
         else:
             # ascending-from-bound levels are only monotone past the center
@@ -167,12 +176,7 @@ def _enumeration_r(basis: ComplexBasis) -> np.ndarray:
     """R factor of the embedding with the two real columns of each ring
     coordinate adjacent: embed's columns in the order [0, n, 1, n+1, ...]."""
     pair_order = np.arange(2 * basis.n).reshape(2, basis.n).T.ravel()
-    return np.ascontiguousarray(_r_positive(embed(basis)[:, pair_order]))
-
-
-def _coeff_from_levels(x, ring: RingSpec) -> tuple:
-    """Ring coefficients from enumeration levels (2j integer part, 2j+1 xi part)."""
-    return tuple(ring.elem(int(x[2 * j]), int(x[2 * j + 1])) for j in range(len(x) // 2))
+    return _r_positive(embed(basis)[:, pair_order])
 
 
 def _symmetry_mode(ring: RingSpec, use_symmetry: bool) -> int:
@@ -181,24 +185,52 @@ def _symmetry_mode(ring: RingSpec, use_symmetry: bool) -> int:
     return 2 if len(units(ring)) > 2 else 1
 
 
-def _in_canonical_sector(e: RingElem, n_units: int) -> bool:
-    if e.b == 0:
-        return e.a > 0
-    if e.b < 0:
+def _pair_mul(p, q, s: int, t: int) -> tuple:
+    """(a1 + b1*xi)(a2 + b2*xi) as an (a, b) pair, with xi^2 = s*xi + t."""
+    (a1, b1), (a2, b2) = p, q
+    bb = b1 * b2
+    return a1 * a2 + t * bb, a1 * b2 + b1 * a2 + s * bb
+
+
+def _level_pairs(x) -> list:
+    """Ring coordinates (a, b) from enumeration levels: level 2j holds the
+    integer part of coordinate j, level 2j+1 its xi part."""
+    return [(int(x[2 * j]), int(x[2 * j + 1])) for j in range(len(x) // 2)]
+
+
+def _in_canonical_sector(a: int, b: int, n_units: int) -> bool:
+    if b == 0:
+        return a > 0
+    if b < 0:
         return False
-    return True if n_units == 2 else e.a >= 1
+    return True if n_units == 2 else a >= 1
 
 
-def canonicalize_by_unit(coeff, ring: RingSpec):
-    """Scale by the unit that puts the first nonzero entry in the canonical sector."""
-    us = units(ring)
-    first = next((e for e in coeff if not e.is_zero()), None)
-    if first is None:
-        return tuple(coeff)
-    for u in us:
-        if _in_canonical_sector(u * first, len(us)):
-            return tuple(u * e for e in coeff)
-    return tuple(coeff)
+def _map_back(transform: RingMatrix, c: list) -> tuple:
+    """The coefficient U @ c in the original basis's coordinates, scaled by
+    the unit that puts its first nonzero entry in the canonical sector.
+
+    U is the reduction's transform and c a list of (a, b) pairs; the
+    products run on integer pairs, and the RingElem tuple is built once,
+    for the result.
+    """
+    ring = transform.ring
+    s, t = ring.minpoly_coeffs
+    v = []
+    for row in transform.entries:
+        a = b = 0
+        for e, q in zip(row, c):
+            pa, pb = _pair_mul((e.a, e.b), q, s, t)
+            a, b = a + pa, b + pb
+        v.append((a, b))
+    first = next((p for p in v if p != (0, 0)), None)
+    if first is not None:
+        us = [(u.a, u.b) for u in units(ring)]
+        for u in us:
+            if _in_canonical_sector(*_pair_mul(u, first, s, t), len(us)):
+                v = [_pair_mul(u, p, s, t) for p in v]
+                break
+    return tuple(ring.elem(a, b) for a, b in v)
 
 
 def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAULT_NODE_BUDGET):
@@ -210,12 +242,12 @@ def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAU
     n = reduced.n
     if n > MAX_RANK:
         raise ValueError(f"rank {n} exceeds the enumeration limit of {MAX_RANK}")
-    coeff, nodes = (ring.one,), 0
+    xbest, nodes = [1, 0], 0
     if n > 1:
         R = _enumeration_r(reduced)
         col_norms2 = np.sum(np.abs(reduced.matrix) ** 2, axis=0)
         jmin = int(np.argmin(col_norms2))
-        x_init = np.zeros(2 * n, dtype=np.int64)
+        x_init = [0] * (2 * n)
         x_init[2 * jmin] = 1
         best2 = float(col_norms2[jmin]) * (1.0 + 1e-9)
 
@@ -223,8 +255,7 @@ def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAU
         status, xbest, _, nodes, _ = _enum_shortest(R, best2, mode, max_nodes, x_init, False)
         if status == 1:
             raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(best2))
-        coeff = _coeff_from_levels(xbest, ring)
-    return canonicalize_by_unit(rep.transform @ coeff, ring), int(nodes)
+    return _map_back(rep.transform, _level_pairs(xbest)), int(nodes)
 
 
 def shortest_vector(
@@ -264,20 +295,23 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
     radius2 = float(max(np.sum(np.abs(rep.reduced.matrix) ** 2, axis=0)))
 
     mode = _symmetry_mode(ring, True)
-    x_none = np.zeros(4, dtype=np.int64)
+    s, t = ring.minpoly_coeffs
     for _ in range(6):
         status, _, _, nodes, points = _enum_shortest(
-            R, radius2 * (1 + 1e-9), mode, max_nodes, x_none, True
+            R, radius2 * (1 + 1e-9), mode, max_nodes, [0] * 4, True
         )
         if status == 1:
             raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(radius2))
         # stable sort: of equal norms, the first listed is shortest_vector's
         # choice.  U is unimodular, so independence is tested before applying it.
-        coeffs = (_coeff_from_levels(x, ring) for _, x in sorted(points, key=lambda p: p[0]))
+        coeffs = (_level_pairs(x) for _, x in sorted(points, key=lambda p: p[0]))
         first = next(coeffs)
-        second = next((c for c in coeffs if not (first[0] * c[1] - first[1] * c[0]).is_zero()), None)
+        second = next(
+            (c for c in coeffs if _pair_mul(first[0], c[1], s, t) != _pair_mul(first[1], c[0], s, t)),
+            None,
+        )
         if second is not None:
-            c1, c2 = (canonicalize_by_unit(rep.transform @ c, ring) for c in (first, second))
+            c1, c2 = (_map_back(rep.transform, c) for c in (first, second))
             l1, l2 = (float(np.linalg.norm(basis.matrix @ coeff_to_complex(c))) for c in (c1, c2))
             return l1, l2, (c1, c2)
         radius2 *= 1.5

@@ -118,6 +118,20 @@ class TestCli:
         assert code == 0
         assert json.loads(out.read_text())["swaps"] == 0
 
+    @pytest.mark.parametrize("scale", (1e80, 1e-150))
+    def test_reduce_rescaled_basis_passes_its_checks(self, tmp_path, scale):
+        """|det B| overflowed or underflowed here, so od_bound read NaN and
+        the exit code was 2."""
+        rng = np.random.default_rng(0)
+        m = math.sqrt(0.5) * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        path = tmp_path / "scaled.json"
+        path.write_text(basis_to_json(ComplexBasis(m * scale, ring_new(1))))
+        out = tmp_path / "r.json"
+        code = main(["reduce", "--basis", str(path), "--algorithm", "alll", "--out", str(out)])
+        checks = json.loads(out.read_text())["bound_checks"]
+        assert code == 0
+        assert all(c["passed"] and 0.0 < c["rhs"] < math.inf for c in checks.values())
+
     def test_reduce_noneuclidean_warning_exit_code(self, noneuclid_basis_file, tmp_path):
         out = tmp_path / "r5.json"
         code = main([

@@ -296,3 +296,13 @@ class TestValidationAndJson:
         assert (E[0, 0].a, E[0, 0].b) == (4, 1)
         B2 = ComplexBasis(B.matrix + 0.01, RING3)
         assert B2.exact_entries() is None
+
+
+@pytest.mark.parametrize("k", (-1000, -500, 500, 1000))
+def test_orthogonality_defect_is_scale_free(k):
+    """At these scales the norm product or |det B| leaves the float range,
+    which made the defect NaN."""
+    rng = np.random.default_rng(0)
+    m = np.sqrt(0.5) * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    want = orthogonality_defect(ComplexBasis(m, RING1))
+    assert orthogonality_defect(ComplexBasis(m * 2.0**k, RING1)) == pytest.approx(want, rel=1e-12)

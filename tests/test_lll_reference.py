@@ -11,11 +11,13 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lll_reference
 from alglat import reduction
 from alglat.cf import Channel, cf_basis
-from alglat.lattices import embed
+from alglat.lattices import ComplexBasis, embed
 from alglat.rings import ring_new
 from oracles import random_unimodular
 
@@ -70,6 +72,12 @@ def scrambled_rank16():
     return base @ random_unimodular(ring, n, rng, ops=240).to_complex(), ring
 
 
+def embedded_rank16():
+    """The real embedding of scrambled_rank16(), of rank 32, over Z."""
+    B, ring = scrambled_rank16()
+    return embed(ComplexBasis(B, ring)), None
+
+
 def test_same_output_across_refactors():
     """A scrambled rank-16 basis swaps past REFACTOR_EVERY, so R is
     recomputed mid-run."""
@@ -77,10 +85,16 @@ def test_same_output_across_refactors():
     assert assert_same_run(B, 0.99, ring)[2] > reduction.REFACTOR_EVERY
 
 
-def test_refactor_voids_every_skip(monkeypatch):
-    """A refactor rewrites all of R, so no ratio may be skipped after it.
-    Each refactored R here gets R[0, 0] added to the rest of row 0, which
-    moves every ratio of row 0 by 1: both loops must see and undo that."""
+def test_same_output_across_refactors_over_z():
+    """Real LLL past REFACTOR_EVERY: each refactor turns R into Python float
+    rows again."""
+    B, ring = embedded_rank16()
+    assert assert_same_run(B, 0.99, ring)[2] > reduction.REFACTOR_EVERY
+
+
+def shift_every_refactor(monkeypatch):
+    """Add R[0, 0] to the rest of row 0 of every refactored R, in both
+    loops: that moves every ratio of row 0 by 1."""
 
     def shifted(r_positive):
         calls = []
@@ -96,7 +110,22 @@ def test_refactor_voids_every_skip(monkeypatch):
 
     monkeypatch.setattr(reduction, "_r_positive", shifted(reduction._r_positive))
     monkeypatch.setattr(lll_reference, "_r_positive", shifted(lll_reference._r_positive))
+
+
+def test_refactor_voids_every_skip(monkeypatch):
+    """A refactor rewrites all of R, so no ratio may be skipped after it.
+    Each refactored R here gets R[0, 0] added to the rest of row 0, which
+    moves every ratio of row 0 by 1: both loops must see and undo that."""
+    shift_every_refactor(monkeypatch)
     B, ring = scrambled_rank16()
+    assert assert_same_run(B, 0.99, ring)[2] > reduction.REFACTOR_EVERY
+
+
+def test_refactor_voids_every_skip_over_z(monkeypatch):
+    """The same over Z, where the shift is made on the numpy R before it
+    becomes Python float rows."""
+    shift_every_refactor(monkeypatch)
+    B, ring = embedded_rank16()
     assert assert_same_run(B, 0.99, ring)[2] > reduction.REFACTOR_EVERY
 
 
@@ -137,3 +166,19 @@ def test_fewer_ratio_evaluations(ring, monkeypatch):
     assert got == lll_reference._lll(B, 0.99, ring)
     assert got[2] > 0
     assert 0 < calls["new"] < calls["reference"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(DELTAS),
+    st.sampled_from(("cn", "cf")),
+    st.integers(2, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_same_output_over_z(delta, shape, n, seed):
+    """Real LLL on Python float rows equals the reference on numpy R, on
+    standard normal bases of rank n <= 12 and on cf-shape embeddings of
+    rank 2 * (n // 2)."""
+    rng = np.random.default_rng(seed)
+    B = cn_basis(None, n, rng) if shape == "cn" else cf_shape_basis(None, n // 2, rng)
+    assert_same_run(B, delta, None)

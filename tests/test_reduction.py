@@ -565,3 +565,96 @@ def test_real_lll_properties(case):
             assert abs(R[k, j] / R[k, k]) <= 0.5 + 1e-9
     for j in range(1, m):
         assert delta * R[j - 1, j - 1] ** 2 <= (R[j, j] ** 2 + R[j - 1, j] ** 2) * (1 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# bound checks: scale-safe, and computed on first read
+
+
+def defect1_basis():
+    """The 4x4 CN(0,1) basis of default_rng(0), over d = 1."""
+    rng = np.random.default_rng(0)
+    return math.sqrt(0.5) * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+
+
+def test_bound_checks_at_scale_one():
+    checks = alll_reduce(ComplexBasis(defect1_basis(), RING1), 0.99).bound_checks
+    assert (checks["first_vs_det"].lhs, checks["first_vs_det"].rhs) == (
+        pytest.approx(1.178, abs=1e-3),
+        pytest.approx(1.801, abs=1e-3),
+    )
+    assert (checks["od_bound"].lhs, checks["od_bound"].rhs) == (
+        pytest.approx(1.697, abs=1e-3),
+        pytest.approx(8.321, abs=1e-3),
+    )
+
+
+SCALES = {"1e80": 1e80, "1e150": 1e150, "2^500": 2.0**500, "1e-150": 1e-150, "2^-500": 2.0**-500}
+
+
+@pytest.mark.parametrize("scale", SCALES.values(), ids=SCALES.keys())
+def test_bound_checks_survive_rescaling(scale):
+    """|det B| and the norm product overflowed or underflowed here: od_bound
+    read NaN and failed, and first_vs_det had a right-hand side of inf or 0."""
+    m = defect1_basis()
+    base = alll_reduce(ComplexBasis(m, RING1), 0.99).bound_checks
+    rep = alll_reduce(ComplexBasis(m * scale, RING1), 0.99)
+    checks = rep.bound_checks
+    assert rep.bounds_ok()
+    # first_vs_det is homogeneous of degree 1 in B, od_bound of degree 0
+    for side in ("lhs", "rhs"):
+        got = getattr(checks["first_vs_det"], side) / scale
+        assert got == pytest.approx(getattr(base["first_vs_det"], side), rel=1e-12)
+    assert checks["od_bound"].lhs == pytest.approx(base["od_bound"].lhs, rel=1e-12)
+    assert checks["od_bound"].rhs == base["od_bound"].rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(EUCLIDEAN_D),
+    st.integers(2, 5),
+    st.integers(0, 2**32 - 1),
+    st.integers(-500, 500),
+)
+def test_bound_check_verdicts_are_scale_invariant(d, n, seed, k):
+    """Scaling B and lambda1 by 2^k keeps every verdict, and the ratio
+    lhs / rhs of every check, which is free of the scale."""
+    ring = ring_new(d)
+    m = random_basis(ring, n, np.random.default_rng(seed)).matrix
+    lambda1 = 0.5 * float(np.min(np.linalg.norm(m, axis=0)))
+    scale = 2.0**k
+    base = alll_reduce(ComplexBasis(m, ring), 0.99, lambda1=lambda1).bound_checks
+    scaled = alll_reduce(ComplexBasis(m * scale, ring), 0.99, lambda1=lambda1 * scale).bound_checks
+    assert scaled.keys() == base.keys()
+    for name, c in base.items():
+        assert scaled[name].passed == c.passed
+        assert scaled[name].lhs / scaled[name].rhs == pytest.approx(c.lhs / c.rhs, rel=1e-9)
+
+
+def test_bound_checks_run_on_first_read_only(monkeypatch):
+    """The CF designs and the SVP oracle never read the checks, so they
+    never compute them; a report computes them once."""
+    calls = []
+    quality_checks = reduction._quality_checks
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return quality_checks(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "_quality_checks", counted)
+    ch = Channel.from_db([0.3 + 1.1j, -0.8 + 0.2j, 0.5 - 0.4j], 30)
+    for strategy in ("alll", "rlll", "svp"):
+        design_relay(ch, RING1, strategy)
+    B = random_basis(RING1, 2, np.random.default_rng(12))
+    shortest_vector(B)
+    successive_minima_2d(B)
+    assert calls == []
+
+    rep = alll_reduce(B, 0.99)
+    assert calls == []
+    checks = rep.bound_checks
+    assert len(calls) == 1 and set(checks) == {"first_vs_det", "od_bound"}
+    assert rep.bound_checks is checks and rep.bounds_ok()
+    assert len(calls) == 1
+    assert gauss_reduce(B).bound_checks == {}
+    assert len(calls) == 1
