@@ -97,10 +97,9 @@ class ComplexBasis:
         xi = self.ring.xi
         tol = _EXACT_TOL * min(1.0, float(np.max(np.abs(self.matrix))))
         rows = []
-        for i in range(self.n):
+        for entries in self.matrix.tolist():
             row = []
-            for j in range(self.n):
-                z = complex(self.matrix[i, j])
+            for z in entries:
                 a, b = _quantize_pair(z, self.ring)
                 if abs(z - (complex(a) + b * xi)) > tol:
                     return None
@@ -141,8 +140,12 @@ def fold_real_column(col, ring: RingSpec) -> tuple:
 
 
 def volume(basis: ComplexBasis) -> float:
-    """Volume of the embedded 2n-dimensional lattice: |det B|^2 * det(Phi)^n."""
-    return abs(np.linalg.det(basis.matrix)) ** 2 * basis.ring.det_phi**basis.n
+    """Volume of the embedded 2n-dimensional lattice: |det B|^2 * det(Phi)^n.
+
+    It scales as the 2n-th power of B, so it leaves the float range (inf, or
+    0 and subnormal) long before B does; hermite_factor rescales then."""
+    with np.errstate(over="ignore", under="ignore"):
+        return abs(np.linalg.det(basis.matrix)) ** 2 * basis.ring.det_phi**basis.n
 
 
 def _in_range(x: float) -> bool:
@@ -186,8 +189,17 @@ def orthogonality_defect(basis: ComplexBasis) -> float:
 
 
 def hermite_factor(basis: ComplexBasis, lambda1: float) -> float:
-    """lambda1^2 / Vol^(1/n); at most gamma_{2n} for any rank-n lattice."""
-    return lambda1**2 / volume(basis) ** (1.0 / basis.n)
+    """lambda1^2 / Vol^(1/n); at most gamma_{2n} for any rank-n lattice.
+
+    The factor does not depend on the scale of B: when the volume is out of
+    the normal float range, B and lambda1 are scaled by the same power of two
+    (_pow2_normalized) first."""
+    vol = volume(basis)
+    if not _in_range(vol):
+        m, e = _pow2_normalized(basis.matrix)
+        basis, lambda1 = ComplexBasis._derived(m, basis.ring), _times_pow2(lambda1, -e)
+        vol = volume(basis)
+    return lambda1**2 / vol ** (1.0 / basis.n)
 
 
 # ---------------------------------------------------------------------------

@@ -222,24 +222,20 @@ def _coords_matrix(ua, ub, ring: RingSpec) -> RingMatrix:
 
 def _exact_norms_squared(basis: ComplexBasis, ua, ub) -> list | None:
     """Column norms of basis @ U as exact integers when the input has exact
-    ring entries."""
+    ring entries: products of object arrays of Python ints, which do not
+    overflow."""
     exact = basis._exact_pairs()
     if exact is None:
         return None
     s, t = basis.ring.minpoly_coeffs
     p, q = basis.ring.norm_form
-    rows = [([a for a, _ in row], [b for _, b in row]) for row in exact]
-    norms = []
-    for a2, b2 in zip(ua, ub):
-        total = 0
-        for a1, b1 in rows:
-            # (a1 + b1 xi)(a2 + b2 xi) = a1 a2 + t b1 b2 + (a1 b2 + b1 a2 + s b1 b2) xi
-            bb = sum(x * y for x, y in zip(b1, b2))
-            a = sum(x * y for x, y in zip(a1, a2)) + t * bb
-            b = sum(x * y for x, y in zip(a1, b2)) + sum(x * y for x, y in zip(b1, a2)) + s * bb
-            total += a * a + p * a * b + q * b * b
-        norms.append(total)
-    return norms
+    a1, b1 = np.moveaxis(np.array(exact, dtype=object), 2, 0)
+    a2, b2 = np.array(ua, dtype=object).T, np.array(ub, dtype=object).T
+    # (a1 + b1 xi)(a2 + b2 xi) = a1 a2 + t b1 b2 + (a1 b2 + b1 a2 + s b1 b2) xi
+    bb = b1 @ b2
+    a = a1 @ a2 + t * bb
+    b = a1 @ b2 + b1 @ a2 + s * bb
+    return (a * a + p * a * b + q * b * b).sum(axis=0).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ when -d = 1 (mod 4) ("type II").  Elements are stored as integer pairs
 holds the nearest-element quantizer, the unit groups and the quotient maps
 Z[xi] -> F_p; the geometric covering-radius and Euclidean-set references
 that tests compare against live in tests/oracles.py.
+
+The quantizer rounds each coordinate of the rectangular lattice (and of its
+half-shifted coset for type II), the nearest-point decoder of Conway and
+Sloane for Z^2 and A_2, but only to drop the candidates that provably lose:
+the float distance and tie-break of the full 4- or 8-candidate search still
+choose among the rest, so its results are those of that search bit for bit.
 """
 
 from __future__ import annotations
@@ -260,12 +266,43 @@ def units(ring: RingSpec) -> tuple[RingElem, ...]:
 ZERO_RADIUS2 = 0.25 - 1e-9
 
 
+#: a coordinate rounds to one candidate integer when its fractional part is
+#: farther than _ROUND_MARGIN from 1/2 and |re|, |im / sqrt(d)| and d are all
+#: below _ROUND_BOUND; otherwise both neighbours stay candidates
+_ROUND_MARGIN = 2.0**-16
+_ROUND_BOUND = 2.0**20
+
+
+def _near(t: float, safe: bool) -> tuple:
+    """The integers next to t that can be the nearest: floor(t) or
+    floor(t) + 1 alone when safe and t is not within _ROUND_MARGIN of a
+    half-integer, else both."""
+    u = math.floor(t)
+    f = t - u
+    if safe and abs(f - 0.5) > _ROUND_MARGIN:
+        return (u,) if f < 0.5 else (u + 1,)
+    return u, u + 1
+
+
 def _quantize_pair(x: complex, ring: RingSpec) -> tuple[int, int]:
     """Coordinates (a, b) of the ring element nearest to the Python complex x.
 
     Type I rings round componentwise on the rectangular lattice; type II rings
     take the better of the rectangular lattice Z[sqrt(-d)] and its half-shifted
     coset.  Exact distance ties prefer the lexicographically smaller (a, b).
+
+    Each frame's coordinates, re and y = im/sqrt(d) (re - 1/2 and y - 1/2 in
+    the coset), keep floor(t) and floor(t) + 1 as candidates; _near drops the
+    farther one when that is safe, and the float distance and tie-break choose
+    among the rest, so the result is that of scoring all 4 or 8 bit for bit.
+    A dropped candidate is strictly farther in float distance than the kept
+    one that shares its other coordinate.  Along re the two share the float
+    im - Im(b*xi), re - Re(a + b*xi) is exact, and their exact squared
+    distances differ by at least 2*margin = 2**-15, while hypot and squaring
+    at |re|, |y|, d < 2**20 are off by a few ulp of values below 2**21, about
+    2**-32.  Along y the gap is at least 2*d*margin, and the rounding of y and
+    of b*xi adds at most about d*2**-31.  d is bounded as well: near
+    d = 2**40 a squared distance's ulp exceeds 2*margin and ties appear.
     """
     re, im = x.real, x.imag
     if re * re + im * im < ZERO_RADIUS2:
@@ -273,15 +310,18 @@ def _quantize_pair(x: complex, ring: RingSpec) -> tuple[int, int]:
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ValueError(f"cannot quantize non-finite value {x}")
     y = im / math.sqrt(ring.d)
-    u, v = math.floor(re), math.floor(y)
+    safe = abs(re) < _ROUND_BOUND and abs(y) < _ROUND_BOUND and ring.d < _ROUND_BOUND
+    ps, qs = _near(re, safe), _near(y, safe)
     if ring.kind is RingKind.TYPE_I:
-        cands = [(p, q) for p in (u, u + 1) for q in (v, v + 1)]
+        cands = [(p, q) for p in ps for q in qs]
+        if len(cands) == 1:
+            return cands[0]
     else:
         # rectangular points p + q*sqrt(-d) correspond to (a, b) = (p - q, 2q);
         # coset points (p + 1/2) + (q + 1/2)*sqrt(-d) to (a, b) = (p - q, 2q + 1)
-        cands = [(p - q, 2 * q) for p in (u, u + 1) for q in (v, v + 1)]
-        u, v = math.floor(re - 0.5), math.floor(y - 0.5)
-        cands += [(p - q, 2 * q + 1) for p in (u, u + 1) for q in (v, v + 1)]
+        cands = [(p - q, 2 * q) for p in ps for q in qs]
+        ps, qs = _near(re - 0.5, safe), _near(y - 0.5, safe)
+        cands += [(p - q, 2 * q + 1) for p in ps for q in qs]
     xi = ring.xi
     _, a, b = min((abs(x - (complex(a) + b * xi)) ** 2, a, b) for a, b in cands)
     return a, b

@@ -1,9 +1,10 @@
 """Test-side references and input generators that the library does not call.
 
 Each is an independent construction that tests compare library results
-against (the geometric covering radius, the adjugate inverse, Minkowski's
-bounds, the MAC rate floor) or a generator of test inputs (random unimodular
-matrices).  Nothing under src/ imports this module.
+against (the geometric covering radius, the adjugate inverse, the exact
+norms as a loop, Minkowski's bounds, the MAC rate floor) or a generator of
+test inputs (random unimodular matrices).  Nothing under src/ imports this
+module.
 """
 
 from __future__ import annotations
@@ -137,6 +138,29 @@ def random_unimodular(ring: RingSpec, n: int, rng, ops: int = 12) -> RingMatrix:
             k = int(rng.integers(0, n))
             cols[j], cols[k] = cols[k], cols[j]
     return RingMatrix.from_columns([tuple(c) for c in cols], ring)
+
+
+def exact_norms_squared_loop(basis: ComplexBasis, ua, ub) -> list | None:
+    """Column norms of basis @ U as exact integers when the input has exact
+    ring entries: reduction._exact_norms_squared as it was before its object
+    array products, four generator sums per entry."""
+    exact = basis._exact_pairs()
+    if exact is None:
+        return None
+    s, t = basis.ring.minpoly_coeffs
+    p, q = basis.ring.norm_form
+    rows = [([a for a, _ in row], [b for _, b in row]) for row in exact]
+    norms = []
+    for a2, b2 in zip(ua, ub):
+        total = 0
+        for a1, b1 in rows:
+            # (a1 + b1 xi)(a2 + b2 xi) = a1 a2 + t b1 b2 + (a1 b2 + b1 a2 + s b1 b2) xi
+            bb = sum(x * y for x, y in zip(b1, b2))
+            a = sum(x * y for x, y in zip(a1, a2)) + t * bb
+            b = sum(x * y for x, y in zip(a1, b2)) + sum(x * y for x, y in zip(b1, a2)) + s * bb
+            total += a * a + p * a * b + q * b * b
+        norms.append(total)
+    return norms
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -301,8 +302,14 @@ class TestValidationAndJson:
 @pytest.mark.parametrize("k", (-1000, -500, 500, 1000))
 def test_orthogonality_defect_is_scale_free(k):
     """At these scales the norm product or |det B| leaves the float range,
-    which made the defect NaN."""
+    which made the defect NaN; the volume leaves it too, which made the
+    Hermite factor 0 or inf (with lambda1 scaled alike, here 2**k)."""
     rng = np.random.default_rng(0)
     m = np.sqrt(0.5) * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     want = orthogonality_defect(ComplexBasis(m, RING1))
     assert orthogonality_defect(ComplexBasis(m * 2.0**k, RING1)) == pytest.approx(want, rel=1e-12)
+    want = hermite_factor(ComplexBasis(m, RING1), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hermite_factor(ComplexBasis(m * 2.0**k, RING1), 2.0**k)
+    assert got == pytest.approx(want, rel=1e-12)

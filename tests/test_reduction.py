@@ -23,7 +23,7 @@ from alglat.reduction import (
 from alglat.reduction import _gauss_batch, _r_positive, _trial_steps
 from alglat.rings import quantize, ring_new
 from alglat.svp import shortest_vector, successive_minima_2d
-from oracles import identity_matrix
+from oracles import exact_norms_squared_loop, identity_matrix
 
 RING1 = ring_new(1)
 RING3 = ring_new(3)
@@ -223,6 +223,25 @@ class TestTinyFloatBasis:
         assert B.exact_entries() is None
         assert gauss_reduce(B).norms_squared_exact is None
         assert alll_reduce(B).norms_squared_exact is None
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 5, 7))
+@pytest.mark.parametrize("n", (1, 2, 5, 16))
+def test_exact_norms_match_the_loop(d, n):
+    """The object-array product equals the generator-sum loop exactly, on
+    transforms whose entries reach 2**70, beyond int64."""
+    ring = ring_new(d)
+    rng = np.random.default_rng(10 * d + n)
+    a, b = rng.integers(-3, 4, size=(2, n, n))
+    while np.linalg.matrix_rank(a + b * ring.xi) < n:
+        a, b = rng.integers(-3, 4, size=(2, n, n))
+    basis = ComplexBasis(a + b * ring.xi, ring)
+    big = [[int(v) << 40 for v in row] for row in rng.integers(-(2**30), 2**30, size=(2 * n, n))]
+    ua, ub = big[:n], big[n:]
+    got = reduction._exact_norms_squared(basis, ua, ub)
+    assert got == exact_norms_squared_loop(basis, ua, ub)
+    assert all(type(v) is int for v in got) and max(got) > 2**130
+    assert reduction._exact_norms_squared(TestTinyFloatBasis().basis(n), ua, ub) is None
 
 
 class TestAlll:

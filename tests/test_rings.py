@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from alglat.rings import (
     ring_new,
     units,
 )
+import quantize_reference
 from oracles import covering_radius_geometric, norm_euclidean_sup_distance
 
 EUCLIDEAN_D = (1, 2, 3, 7, 11)
@@ -299,6 +301,96 @@ def test_quantize_pairs_matches_quantize_pair(d, data):
 def test_quantize_pairs_rejects_nonfinite(bad):
     with pytest.raises(ValueError, match="non-finite"):
         _quantize_pairs(np.array([0.3 + 2j, bad, 0.1j]), ring_new(3))
+
+
+#: rings of the reference property: SAMPLE_D, two large square-free d (type II)
+#: and one (type I) above the quantizer's rounding bound on d
+REFERENCE_RINGS = tuple(ring_new(d) for d in SAMPLE_D + (1019, 10007, 2**40 + 1))
+#: the quantizer's rounding margin, written out so that the points below stay
+#: put when the library's constant changes
+MARGIN = 2.0**-16
+
+
+@st.composite
+def _reference_case(draw):
+    """A ring and a point where the rounding quantizer could part from the full
+    search: coordinates at k + 1/2 and k + 1/2 +- (MARGIN +- a few ulp) in the
+    rectangular or the coset frame, magnitudes from 2**-3 to 2**44 across the
+    2**20 bound, and half-lattice ties nudged by one ulp."""
+    ring = draw(st.sampled_from(REFERENCE_RINGS))
+    root = math.sqrt(ring.d)
+
+    def near_half():
+        k = draw(st.one_of(*(st.integers(-(2**e), 2**e) for e in (3, 21, 44))))
+        t = k + 0.5 + draw(st.sampled_from((-MARGIN, 0.0, MARGIN)))
+        t += draw(st.integers(-4, 4)) * math.ulp(t)
+        return t + draw(st.sampled_from((0.0, 0.5)))  # the coset frame is t - 1/2
+
+    def scaled():
+        r, angle = 2.0 ** draw(st.floats(-3, 40)), draw(st.floats(0, 2 * math.pi))
+        return r * math.cos(angle), r * math.sin(angle) / root
+
+    def free():
+        return draw(st.floats(-8, 8)) if draw(st.booleans()) else scaled()[0]
+
+    def tie():
+        a = draw(st.one_of(st.integers(-8, 8), st.integers(-(2**21), 2**21)))
+        x = (complex(a) + draw(st.integers(-16, 16)) * ring.xi) / 2
+        step = st.sampled_from((-1, 0, 1))
+        return x.real + draw(step) * math.ulp(x.real), (x.imag + draw(step) * math.ulp(x.imag)) / root
+
+    kind = draw(st.sampled_from(("margin", "mixed", "scaled", "tie")))
+    if kind == "margin":
+        re, y = near_half(), near_half()
+    elif kind == "mixed":
+        re, y = (near_half(), free()) if draw(st.booleans()) else (free(), near_half())
+    else:
+        re, y = scaled() if kind == "scaled" else tie()
+    return ring, complex(re, y * root)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_reference_case())
+@example((ring_new(5), complex(math.nextafter(0.5, 1), math.sqrt(5) / 2)))  # a nudged tie
+@example((ring_new(2), complex(-2.559511699922293, -17720725912434.35)))  # |y| ~ 2**43
+@example((ring_new(2**40 + 1), complex(0.5000152587890626, 524272.0000002384)))  # d > 2**20
+def test_quantize_pair_matches_full_search(ring_point):
+    """Rounding drops only candidates that the 4- or 8-candidate search of
+    tests/quantize_reference.py would not pick, so both give the same (a, b)."""
+    ring, x = ring_point
+    assert _quantize_pair(x, ring) == quantize_reference._quantize_pair(x, ring)
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=lambda r: f"d={r.d}")
+def test_quantize_pair_matches_full_search_sweep(ring):
+    """The families of the property above, seeded and denser: a wrong drop
+    shows on few points (a few in a thousand near-half ones at |y| ~ 2**42,
+    say), more than the property's examples reliably reach."""
+    rnd = random.Random(ring.d)
+    root = math.sqrt(ring.d)
+
+    def near_half():
+        k = rnd.choice((-1, 1)) * math.floor(2.0 ** rnd.uniform(-3, 44))
+        t = k + 0.5 + rnd.choice((-1, 1)) * MARGIN * rnd.choice((0.0, 1.0, rnd.uniform(1, 64)))
+        return t + rnd.randint(-4, 4) * math.ulp(t) + rnd.choice((0.0, 0.5))
+
+    for _ in range(4000):
+        re, y = near_half(), near_half()
+        if rnd.random() < 0.5:
+            re, y = (rnd.uniform(-8, 8), y) if rnd.random() < 0.5 else (re, rnd.uniform(-8, 8))
+        x = complex(re, y * root)
+        if rnd.random() < 0.25:  # a half-lattice tie nudged by one ulp
+            x = (rnd.randint(-64, 64) + rnd.randint(-64, 64) * ring.xi) / 2
+            x += complex(rnd.choice((-1, 1)) * math.ulp(x.real), rnd.choice((-1, 1)) * math.ulp(x.imag))
+        assert _quantize_pair(x, ring) == quantize_reference._quantize_pair(x, ring), x
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(math.inf, math.nan)])
+@pytest.mark.parametrize("d", (1, 3, 10007))
+def test_quantize_pair_rejects_nonfinite(bad, d):
+    for quantizer in (_quantize_pair, quantize_reference._quantize_pair):
+        with pytest.raises(ValueError, match="non-finite"):
+            quantizer(bad, ring_new(d))
 
 
 class TestCoveringRadius:

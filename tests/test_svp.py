@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -26,19 +27,20 @@ def random_basis(ring, n, rng):
     return ComplexBasis(m, ring)
 
 
+@functools.cache
+def _box_coords(box: int, n: int) -> np.ndarray:
+    """Every nonzero integer vector (a_1, b_1, ..., a_n, b_n) in [-box, box],
+    one per column."""
+    coords = np.array(list(itertools.product(range(-box, box + 1), repeat=2 * n))).T
+    return coords[:, coords.any(axis=0)]
+
+
 def brute_force_lambda1(basis, box=6):
-    """Independent oracle: scan every coefficient vector in a box."""
-    ring = basis.ring
-    best = math.inf
-    rng_box = range(-box, box + 1)
-    for coords in itertools.product(rng_box, repeat=2 * basis.n):
-        if not any(coords):
-            continue
-        coeff = tuple(
-            ring.elem(coords[2 * j], coords[2 * j + 1]) for j in range(basis.n)
-        )
-        best = min(best, float(np.linalg.norm(basis.matrix @ coeff_to_complex(coeff))))
-    return best
+    """Independent oracle: scan every coefficient vector in a box, as one
+    block of columns a_j + b_j*xi and one matrix product."""
+    coords = _box_coords(box, basis.n)
+    block = coords[0::2] + coords[1::2] * basis.ring.xi
+    return float(np.linalg.norm(basis.matrix @ block, axis=0).min())
 
 
 class TestShortestVector:
