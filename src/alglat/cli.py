@@ -159,13 +159,15 @@ def _cmd_cf_experiment(args) -> int:
             and all(type(c) is int for c in modulus)
         ):
             raise TypeError(f"'modulus' must be a list of two ints, got {modulus!r}")
+        out = cfg.get("out")
+        if out is not None and not isinstance(out, str):
+            raise TypeError(f"'out' must be a string, got {out!r}")
     except TypeError as exc:
         raise ValueError(f"malformed config: {exc}") from exc
     rows = experiments.cf_experiment(
         ring, n, snr_db_list, trials, strategies, seed, modulus=modulus
     )
-    out = args.out or cfg.get("out")
-    experiments.write_csv(rows, experiments.CF_CSV_HEADER, out or sys.stdout)
+    experiments.write_csv(rows, experiments.CF_CSV_HEADER, args.out or out or sys.stdout)
     return EXIT_OK
 
 

@@ -3,9 +3,10 @@
 A rank-n lattice over Z[xi] is spanned by the columns of a complex n x n
 basis matrix.  Embedding into R^(2n) stacks real parts over imaginary parts
 of each column; coefficient vectors a + b*xi split into [a-block; b-block].
-RingMatrix holds an exact transform, with a fraction-free determinant and
-the unimodularity test on it.  Random unimodular matrices, the exact inverse
-and the Minkowski-bound check are test oracles, in tests/oracles.py.
+Exact entries are decoded in closed form, without the quantizer.  RingMatrix
+holds an exact transform, with a fraction-free determinant and the
+unimodularity test on it.  Random unimodular matrices, the exact inverse and
+the Minkowski-bound check are test oracles, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import RingElem, RingKind, RingSpec, _quantize_pair, parse_ring
+from .rings import RingElem, RingKind, RingSpec, parse_ring
 
 __all__ = [
     "ComplexBasis",
@@ -93,14 +94,17 @@ class ComplexBasis:
         farther from the ring than _EXACT_TOL.  When every entry is below 1,
         the tolerance is scaled by the largest entry magnitude, so a
         scaled-down float basis never reads as the zero matrix; it is never
-        widened."""
+        widened.  An entry z decodes as b = round(Im z / Im xi), then
+        a = round(Re z - b Re xi); ring elements are at least 1 apart, so
+        this is the one element within the tolerance, if there is one."""
         xi = self.ring.xi
         tol = _EXACT_TOL * min(1.0, float(np.max(np.abs(self.matrix))))
         rows = []
         for entries in self.matrix.tolist():
             row = []
             for z in entries:
-                a, b = _quantize_pair(z, self.ring)
+                b = round(z.imag / xi.imag)
+                a = round(z.real - b * xi.real)
                 if abs(z - (complex(a) + b * xi)) > tol:
                     return None
                 row.append((a, b))

@@ -4,9 +4,10 @@ For a square-free d > 0 the ring of integers of Q(sqrt(-d)) is Z[xi] with
 xi = sqrt(-d) when -d = 2, 3 (mod 4) ("type I") and xi = (1 + sqrt(-d))/2
 when -d = 1 (mod 4) ("type II").  Elements are stored as integer pairs
 (a, b) meaning a + b*xi, so all ring arithmetic is exact.  The module also
-holds the nearest-element quantizer, the unit groups and the quotient maps
-Z[xi] -> F_p; the geometric covering-radius and Euclidean-set references
-that tests compare against live in tests/oracles.py.
+holds the nearest-element quantizer (used by the reductions and quantize;
+exact basis entries are decoded in closed form in lattices), the unit groups
+and the quotient maps Z[xi] -> F_p; the geometric covering-radius and
+Euclidean-set references that tests compare against live in tests/oracles.py.
 
 The quantizer rounds each coordinate of the rectangular lattice (and of its
 half-shifted coset for type II), the nearest-point decoder of Conway and

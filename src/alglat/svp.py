@@ -45,7 +45,8 @@ class EnumerationBudgetError(RuntimeError):
     """An enumeration visited more than its budget of nodes.
 
     budget is the max_nodes the caller set; nodes is the count visited when
-    the search stopped (budget + 1).
+    the search stopped (budget + 1); partial_radius is the shortest norm
+    found by then (the fixed radius of a collecting search).
     """
 
     def __init__(self, budget: int, nodes: int, partial_radius: float):
@@ -252,9 +253,9 @@ def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAU
         best2 = float(col_norms2[jmin]) * (1.0 + 1e-9)
 
         mode = _symmetry_mode(ring, use_symmetry)
-        status, xbest, _, nodes, _ = _enum_shortest(R, best2, mode, max_nodes, x_init, False)
+        status, xbest, reached2, nodes, _ = _enum_shortest(R, best2, mode, max_nodes, x_init, False)
         if status == 1:
-            raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(best2))
+            raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(reached2))
     return _map_back(rep.transform, _level_pairs(xbest)), int(nodes)
 
 
@@ -281,10 +282,10 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
     """First two successive minima of a rank-2 lattice with witness vectors.
 
     One ALLL reduction and one enumeration: every vector up to the longer
-    reduced basis vector (always an upper bound for lambda2) is listed by
-    norm; lambda1 is the first, and lambda2 the first later one whose
-    coefficient pair is ring-independent of it.  The enumeration raises
-    EnumerationBudgetError past max_nodes nodes.
+    reduced basis vector (an upper bound for lambda2; a 1e-9 margin lists
+    both reduced vectors) is listed by norm; lambda1 is the first, and
+    lambda2 the first later one whose coefficient pair is ring-independent
+    of it.  The enumeration raises EnumerationBudgetError past max_nodes.
     """
     if basis.n != 2:
         raise ValueError("successive_minima_2d needs a rank-2 basis")
@@ -293,26 +294,22 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
         rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
     R = _enumeration_r(rep.reduced)
     radius2 = float(max(np.sum(np.abs(rep.reduced.matrix) ** 2, axis=0)))
-
-    mode = _symmetry_mode(ring, True)
+    status, _, _, nodes, points = _enum_shortest(
+        R, radius2 * (1 + 1e-9), _symmetry_mode(ring, True), max_nodes, [0] * 4, True
+    )
+    if status == 1:
+        raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(radius2))
+    # stable sort: of equal norms, the first listed is shortest_vector's
+    # choice.  U is unimodular, so independence is tested before applying it.
     s, t = ring.minpoly_coeffs
-    for _ in range(6):
-        status, _, _, nodes, points = _enum_shortest(
-            R, radius2 * (1 + 1e-9), mode, max_nodes, [0] * 4, True
-        )
-        if status == 1:
-            raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(radius2))
-        # stable sort: of equal norms, the first listed is shortest_vector's
-        # choice.  U is unimodular, so independence is tested before applying it.
-        coeffs = (_level_pairs(x) for _, x in sorted(points, key=lambda p: p[0]))
-        first = next(coeffs)
-        second = next(
-            (c for c in coeffs if _pair_mul(first[0], c[1], s, t) != _pair_mul(first[1], c[0], s, t)),
-            None,
-        )
-        if second is not None:
-            c1, c2 = (_map_back(rep.transform, c) for c in (first, second))
-            l1, l2 = (float(np.linalg.norm(basis.matrix @ coeff_to_complex(c))) for c in (c1, c2))
-            return l1, l2, (c1, c2)
-        radius2 *= 1.5
-    raise RuntimeError("no independent second minimum found; basis may be degenerate")
+    coeffs = (_level_pairs(x) for _, x in sorted(points, key=lambda p: p[0]))
+    first = next(coeffs, None)
+    second = next(
+        (c for c in coeffs if _pair_mul(first[0], c[1], s, t) != _pair_mul(first[1], c[0], s, t)),
+        None,
+    )
+    if second is None:
+        raise RuntimeError("no independent second minimum found; basis may be degenerate")
+    c1, c2 = (_map_back(rep.transform, c) for c in (first, second))
+    l1, l2 = (float(np.linalg.norm(basis.matrix @ coeff_to_complex(c))) for c in (c1, c2))
+    return l1, l2, (c1, c2)

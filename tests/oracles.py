@@ -2,9 +2,9 @@
 
 Each is an independent construction that tests compare library results
 against (the geometric covering radius, the adjugate inverse, the exact
-norms as a loop, Minkowski's bounds, the MAC rate floor) or a generator of
-test inputs (random unimodular matrices).  Nothing under src/ imports this
-module.
+entries by nearest-point search, the exact norms as a loop, Minkowski's
+bounds, the MAC rate floor) or a generator of test inputs (random
+unimodular matrices).  Nothing under src/ imports this module.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import warnings
 import numpy as np
 
 from alglat.cf import Channel
-from alglat.lattices import ComplexBasis, RingMatrix
+from alglat.lattices import _EXACT_TOL, ComplexBasis, RingMatrix
 from alglat.reduction import reduction_epsilon
-from alglat.rings import RingKind, RingSpec, quantize, units
+from alglat.rings import RingKind, RingSpec, _quantize_pair, quantize, units
 
 #: Hermite's constants for real lattices of dimension 2, 4, 6, 8.  Only the
 #: dimension-4 value is forced by the quality bounds here; the others are the
@@ -138,6 +138,25 @@ def random_unimodular(ring: RingSpec, n: int, rng, ops: int = 12) -> RingMatrix:
             k = int(rng.integers(0, n))
             cols[j], cols[k] = cols[k], cols[j]
     return RingMatrix.from_columns([tuple(c) for c in cols], ring)
+
+
+def exact_pairs_reference(basis: ComplexBasis) -> list | None:
+    """ComplexBasis._exact_pairs as it was before it decoded entries in closed
+    form: the body is a verbatim copy (with self renamed basis) that asks the
+    nearest-point quantizer for each entry's ring element, then applies the
+    same _EXACT_TOL test."""
+    xi = basis.ring.xi
+    tol = _EXACT_TOL * min(1.0, float(np.max(np.abs(basis.matrix))))
+    rows = []
+    for entries in basis.matrix.tolist():
+        row = []
+        for z in entries:
+            a, b = _quantize_pair(z, basis.ring)
+            if abs(z - (complex(a) + b * xi)) > tol:
+                return None
+            row.append((a, b))
+        rows.append(row)
+    return rows
 
 
 def exact_norms_squared_loop(basis: ComplexBasis, ua, ub) -> list | None:

@@ -246,11 +246,14 @@ class TestCli:
             ("cf-experiment", "--config", {**CONFIG, "strategies": ["alll", "alll"]}, [], "only once"),
             ("cf-experiment", "--config", {**CONFIG, "strategies": []}, [], "at least one strategy"),
             ("cf-experiment", "--config", {**CONFIG, "snr_db": []}, [], "at least one SNR point"),
+            ("cf-experiment", "--config", {**CONFIG, "out": 5}, [], "malformed config: 'out'"),
+            ("cf-experiment", "--config", {**CONFIG, "out": ["x"]}, [], "malformed config: 'out'"),
         ],
         ids=["basis-bare-number", "basis-string-pair", "channel-not-a-list", "snr-overflow",
              "config-null-n", "config-strategies-string", "config-strategies-nested",
              "config-modulus-number", "config-modulus-string-entry",
-             "config-strategies-repeated", "config-strategies-empty", "config-snr-empty"],
+             "config-strategies-repeated", "config-strategies-empty", "config-snr-empty",
+             "config-out-number", "config-out-list"],
     )
     def test_malformed_input_is_an_error(self, tmp_path, capsys, command, flag, content, extra, says):
         """Malformed files and values end in 'error: ...' and exit 1, not a traceback."""

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alglat.lattices import (
     ComplexBasis,
@@ -17,12 +19,14 @@ from alglat.lattices import (
 )
 from alglat.rings import ring_new
 from oracles import (
+    exact_pairs_reference,
     identity_matrix,
     inverse_unimodular,
     minkowski_check,
     minor,
     random_unimodular,
 )
+from test_rings import SAMPLE_D
 
 RING1 = ring_new(1)
 RING2 = ring_new(2)
@@ -313,3 +317,44 @@ def test_orthogonality_defect_is_scale_free(k):
         warnings.simplefilter("error")
         got = hermite_factor(ComplexBasis(m * 2.0**k, RING1), 2.0**k)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+#: the sampled rings plus two large d, where Im xi is far from 1; above
+#: 2**20 the quantizer also leaves its rounding shortcut
+DECODE_D = SAMPLE_D + (10007, 1048583)
+
+
+@st.composite
+def _decode_case(draw):
+    """A finite basis of exact ring entries with coordinates up to 2**30,
+    then left exact, moved off the ring by 1e-15 to 1e-7, scaled by 2**-1 to
+    2**-39, or shifted by xi/2 in one entry; or a float basis."""
+    ring = ring_new(draw(st.sampled_from(DECODE_D)))
+    n = draw(st.integers(1, 4))
+    coord = st.one_of(st.integers(-8, 8), st.integers(-(2**30), 2**30))
+    pairs = draw(st.lists(st.tuples(coord, coord), min_size=n * n, max_size=n * n))
+    m = np.array([complex(a) + b * ring.xi for a, b in pairs]).reshape(n, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["exact", "near", "scaled", "half", "float"]))
+    if kind == "near":
+        eps = draw(st.sampled_from([1e-15, 1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-8, 1e-7]))
+        m = m + eps * np.exp(2j * np.pi * rng.random((n, n)))
+    elif kind == "scaled":
+        m = m * 2.0 ** -draw(st.integers(1, 39))
+    elif kind == "half":
+        m[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] += ring.xi / 2
+    elif kind == "float":
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = g * 2.0 ** draw(st.integers(-40, 30))
+    # _exact_pairs does not need independent columns, so skip the cond check
+    return ComplexBasis._derived(m, ring)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_decode_case())
+@example(ComplexBasis(np.array([[0.5 + 0j]]), RING1))
+@example(ComplexBasis(np.array([[RING3.xi / 2]]), RING3))
+def test_exact_pairs_decode_matches_quantizer_search(basis):
+    """The closed-form decode returns the rows (or None) of the
+    nearest-point search it replaced."""
+    assert basis._exact_pairs() == exact_pairs_reference(basis)

@@ -134,6 +134,18 @@ class TestShortestVector:
         with pytest.raises(EnumerationBudgetError):
             shortest_vector(B, max_nodes=3)
 
+    def test_budget_error_reports_the_radius_reached(self):
+        """The error carries the best radius the search found before it
+        stopped, not the reduced basis vector it started from."""
+        rng = np.random.default_rng(7)
+        B = random_basis(RING1, 6, rng)
+        full = shortest_vector(B)
+        start = float(np.min(np.linalg.norm(alll_reduce(B).reduced.matrix, axis=0)))
+        with pytest.raises(EnumerationBudgetError) as err:
+            shortest_vector(B, max_nodes=full.enumerated_nodes - 1)
+        assert err.value.partial_radius == pytest.approx(full.norm, rel=1e-9)
+        assert full.norm < start * (1 - 1e-3)
+
     def test_rank_one(self):
         B = ComplexBasis(np.array([[0.5 + 0.5j]]), RING1)
         res = shortest_vector(B)
@@ -210,6 +222,30 @@ class TestSuccessiveMinima:
         l1, l2, _ = successive_minima_2d(B)
         assert calls == ["alll_reduce", "_enum_shortest"]
         assert (l1**2, l2**2) == (pytest.approx(16.0), pytest.approx(28.0))
+
+        # the first radius always holds lambda2: CN(0,1), exact and nearly
+        # dependent bases, non-Euclidean rings included
+        rng = np.random.default_rng(16)
+        for d in (1, 2, 3, 5, 6, 15):
+            ring = ring_new(d)
+            for kind in ("cn", "exact", "skewed"):
+                for _ in range(8):
+                    if kind == "cn":
+                        B = random_basis(ring, 2, rng)
+                    elif kind == "exact":
+                        a, b = rng.integers(-9, 10, size=(2, 2, 2))
+                        B = ComplexBasis(a + b * ring.xi, ring)
+                    else:
+                        b1 = random_basis(ring, 2, rng).matrix[:, 0]
+                        u = complex(rng.integers(-3, 4)) + int(rng.integers(-3, 4)) * ring.xi
+                        noise = random_basis(ring, 2, rng).matrix[:, 0]
+                        b2 = u * b1 + rng.choice([0.3, 0.1, 0.03]) * noise
+                        B = ComplexBasis(np.column_stack([b1, b2]), ring)
+                    calls.clear()
+                    l1, l2, (v1, v2) = successive_minima_2d(B)
+                    assert calls == ["alll_reduce", "_enum_shortest"], (d, kind)
+                    assert l1 <= l2 + 1e-12
+                    assert not (v1[0] * v2[1] - v1[1] * v2[0]).is_zero()
 
     def test_rank_validation(self):
         B = ComplexBasis(np.eye(3, dtype=complex), RING1)
