@@ -2,7 +2,8 @@
 
 A rank-n lattice over Z[xi] is spanned by the columns of a complex n x n
 basis matrix.  Embedding into R^(2n) stacks real parts over imaginary parts
-of each column; coefficient vectors a + b*xi split into [a-block; b-block].
+of each column of B and of xi*B, with xi read from the ring rather than
+from its type; coefficient vectors a + b*xi split into [a-block; b-block].
 Exact entries are decoded in closed form, without the quantizer.  RingMatrix
 holds an exact transform, with a fraction-free determinant and the
 unimodularity test on it.  Random unimodular matrices, the exact inverse and
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import RingElem, RingKind, RingSpec, parse_ring
+from .rings import RingElem, RingSpec, parse_ring
 
 __all__ = [
     "ComplexBasis",
@@ -96,14 +97,18 @@ class ComplexBasis:
         scaled-down float basis never reads as the zero matrix; it is never
         widened.  An entry z decodes as b = round(Im z / Im xi), then
         a = round(Re z - b Re xi); ring elements are at least 1 apart, so
-        this is the one element within the tolerance, if there is one."""
+        this is the one element within the tolerance, if there is one.  An
+        entry whose Im z / Im xi overflows to inf is not exact."""
         xi = self.ring.xi
         tol = _EXACT_TOL * min(1.0, float(np.max(np.abs(self.matrix))))
         rows = []
         for entries in self.matrix.tolist():
             row = []
             for z in entries:
-                b = round(z.imag / xi.imag)
+                y = z.imag / xi.imag
+                if not math.isfinite(y):
+                    return None
+                b = round(y)
                 a = round(z.real - b * xi.real)
                 if abs(z - (complex(a) + b * xi)) > tol:
                     return None
@@ -126,13 +131,11 @@ def embed(basis: ComplexBasis) -> np.ndarray:
     """
     B = basis.matrix
     re, im = B.real, B.imag
-    root = math.sqrt(basis.ring.d)
-    if basis.ring.kind is RingKind.TYPE_I:
-        top = np.hstack([re, -root * im])
-        bot = np.hstack([im, root * re])
-    else:
-        top = np.hstack([re, 0.5 * re - (root / 2.0) * im])
-        bot = np.hstack([im, 0.5 * im + (root / 2.0) * re])
+    xr, xs = basis.ring.xi.real, basis.ring.xi.imag
+    # a zero xr term is left out: adding it would turn some -0.0 into 0.0,
+    # and the sign of a zero pivot steers the Householder steps of a QR
+    top = np.hstack([re, xr * re - xs * im if xr else -xs * im])
+    bot = np.hstack([im, xr * im + xs * re if xr else xs * re])
     return np.vstack([top, bot])
 
 
@@ -261,29 +264,21 @@ class RingMatrix:
         )
 
     def __matmul__(self, other):
-        if isinstance(other, RingMatrix):
-            if other.ring != self.ring:
-                raise ValueError("mixed rings")
-            n = self.n
-            rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = self.ring.zero
-                    for k in range(n):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                rows.append(tuple(row))
-            return RingMatrix(tuple(rows), self.ring)
-        # vector of ring elements
+        if not isinstance(other, RingMatrix):
+            return NotImplemented
+        if other.ring != self.ring:
+            raise ValueError("mixed rings")
         n = self.n
-        return tuple(
-            sum(
-                (self.entries[i][k] * other[k] for k in range(n)),
-                start=self.ring.zero,
-            )
-            for i in range(n)
-        )
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = self.ring.zero
+                for k in range(n):
+                    acc = acc + self.entries[i][k] * other.entries[k][j]
+                row.append(acc)
+            rows.append(tuple(row))
+        return RingMatrix(tuple(rows), self.ring)
 
     def to_complex(self) -> np.ndarray:
         return np.array(

@@ -37,8 +37,10 @@ alll_reduce's quality-bound checks are computed on the first read of
 ReductionReport.bound_checks, so wall_time covers the reduction only and
 callers that never read them (the CF designs, the SVP oracle) never pay
 for them.  The checks keep their verdicts when the basis is rescaled: a
-determinant or norm product outside the normal float range is taken of the
-basis scaled by a power of two, and the tolerance is relative.
+determinant, norm or norm product outside the normal float range is taken
+of the basis scaled by a power of two, and the tolerance is relative.  The
+loop itself runs on the basis scaled so when the squares of its R would
+leave the float range.
 """
 
 from __future__ import annotations
@@ -81,6 +83,9 @@ __all__ = [
 GAUSS_ITER_FACTOR = 64
 REFACTOR_EVERY = 100
 STALL_RATIO = 1.0 - 1e-12
+#: the range of |R_jj| in which _lll runs on B as given: squares of R stay
+#: far inside the normal float range
+_R_LOW, _R_HIGH = 2.0**-256, 2.0**256
 
 
 class NonEuclideanRingWarning(UserWarning):
@@ -161,7 +166,17 @@ class ReductionReport:
 
     @property
     def norms(self) -> list[float]:
-        return [float(x) for x in np.linalg.norm(self.reduced.matrix, axis=0)]
+        """Column norms of the reduced basis.  When a squared norm is out of
+        the normal float range, the norms are taken of the basis scaled by a
+        power of two and scaled back, so a norm is inf or 0 only when it is
+        out of the float range itself."""
+        m = self.reduced.matrix
+        with np.errstate(over="ignore", under="ignore"):
+            norms = np.linalg.norm(m, axis=0)
+            if not all(_in_range(x * x) for x in norms):
+                m, e = _pow2_normalized(m)
+                norms = _times_pow2(np.linalg.norm(m, axis=0), e)
+        return [float(x) for x in norms]
 
     def bounds_ok(self) -> bool:
         return all(c.passed or c.skipped for c in self.bound_checks.values())
@@ -169,7 +184,7 @@ class ReductionReport:
     def as_dict(self) -> dict:
         return {
             "norms": self.norms,
-            "norms_squared": [x**2 for x in self.norms],
+            "norms_squared": [_square(x) for x in self.norms],
             "norms_squared_exact": self.norms_squared_exact,
             "swaps": self.swaps,
             "size_reductions": self.size_reductions,
@@ -180,6 +195,14 @@ class ReductionReport:
             "bound_checks": {k: v.as_dict() for k, v in self.bound_checks.items()},
             "wall_time_s": self.wall_time,
         }
+
+
+def _square(x: float) -> float:
+    """x**2, or inf where that overflows (a Python float power raises)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +481,12 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     bookkeeping, the Lovasz test, the stall rule, the refactor cadence, the
     transform and the events) is the one control flow of both.
 
+    The Lovasz test squares entries of R, which overflow or underflow far
+    from scale 1.  So when the diagonal of R leaves [_R_LOW, _R_HIGH], the
+    loop runs on B scaled by a power of two (_pow2_normalized), the same
+    lattice up to scale, whose transform reduces B too; a basis in that
+    range takes the unscaled path.
+
     Raises ValueError when the diagonal of R is zero or spans more than
     MAX_CONDITION (a lower bound on the condition number of B).
 
@@ -469,6 +498,10 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     xi = 0.0 if real else ring.xi
     R = _r_positive(B)
     diag = np.abs(np.diagonal(R))
+    if not _R_LOW <= diag.min() <= diag.max() <= _R_HIGH:
+        B = _pow2_normalized(B)[0]
+        R = _r_positive(B)
+        diag = np.abs(np.diagonal(R))
     if not 0.0 < diag.max() <= diag.min() * MAX_CONDITION:
         raise ValueError("basis columns are numerically dependent")
     if real:

@@ -2,12 +2,20 @@
 
 For a square-free d > 0 the ring of integers of Q(sqrt(-d)) is Z[xi] with
 xi = sqrt(-d) when -d = 2, 3 (mod 4) ("type I") and xi = (1 + sqrt(-d))/2
-when -d = 1 (mod 4) ("type II").  Elements are stored as integer pairs
-(a, b) meaning a + b*xi, so all ring arithmetic is exact.  The module also
+when -d = 1 (mod 4) ("type II").  A ring is its d: RingSpec decides the type
+once, and only xi, its minimal polynomial xi^2 = s*xi + t, the covering
+radius and the quantizer read it; every other ring rule follows from xi and
+(s, t).  Elements are integer pairs (a, b) meaning a + b*xi, so all ring
+arithmetic is exact (_pair_mul is their one product).  The module also
 holds the nearest-element quantizer (used by the reductions and quantize;
 exact basis entries are decoded in closed form in lattices), the unit groups
 and the quotient maps Z[xi] -> F_p; the geometric covering-radius and
 Euclidean-set references that tests compare against live in tests/oracles.py.
+
+Both searches on user input are bounded: d is square-free-checked by trial
+division only up to d = 2**42, and a modulus norm is tested by deterministic
+Miller-Rabin, exact below _MR_LIMIT (about 3.3e24); larger values are
+refused with ValueError.
 
 The quantizer rounds each coordinate of the rectangular lattice (and of its
 half-shifted coset for type II), the nearest-point decoder of Conway and
@@ -48,7 +56,16 @@ class RingKind(enum.Enum):
     TYPE_II = "II"
 
 
+#: largest d a RingSpec accepts: square-freeness is decided by trial
+#: division up to sqrt(d), which takes about 0.3 s at this limit
+_SQUAREFREE_LIMIT = 2**42
+
+
 def _is_squarefree(d: int) -> bool:
+    """Whether no square k^2 > 1 divides d, by trial division; refuses d
+    above _SQUAREFREE_LIMIT."""
+    if d > _SQUAREFREE_LIMIT:
+        raise ValueError(f"d above {_SQUAREFREE_LIMIT} is not supported, got {d}")
     if d % 4 == 0:
         return False
     k = 3
@@ -64,20 +81,20 @@ class RingSpec:
     """An imaginary quadratic integer ring Z[xi], identified by square-free d."""
 
     d: int
-    kind: RingKind
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"d must be a positive integer, got {self.d}")
         if not _is_squarefree(self.d):
             raise ValueError(f"d must be square-free, got {self.d}")
-        expected = RingKind.TYPE_II if (-self.d) % 4 == 1 else RingKind.TYPE_I
-        if self.kind != expected:
-            raise ValueError(
-                f"d={self.d} has -d = {(-self.d) % 4} (mod 4) and must be {expected}"
-            )
 
     # -- derived constants ------------------------------------------------
+
+    @functools.cached_property
+    def kind(self) -> RingKind:
+        """Type II when -d = 1 (mod 4), else type I; cached, as the
+        quantizer reads it on every call."""
+        return RingKind.TYPE_II if (-self.d) % 4 == 1 else RingKind.TYPE_I
 
     @functools.cached_property
     def xi(self) -> complex:
@@ -89,8 +106,8 @@ class RingSpec:
 
     @property
     def det_phi(self) -> float:
-        root = math.sqrt(self.d)
-        return root if self.kind is RingKind.TYPE_I else root / 2.0
+        """Determinant of the embedding of Z[xi] into R^2: Im xi."""
+        return self.xi.imag
 
     @property
     def covering_radius(self) -> float:
@@ -112,10 +129,10 @@ class RingSpec:
 
     @property
     def norm_form(self) -> tuple[int, int]:
-        """(p, q) such that Nr(a + b*xi) = a^2 + p*a*b + q*b^2."""
-        if self.kind is RingKind.TYPE_I:
-            return 0, self.d
-        return 1, (1 + self.d) // 4
+        """(p, q) such that Nr(a + b*xi) = a^2 + p*a*b + q*b^2: (s, -t), as
+        xi + conj(xi) = s and xi * conj(xi) = -t."""
+        s, t = self.minpoly_coeffs
+        return s, -t
 
     # -- element constructors ---------------------------------------------
 
@@ -138,11 +155,9 @@ class RingSpec:
 
 
 def ring_new(d: int) -> RingSpec:
-    """Build the ring of integers of Q(sqrt(-d)); RingSpec rejects d < 1 and
-    non-square-free d."""
-    d = int(d)
-    kind = RingKind.TYPE_II if (-d) % 4 == 1 else RingKind.TYPE_I
-    return RingSpec(d, kind)
+    """Build the ring of integers of Q(sqrt(-d)); RingSpec rejects d < 1,
+    non-square-free d and d above its supported limit."""
+    return RingSpec(int(d))
 
 
 def parse_ring(text: str) -> RingSpec:
@@ -158,6 +173,13 @@ def parse_ring(text: str) -> RingSpec:
         except ValueError as exc:
             raise ValueError(f"bad ring spec {text!r}: {exc}") from exc
     raise ValueError(f"bad ring spec {text!r}; expected 'd=<int>', 'gaussian' or 'eisenstein'")
+
+
+def _pair_mul(p, q, s: int, t: int) -> tuple:
+    """(a1 + b1*xi)(a2 + b2*xi) as an (a, b) pair, with xi^2 = s*xi + t."""
+    (a1, b1), (a2, b2) = p, q
+    bb = b1 * b2
+    return a1 * a2 + t * bb, a1 * b2 + b1 * a2 + s * bb
 
 
 @dataclass(frozen=True)
@@ -191,14 +213,8 @@ class RingElem:
         if isinstance(other, int):
             return RingElem(self.a * other, self.b * other, self.ring)
         self._check_same_ring(other)
-        s, t = self.ring.minpoly_coeffs
-        # (a1 + b1 xi)(a2 + b2 xi) with xi^2 = s xi + t
-        bb = self.b * other.b
-        return RingElem(
-            self.a * other.a + t * bb,
-            self.a * other.b + self.b * other.a + s * bb,
-            self.ring,
-        )
+        a, b = _pair_mul((self.a, self.b), (other.a, other.b), *self.ring.minpoly_coeffs)
+        return RingElem(a, b, self.ring)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -207,11 +223,9 @@ class RingElem:
         return (-self) + other
 
     def conj(self) -> "RingElem":
-        """Complex conjugate, which stays in the ring."""
-        if self.ring.kind is RingKind.TYPE_I:
-            return RingElem(self.a, -self.b, self.ring)
-        # conj(xi) = 1 - xi for type II
-        return RingElem(self.a + self.b, -self.b, self.ring)
+        """Complex conjugate, which stays in the ring: conj(xi) = s - xi."""
+        s, _ = self.ring.minpoly_coeffs
+        return RingElem(self.a + s * self.b, -self.b, self.ring)
 
     def norm(self) -> int:
         """Algebraic norm Nr(a + b*xi) = |a + b*xi|^2, a non-negative integer."""
@@ -372,9 +386,38 @@ class FieldMorphism:
         return f"Z[xi](d={self.ring.d}) -> F_{self.p}, xi -> {self.xi_image}"
 
 
+#: the first 13 primes.  A strong probable prime to all of them is prime
+#: below _MR_LIMIT, the least strong pseudoprime to all 13 (Sorenson and
+#: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+#: 2017); the first 12 alone fail at 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    """Primality by trial division up to isqrt(n)."""
-    return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
+    """Deterministic Miller-Rabin on _MR_BASES; refuses n >= _MR_LIMIT,
+    where those bases no longer decide."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot decide whether {n} >= {_MR_LIMIT} is prime")
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def morphism_new(ring: RingSpec, modulus: RingElem) -> FieldMorphism:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .lattices import ComplexBasis, RingMatrix, coeff_to_complex, embed
 from .reduction import ReductionReport, _quiet, _r_positive, alll_reduce
-from .rings import RingSpec, units
+from .rings import RingSpec, _pair_mul, units
 
 __all__ = [
     "SvpResult",
@@ -184,13 +184,6 @@ def _symmetry_mode(ring: RingSpec, use_symmetry: bool) -> int:
     if not use_symmetry:
         return 0
     return 2 if len(units(ring)) > 2 else 1
-
-
-def _pair_mul(p, q, s: int, t: int) -> tuple:
-    """(a1 + b1*xi)(a2 + b2*xi) as an (a, b) pair, with xi^2 = s*xi + t."""
-    (a1, b1), (a2, b2) = p, q
-    bb = b1 * b2
-    return a1 * a2 + t * bb, a1 * b2 + b1 * a2 + s * bb
 
 
 def _level_pairs(x) -> list:

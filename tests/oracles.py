@@ -1,7 +1,8 @@
 """Test-side references and input generators that the library does not call.
 
 Each is an independent construction that tests compare library results
-against (the geometric covering radius, the adjugate inverse, the exact
+against (the geometric covering radius, the ring rules and the embedding
+by their closed forms in the ring's type, the adjugate inverse, the exact
 entries by nearest-point search, the exact norms as a loop, Minkowski's
 bounds, the MAC rate floor) or a generator of test inputs (random
 unimodular matrices).  Nothing under src/ imports this module.
@@ -76,6 +77,43 @@ def norm_euclidean_sup_distance(ring: RingSpec, grid: int = 400) -> float:
             if dist > worst:
                 worst = dist
     return worst
+
+
+def kind_reference(d: int) -> RingKind:
+    """The type of the ring of d: type II exactly when -d = 1 (mod 4)."""
+    return RingKind.TYPE_II if (-d) % 4 == 1 else RingKind.TYPE_I
+
+
+def ring_rules_reference(d: int) -> tuple:
+    """(kind, det_phi, norm_form) of the ring of d, each by its closed form
+    in the ring's type rather than derived from xi."""
+    root = math.sqrt(d)
+    if kind_reference(d) is RingKind.TYPE_I:
+        return RingKind.TYPE_I, root, (0, d)
+    return RingKind.TYPE_II, root / 2.0, (1, (1 + d) // 4)
+
+
+def conj_reference(d: int, a: int, b: int) -> tuple:
+    """(a, b) coordinates of conj(a + b*xi) in the ring of d: conj(xi) is
+    -xi for type I and 1 - xi for type II."""
+    if kind_reference(d) is RingKind.TYPE_I:
+        return a, -b
+    return a + b, -b
+
+
+def embed_reference(basis: ComplexBasis) -> np.ndarray:
+    """The real generator matrix [Re B, Re(xi B); Im B, Im(xi B)], with the
+    xi-columns written out in closed form for each ring type."""
+    B = basis.matrix
+    re, im = B.real, B.imag
+    root = math.sqrt(basis.ring.d)
+    if kind_reference(basis.ring.d) is RingKind.TYPE_I:
+        top = np.hstack([re, -root * im])
+        bot = np.hstack([im, root * re])
+    else:
+        top = np.hstack([re, 0.5 * re - (root / 2.0) * im])
+        bot = np.hstack([im, 0.5 * im + (root / 2.0) * re])
+    return np.vstack([top, bot])
 
 
 # ---------------------------------------------------------------------------

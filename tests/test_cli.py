@@ -1,10 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alglat
 from alglat.cli import main
 from alglat.experiments import (
     CF_CSV_HEADER,
@@ -287,3 +292,48 @@ class TestCli:
             "strategies": ["bkz"], "seed": 1,
         }))
         assert main(["cf-experiment", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("ring", ("d=1", "d=3"))
+def test_reduce_huge_entry(tmp_path, capsys, ring):
+    """Over d = 3 the exact-entry check raised OverflowError and reduce
+    ended in a traceback; over d = 1 the norm read inf and first_vs_det
+    failed (exit 2)."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"ring": ring, "n": 1, "columns": [[[0.0, 1.6e308]]]}))
+    out = tmp_path / "r.json"
+    assert main(["reduce", "--basis", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["norms"] == [1.6e308] and report["norms_squared"] == [math.inf]
+    assert all(c["passed"] for c in report["bound_checks"].values())
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, code, says",
+    [
+        (
+            ["rank-failure", "--ring", "gaussian", "--n", "2", "--snr-db", "25", "--trials", "1",
+             "--seed", "1", "--modulus", "1000000000,3"],
+            0, "best_single,25,1,",
+        ),
+        (
+            ["hermite-cdf", "--ring", "d=1000000000000000000000000000001", "--trials", "100",
+             "--seed", "1"],
+            1, "error: bad ring spec",
+        ),
+    ],
+    ids=["prime-modulus-norm-1e18", "ring-d-1e30"],
+)
+def test_searches_on_user_input_end(args, code, says):
+    """The modulus norm 10^18 + 9 was tested for primality by trial division,
+    and d = 10^30 + 1 for square-freeness: neither ended within 10 s.  Each
+    now takes well under a second; the subprocess timeout is generous."""
+    src = str(Path(alglat.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "alglat.cli", *args],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30,
+    )
+    assert out.returncode == code
+    assert says in (out.stdout if code == 0 else out.stderr)
+    assert "Traceback" not in out.stderr

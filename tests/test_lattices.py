@@ -18,7 +18,10 @@ from alglat.lattices import (
     volume,
 )
 from alglat.rings import ring_new
+from alglat.reduction import _r_positive, real_lll
+from alglat.svp import _enumeration_r
 from oracles import (
+    embed_reference,
     exact_pairs_reference,
     identity_matrix,
     inverse_unimodular,
@@ -92,6 +95,42 @@ class TestEmbed:
                 B = random_basis(ring, int(rng.integers(1, 5)), rng)
                 det_embed = abs(np.linalg.det(embed(B)))
                 assert det_embed == pytest.approx(volume(B), rel=1e-9)
+
+
+def _embed_cases(d, rng):
+    """Bases over the ring of d: CN(0,1), exact ring entries, and exact
+    entries with some real or imaginary parts zero."""
+    ring = ring_new(d)
+    for n in (1, 2, 3, 4):
+        yield random_basis(ring, n, rng)
+        for zeros in (False, True):
+            while True:
+                a, b = rng.integers(-4, 5, (2, n, n))
+                m = a + b * ring.xi
+                if zeros:
+                    m = np.where(rng.random((n, n)) < 0.3, m.real + 0j, m)
+                    m = np.where(rng.random((n, n)) < 0.3, 1j * m.imag, m)
+                if np.linalg.cond(m) < 1e6:
+                    break
+            yield ComplexBasis(m, ring)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 5, 6, 7))
+def test_embed_reads_xi_as_the_closed_forms_did(d):
+    """embed, which forms the xi-columns from xi, equals the closed forms
+    in the ring's type bit for bit, signs of zeros included, and so do the
+    real LLL transform and the enumeration R factor built on it.  Exact
+    type I bases need the zero signs: there the xi-column is orthogonal to
+    the 1-column, so QR meets pivots of +0.0 or -0.0."""
+    rng = np.random.default_rng(100 + d)
+    pair_order = lambda n: np.arange(2 * n).reshape(2, n).T.ravel()  # noqa: E731
+    for _ in range(8):
+        for B in _embed_cases(d, rng):
+            want = embed_reference(B)
+            assert embed(B).tobytes() == want.tobytes()
+            T = real_lll(embed(B))[1]
+            assert np.array_equal(T, real_lll(want)[1])
+            assert np.array_equal(_enumeration_r(B), _r_positive(want[:, pair_order(B.n)]))
 
 
 class TestVolumeAndDefect:
@@ -292,6 +331,23 @@ class TestValidationAndJson:
             basis_from_json('{"ring": "d=3", "n": 2, "columns": [[[1,0]]]}')
         with pytest.raises(ValueError):
             basis_from_json('{"n": 2}')
+
+    def test_exact_entries_of_huge_entry(self):
+        """Over d = 3, Im xi < 1 and Im z / Im xi overflows to inf, which
+        rounding raised OverflowError on; the entry is simply not exact.
+        Over d = 1 the same entry is the ring element 1.6e308 * xi."""
+        m = np.array([[1.6e308j]])
+        B = ComplexBasis(m, RING3)
+        assert B._exact_pairs() is None and B.exact_entries() is None
+        assert ComplexBasis(m, RING1)._exact_pairs() == [[(0, int(1.6e308))]]
+
+    def test_ring_matrix_times_a_vector_is_a_type_error(self):
+        """RingMatrix @ RingMatrix is the one product; a tuple of ring
+        elements is not an operand."""
+        eye = identity_matrix(2, RING1)
+        assert eye @ eye == eye
+        with pytest.raises(TypeError):
+            eye @ (RING1.one, RING1.zero)
 
     def test_exact_entries_detection(self):
         w = RING3.xi

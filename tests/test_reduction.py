@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -633,7 +634,7 @@ def test_bound_checks_survive_rescaling(scale):
     st.sampled_from(EUCLIDEAN_D),
     st.integers(2, 5),
     st.integers(0, 2**32 - 1),
-    st.integers(-500, 500),
+    st.integers(-1000, 1000),
 )
 def test_bound_check_verdicts_are_scale_invariant(d, n, seed, k):
     """Scaling B and lambda1 by 2^k keeps every verdict, and the ratio
@@ -648,6 +649,54 @@ def test_bound_check_verdicts_are_scale_invariant(d, n, seed, k):
     for name, c in base.items():
         assert scaled[name].passed == c.passed
         assert scaled[name].lhs / scaled[name].rhs == pytest.approx(c.lhs / c.rhs, rel=1e-9)
+
+
+def scale_case_basis(seed, n):
+    rng = np.random.default_rng(seed)
+    return math.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+@pytest.mark.parametrize("k", (515, 530, -530, -560))
+def test_alll_reduces_at_extreme_scales(k):
+    """The Lovasz test squares R: at these scales the squares overflowed to
+    inf or underflowed to 0, and ALLL stopped swapping (0 swaps instead of
+    9), so its output broke the Lovasz condition."""
+    m = scale_case_basis(4, 4)
+    base = alll_reduce(ComplexBasis(m, RING1), 0.99)
+    scale = 2.0**k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = alll_reduce(ComplexBasis(m * scale, RING1), 0.99)
+        norms = rep.norms
+    assert base.swaps == rep.swaps == 9
+    assert rep.transform == base.transform
+    assert [x / scale for x in norms] == pytest.approx(base.norms, rel=1e-12)
+    unscaled = ComplexBasis(rep.reduced.matrix / scale, RING1)
+    assert_alll_conditions(dataclasses.replace(rep, reduced=unscaled))
+
+
+def test_real_lll_at_extreme_scale():
+    """The Lovasz test squared a Python float here and raised OverflowError."""
+    m = np.random.default_rng(5).standard_normal((6, 6))
+    _, T, swaps = real_lll(m * 2.0**515)
+    _, T0, swaps0 = real_lll(m)
+    assert swaps == swaps0 and np.array_equal(T, T0)
+
+
+def test_report_norms_at_extreme_scale():
+    """norms squared through np.linalg.norm and read inf above about
+    1.3e154, so first_vs_det and first_vs_lambda1 failed with lhs inf."""
+    m = scale_case_basis(4, 3)
+    lambda1 = 0.5 * float(np.min(np.linalg.norm(m, axis=0)))
+    base = alll_reduce(ComplexBasis(m, RING1), 0.99, lambda1=lambda1)
+    scale = 2.0**520
+    rep = alll_reduce(ComplexBasis(m * scale, RING1), 0.99, lambda1=lambda1 * scale)
+    assert [x / scale for x in rep.norms] == pytest.approx(base.norms, rel=1e-12)
+    assert rep.bounds_ok() and base.bounds_ok()
+    for name in ("first_vs_det", "first_vs_lambda1"):
+        got, want = rep.bound_checks[name], base.bound_checks[name]
+        assert got.lhs / got.rhs == pytest.approx(want.lhs / want.rhs, rel=1e-12)
+    assert math.isinf(rep.as_dict()["norms_squared"][0])
 
 
 def test_bound_checks_run_on_first_read_only(monkeypatch):

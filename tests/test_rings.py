@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -15,7 +16,9 @@ import alglat
 from alglat.rings import (
     ZERO_RADIUS2,
     RingKind,
+    RingSpec,
     _is_prime,
+    _pair_mul,
     _quantize_pair,
     _quantize_pairs,
     morphism_new,
@@ -25,7 +28,12 @@ from alglat.rings import (
     units,
 )
 import quantize_reference
-from oracles import covering_radius_geometric, norm_euclidean_sup_distance
+from oracles import (
+    conj_reference,
+    covering_radius_geometric,
+    norm_euclidean_sup_distance,
+    ring_rules_reference,
+)
 
 EUCLIDEAN_D = (1, 2, 3, 7, 11)
 SAMPLE_D = (1, 2, 3, 5, 6, 7, 11, 13, 15)
@@ -72,6 +80,50 @@ class TestRingNew:
             parse_ring("d=4")
         with pytest.raises(ValueError):
             parse_ring("quartz")
+
+
+#: every square-free d up to 500, and three large d (the last above the
+#: quantizer's rounding bound)
+RULES_D = tuple(d for d in range(1, 501) if sympy.ntheory.factor_.core(d) == d) + (
+    10007, 1048583, 2**40 + 1,
+)
+
+
+class TestRingIsItsD:
+    def test_single_field(self):
+        assert [f.name for f in dataclasses.fields(RingSpec)] == ["d"]
+        assert RingSpec(1) == ring_new(1) and hash(RingSpec(3)) == hash(ring_new(3))
+        assert RingSpec(5) != ring_new(7)
+        with pytest.raises(TypeError):
+            RingSpec(1, RingKind.TYPE_I)
+
+    def test_derived_rules_match_closed_forms(self):
+        """kind, det_phi, norm_form and conj, derived from d, xi and the
+        minimal polynomial, equal their closed forms in the ring's type."""
+        rng = random.Random(17)
+        for d in RULES_D:
+            ring = ring_new(d)
+            assert (ring.kind, ring.det_phi, ring.norm_form) == ring_rules_reference(d), d
+            for a, b in [(0, 1), (1, 0), (-3, 7)] + [
+                (rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)) for _ in range(10)
+            ]:
+                c = ring.elem(a, b).conj()
+                assert (c.a, c.b) == conj_reference(d, a, b), (d, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SAMPLE_D + (10007, 1048583)),
+    st.lists(st.integers(-(2**20), 2**20), min_size=4, max_size=4),
+)
+def test_pair_mul_is_the_ring_and_the_complex_product(d, coords):
+    ring = ring_new(d)
+    a1, b1, a2, b2 = coords
+    x, y = ring.elem(a1, b1), ring.elem(a2, b2)
+    a, b = _pair_mul((a1, b1), (a2, b2), *ring.minpoly_coeffs)
+    assert (a, b) == ((x * y).a, (x * y).b)
+    scale = abs(x.embed()) * abs(y.embed())
+    assert abs(ring.elem(a, b).embed() - x.embed() * y.embed()) <= 1e-12 * max(scale, 1.0)
 
 
 class TestArithmetic:
@@ -487,6 +539,46 @@ class TestMorphism:
 def test_is_prime_matches_sympy():
     for n in [*range(200_001), 2**31 - 1, 10**9 + 7, 561, 1105, 1729]:
         assert _is_prime(n) == sympy.isprime(n), n
+
+
+#: the least strong pseudoprimes to the first 12 and to the first 13 primes
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (10**18 + 9, True),  # the norm of 10^9 + 3i, the modulus 1000000000,3
+        (2047, False),
+        (1373653, False),
+        (25326001, False),
+        (3215031751, False),
+        (PSI12, False),
+        (PSI13 - 2, sympy.isprime(PSI13 - 2)),
+    ],
+)
+def test_is_prime_on_strong_pseudoprimes(n, prime):
+    assert _is_prime(n) is prime and sympy.isprime(n) is prime
+
+
+def test_is_prime_refuses_past_its_bases():
+    """PSI13 is a strong pseudoprime to all 13 bases, so from there on the
+    test cannot decide and says so."""
+    for n in (PSI13, PSI13 + 2, 10**30):
+        with pytest.raises(ValueError, match="prime"):
+            _is_prime(n)
+
+
+def test_squarefree_check_has_a_limit():
+    """Trial division up to sqrt(d) would run for hours on d = 10^30 + 1;
+    d above the limit is refused at once, square-free or not."""
+    assert ring_new(2**40 + 1).d == 2**40 + 1
+    for d in (2**42 + 1, 10**30 + 1):
+        with pytest.raises(ValueError, match="not supported"):
+            ring_new(d)
+    with pytest.raises(ValueError, match="not supported"):
+        parse_ring("d=1000000000000000000000000000001")
 
 
 def _xi_image_by_root_scan(ring, modulus, p):
