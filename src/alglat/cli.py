@@ -15,7 +15,14 @@ import numpy as np
 
 from . import experiments
 from .cf import STRATEGIES, Channel, design_relay
-from .lattices import ComplexBasis, basis_from_json, basis_to_json, embed
+from .lattices import (
+    ComplexBasis,
+    _pow2_normalized,
+    _times_pow2,
+    basis_from_json,
+    basis_to_json,
+    embed,
+)
 from .reduction import _quiet, alll_reduce, gauss_reduce, real_lll
 from .rings import morphism_new, parse_ring
 from .svp import shortest_vector
@@ -47,13 +54,19 @@ def _load_basis(path: str, ring_arg: str | None) -> ComplexBasis:
 
 
 def _verify_report(basis: ComplexBasis, report) -> None:
-    """Re-check the transform before anything is written out."""
+    """Re-check the transform before anything is written out: the drift
+    must be at most 1e-8 * ||B||.  Both matrices are scaled by the power of
+    two 2**-e that normalizes B, so no norm overflows or underflows and the
+    verdict does not depend on the scale."""
     if not report.transform.is_unimodular():
         raise RuntimeError("reduction produced a non-unimodular transform")
-    applied = basis.matrix @ report.transform.to_complex()
-    err = np.linalg.norm(applied - report.reduced.matrix)
-    if err > 1e-8 * max(1.0, np.linalg.norm(basis.matrix)):
-        raise RuntimeError(f"reduced basis drifted from basis*transform by {err:.3g}")
+    m, e = _pow2_normalized(basis.matrix)
+    applied = m @ report.transform.to_complex()
+    err = float(np.linalg.norm(applied - _times_pow2(report.reduced.matrix, -e)))
+    if err > 1e-8 * np.linalg.norm(m):
+        raise RuntimeError(
+            f"reduced basis drifted from basis*transform by {_times_pow2(err, e):.3g}"
+        )
 
 
 def _cmd_reduce(args) -> int:

@@ -1,13 +1,16 @@
 """Seeded Monte-Carlo harnesses with deterministic CSV output.
 
 Every experiment draws trial k from child k of SeedSequence(seed), so results
-are bit-identical however the trials are scheduled.  Complex Gaussian
-channels use two independent N(0, 1/2) components per entry.
+are bit-identical however the trials are scheduled.  The children's seed
+words are derived in bulk (_child_words), equal to numpy's bit for bit, and
+each trial still gets its own PCG64 generator.  Complex Gaussian channels use
+two independent N(0, 1/2) components per entry.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,18 +82,106 @@ def write_csv(rows, header, out) -> None:
             out.close()
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator of trial `index`: child `index` of SeedSequence(seed)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx, fixed by
+# NEP 19); all arithmetic is mod 2**32
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+#: children whose seed words are derived at once; memory does not grow with
+#: the number of trials
+_BLOCK = 4096
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k in [first, first + count)."""
+    c = np.array(
+        [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + count)], np.uint32
+    )
+    c.flags.writeable = False
+    return c
+
+
+def _entropy_words(entropy) -> int:
+    """Number of uint32 words numpy makes of a SeedSequence's (validated)
+    entropy: an int, or a sequence of them, each at least one word."""
+    if isinstance(entropy, (int, np.integer)):
+        return max(1, -(-int(entropy).bit_length() // 32))
+    return sum(_entropy_words(e) for e in entropy)
+
+
+def _child_words(root: np.random.SeedSequence, first: int, count: int) -> np.ndarray:
+    """(count, 4) uint64 rows: row i equals
+    SeedSequence(root.entropy, spawn_key=(first + i,)).generate_state(4, np.uint64).
+
+    root.pool is the mixed entropy that every child shares; each child folds
+    its spawn words (least significant first) into it with the hash
+    constants that follow the entropy's, then hashes the pool into 8 words.
+    The block may not cross a multiple of 2**32, so only the lowest spawn
+    word varies in it."""
+    low = first & _MASK32
+    if low + count > 1 << 32:
+        raise ValueError(f"a block of {count} children at {first} crosses a multiple of 2**32")
+    words = [np.arange(low, low + count, dtype=np.uint32)[:, None]]
+    high = first >> 32
+    while high:
+        words.append(np.uint32(high & _MASK32))
+        high >>= 32
+    # hashmix steps taken by the entropy: pool fill, cross mix, extra words
+    step = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, _entropy_words(root.entropy) - _POOL_SIZE)
+    pool = root.pool
+    for w in words:
+        c = _hash_consts(_INIT_A, _MULT_A, step, _POOL_SIZE + 1)
+        step += _POOL_SIZE
+        h = (w ^ c[:-1]) * c[1:]
+        h ^= h >> 16
+        pool = pool * _MIX_MULT_L - h * _MIX_MULT_R
+        pool ^= pool >> 16
+    c = _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE + 1)
+    state = (np.concatenate((pool, pool), axis=-1) ^ c[:-1]) * c[1:]
+    state ^= state >> 16
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _words_type() -> type:
+    """The seed sequence that hands PCG64 one precomputed row of _child_words.
+    Defined on first use, so that importing alglat does not import
+    numpy.random."""
+
+    class Words(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("_row",)
+
+        def __init__(self, row: np.ndarray):
+            self._row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise RuntimeError(
+                    f"PCG64 asked for generate_state({n_words}, {dtype}); the trial "
+                    "seed words are derived for (4, np.uint64) only"
+                )
+            return self._row
+
+    return Words
 
 
 def _trials(seed: int, points: int, trials: int):
     """(point, trial, generator) in index order, where a point is a ring or an
-    SNR value; trial (point, trial) draws from _trial_rng(seed, point * trials
-    + trial), so its draws depend only on the seed and its own index."""
-    for point in range(points):
-        for trial in range(trials):
-            yield point, trial, _trial_rng(seed, point * trials + trial)
+    SNR value; trial (point, trial) draws from child point * trials + trial
+    of SeedSequence(seed), as default_rng(SeedSequence(seed, spawn_key=(k,)))
+    would, so its draws depend only on the seed and its own index."""
+    root = np.random.SeedSequence(seed)
+    words = _words_type()
+    total = points * trials
+    # blocks start at multiples of _BLOCK, which divides 2**32
+    for first in range(0, total, _BLOCK):
+        rows = _child_words(root, first, min(_BLOCK, total - first))
+        for index, row in enumerate(rows, first):
+            point, trial = divmod(index, trials)
+            yield point, trial, np.random.Generator(np.random.PCG64(words(row)))
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +200,12 @@ def hermite_cdf(rings, trials: int, seed: int) -> dict:
     rings = list(rings)
     if len(set(rings)) < len(rings):
         raise ValueError("each ring may appear only once; a repeat would overwrite its trials")
-    draws = np.empty((len(rings), trials, 2, 2), dtype=complex)
+    # one 8-draw call per trial gives the real parts, then the imaginary
+    # parts, exactly as two 4-draw calls do
+    parts = np.empty((len(rings), trials, 2, 2, 2))
     for ri, t, rng in _trials(seed, len(rings), trials):
-        draws[ri, t] = math.sqrt(0.5) * (
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        )
+        rng.standard_normal(out=parts[ri, t])
+    draws = math.sqrt(0.5) * (parts[:, :, 0] + 1j * parts[:, :, 1])
     out = {}
     for ring, bases in zip(rings, draws):
         vals = np.empty(trials)

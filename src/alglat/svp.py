@@ -24,8 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import ComplexBasis, RingMatrix, coeff_to_complex, embed
-from .reduction import ReductionReport, _quiet, _r_positive, alll_reduce
+from .lattices import (
+    ComplexBasis,
+    RingMatrix,
+    _in_range,
+    _pow2_normalized,
+    _times_pow2,
+    coeff_to_complex,
+    embed,
+)
+from .reduction import ReductionReport, _quiet, _r_positive, _square, alll_reduce
 from .rings import RingSpec, _pair_mul, units
 
 __all__ = [
@@ -67,7 +75,7 @@ class SvpResult:
 
     @property
     def norm_squared(self) -> float:
-        return self.norm**2
+        return _square(self.norm)
 
 
 def _enum_shortest(R, best2, mode, budget, x_init, collect):
@@ -180,6 +188,34 @@ def _enumeration_r(basis: ComplexBasis) -> np.ndarray:
     return _r_positive(embed(basis)[:, pair_order])
 
 
+def _enumeration_frame(reduced: ComplexBasis) -> tuple:
+    """(R, squared column norms, e) of a reduced basis for the enumeration.
+    When a squared column norm is out of the normal float range, both are
+    taken of the basis scaled by 2**-e (_pow2_normalized), so the search and
+    its nodes do not depend on the scale; otherwise e = 0."""
+    m, e = reduced.matrix, 0
+    with np.errstate(over="ignore", under="ignore"):
+        col_norms2 = np.sum(np.abs(m) ** 2, axis=0)
+    if not all(_in_range(x) for x in col_norms2):
+        m, e = _pow2_normalized(m)
+        reduced = ComplexBasis._derived(m, reduced.ring)
+        col_norms2 = np.sum(np.abs(m) ** 2, axis=0)
+    return _enumeration_r(reduced), col_norms2, e
+
+
+def _norm(basis: ComplexBasis, coeff) -> float:
+    """||B c||, rescaled by a power of two when its square is out of the
+    normal float range, so it is inf or 0 only when it is out of range
+    itself."""
+    v = basis.matrix @ coeff_to_complex(coeff)
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(v))
+        if not _in_range(norm * norm):
+            v, e = _pow2_normalized(v)
+            norm = _times_pow2(float(np.linalg.norm(v)), e)
+    return norm
+
+
 def _symmetry_mode(ring: RingSpec, use_symmetry: bool) -> int:
     if not use_symmetry:
         return 0
@@ -238,8 +274,7 @@ def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAU
         raise ValueError(f"rank {n} exceeds the enumeration limit of {MAX_RANK}")
     xbest, nodes = [1, 0], 0
     if n > 1:
-        R = _enumeration_r(reduced)
-        col_norms2 = np.sum(np.abs(reduced.matrix) ** 2, axis=0)
+        R, col_norms2, e = _enumeration_frame(reduced)
         jmin = int(np.argmin(col_norms2))
         x_init = [0] * (2 * n)
         x_init[2 * jmin] = 1
@@ -248,7 +283,7 @@ def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAU
         mode = _symmetry_mode(ring, use_symmetry)
         status, xbest, reached2, nodes, _ = _enum_shortest(R, best2, mode, max_nodes, x_init, False)
         if status == 1:
-            raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(reached2))
+            raise EnumerationBudgetError(max_nodes, nodes, _times_pow2(math.sqrt(reached2), e))
     return _map_back(rep.transform, _level_pairs(xbest)), int(nodes)
 
 
@@ -267,8 +302,7 @@ def shortest_vector(
     with _quiet():
         rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
     coeff, nodes = _svp(rep, use_symmetry, max_nodes)
-    norm = float(np.linalg.norm(basis.matrix @ coeff_to_complex(coeff)))
-    return SvpResult(coeff, norm, nodes)
+    return SvpResult(coeff, _norm(basis, coeff), nodes)
 
 
 def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDGET):
@@ -285,13 +319,13 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
     ring = basis.ring
     with _quiet():
         rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
-    R = _enumeration_r(rep.reduced)
-    radius2 = float(max(np.sum(np.abs(rep.reduced.matrix) ** 2, axis=0)))
+    R, col_norms2, e = _enumeration_frame(rep.reduced)
+    radius2 = float(max(col_norms2))
     status, _, _, nodes, points = _enum_shortest(
         R, radius2 * (1 + 1e-9), _symmetry_mode(ring, True), max_nodes, [0] * 4, True
     )
     if status == 1:
-        raise EnumerationBudgetError(max_nodes, nodes, math.sqrt(radius2))
+        raise EnumerationBudgetError(max_nodes, nodes, _times_pow2(math.sqrt(radius2), e))
     # stable sort: of equal norms, the first listed is shortest_vector's
     # choice.  U is unimodular, so independence is tested before applying it.
     s, t = ring.minpoly_coeffs
@@ -304,5 +338,4 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
     if second is None:
         raise RuntimeError("no independent second minimum found; basis may be degenerate")
     c1, c2 = (_map_back(rep.transform, c) for c in (first, second))
-    l1, l2 = (float(np.linalg.norm(basis.matrix @ coeff_to_complex(c))) for c in (c1, c2))
-    return l1, l2, (c1, c2)
+    return _norm(basis, c1), _norm(basis, c2), (c1, c2)

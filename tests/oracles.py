@@ -4,8 +4,9 @@ Each is an independent construction that tests compare library results
 against (the geometric covering radius, the ring rules and the embedding
 by their closed forms in the ring's type, the adjugate inverse, the exact
 entries by nearest-point search, the exact norms as a loop, Minkowski's
-bounds, the MAC rate floor) or a generator of test inputs (random
-unimodular matrices).  Nothing under src/ imports this module.
+bounds, the MAC rate floor, the trial generators as numpy spawns them) or a
+generator of test inputs (random unimodular matrices).  Nothing under src/
+imports this module.
 """
 
 from __future__ import annotations
@@ -268,3 +269,12 @@ def mac_rate_floor(ring: RingSpec, ch: Channel, delta: float = 0.99) -> float:
     cap = max(0.0, math.log2(1.0 + ch.p * float(np.linalg.norm(ch.h)) ** 2)) / n
     penalty = max(0.0, math.log2(eps ** (-(n - 1)) * gamma * ring.det_phi))
     return cap - penalty
+
+
+# ---------------------------------------------------------------------------
+# experiments
+
+
+def trial_rng_reference(seed: int, index: int) -> np.random.Generator:
+    """Generator of trial `index`: child `index` of SeedSequence(seed)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))

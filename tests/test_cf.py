@@ -22,8 +22,11 @@ from alglat.cf import (
     transmission_rate,
 )
 from alglat.experiments import (
+    _BLOCK,
+    _child_words,
     _rank_failures,
-    _trial_rng,
+    _trials,
+    _words_type,
     cf_experiment,
     dof_slope,
     hermite_cdf,
@@ -40,7 +43,7 @@ from alglat.reduction import NonEuclideanRingWarning, alll_reduce, gauss_reduce,
 from alglat.reduction import reduction_epsilon
 from alglat.rings import morphism_new, ring_new
 from alglat.svp import shortest_vector
-from oracles import identity_matrix, mac_rate_floor, random_unimodular
+from oracles import identity_matrix, mac_rate_floor, random_unimodular, trial_rng_reference
 
 RING1 = ring_new(1)
 RING3 = ring_new(3)
@@ -402,7 +405,7 @@ class TestTrialSeeding:
         for ri, ring in enumerate(rings):
             vals = []
             for t in reversed(range(trials)):
-                rng = _trial_rng(seed, ri * trials + t)
+                rng = trial_rng_reference(seed, ri * trials + t)
                 m = math.sqrt(0.5) * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
                 if ring.euclidean:
                     rep = gauss_reduce(ComplexBasis(m, ring))
@@ -419,7 +422,7 @@ class TestTrialSeeding:
         pr, pf = rank_failure_probability(RING1, mor, 2, p, trials, "best_single", seed)
         ring_fail = field_fail = 0
         for t in reversed(range(trials)):
-            rng = _trial_rng(seed, t)
+            rng = trial_rng_reference(seed, t)
             vecs = [design_relay(random_channel(2, p, rng), RING1, "svp").best_vector for _ in range(2)]
             A = RingMatrix.from_columns(vecs, RING1)
             singular = A.det().is_zero()
@@ -427,6 +430,98 @@ class TestTrialSeeding:
             field_fail += singular or rank_mod_p(A, mor) < 2
         assert field_fail > 0
         assert (pr, pf) == (ring_fail / trials, field_fail / trials)
+
+
+#: seeds of 1 to 7 uint32 words, numpy integers and bools among them
+SEEDS = st.one_of(
+    st.integers(0, 2**200),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.just(True),
+)
+
+
+class TestBulkSeedWords:
+    """The trial generators' seed words are derived in bulk and equal numpy's
+    per-child SeedSequence bit for bit."""
+
+    @given(
+        SEEDS,
+        st.one_of(st.integers(0, 5000), st.integers(2**32 - 40, 2**32 + 40), st.integers(0, 2**70)),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_child_words_equal_numpy_children(self, seed, first, count):
+        # a block may not cross a multiple of 2**32
+        count = min(count, 2**32 - (first & 0xFFFFFFFF))
+        words = _child_words(np.random.SeedSequence(seed), first, count)
+        assert words.shape == (count, 4) and words.dtype == np.uint64
+        for i, row in enumerate(words):
+            ref = np.random.SeedSequence(seed, spawn_key=(first + i,)).generate_state(4, np.uint64)
+            assert np.array_equal(row, ref)
+
+    def test_child_words_at_the_two_word_boundary(self):
+        """Index 2**32 is the first with a two-word spawn key."""
+        for seed in (0, 5, 2**130 + 1, [3, 2**40]):
+            root = np.random.SeedSequence(seed)
+            for first, count in ((2**32 - 2, 2), (2**32, 3), (2**64 - 1, 1), (2**64, 2)):
+                for i, row in enumerate(_child_words(root, first, count)):
+                    ref = np.random.SeedSequence(seed, spawn_key=(first + i,))
+                    assert np.array_equal(row, ref.generate_state(4, np.uint64))
+            with pytest.raises(ValueError, match="crosses a multiple of 2"):
+                _child_words(root, 2**32 - 2, 3)
+
+    @given(SEEDS, st.integers(1, 3), st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_trials_draw_as_the_reference(self, seed, points, trials):
+        got = list(_trials(seed, points, trials))
+        assert [(p, t) for p, t, _ in got] == [(p, t) for p in range(points) for t in range(trials)]
+        for p, t, rng in got:
+            ref = trial_rng_reference(seed, p * trials + t)
+            assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+            assert np.array_equal(rng.integers(0, 2**62, 3), ref.integers(0, 2**62, 3))
+
+    def test_trials_derive_in_bounded_blocks(self, monkeypatch):
+        calls = []
+
+        def recorded(root, first, count):
+            calls.append((first, count))
+            return _child_words(root, first, count)
+
+        monkeypatch.setattr(experiments, "_child_words", recorded)
+        assert sum(1 for _ in _trials(3, 3, 3000)) == 9000
+        assert calls == [(0, _BLOCK), (_BLOCK, _BLOCK), (2 * _BLOCK, 9000 - 2 * _BLOCK)]
+
+    @pytest.mark.parametrize(
+        "seed, error, says",
+        [(-1, ValueError, "expected non-negative integer"), (1.5, TypeError, "expects int")],
+    )
+    def test_bad_seeds_raise_numpys_errors(self, seed, error, says):
+        with pytest.raises(error, match=says):
+            next(_trials(seed, 1, 1))
+        with pytest.raises(error, match=says):
+            hermite_cdf([RING1], 100, seed)
+
+    def test_words_refuse_other_requests(self):
+        row = _child_words(np.random.SeedSequence(1), 0, 1)[0]
+        words = _words_type()(row)
+        assert words.generate_state(4, np.uint64) is row
+        for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
+            with pytest.raises(RuntimeError, match="generate_state"):
+                words.generate_state(n_words, dtype)
+
+    def test_hermite_cdf_builds_one_seed_sequence(self, monkeypatch):
+        """A work-count guard: the children are derived from one root, not
+        hashed one SeedSequence per trial."""
+        built = []
+        real = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        hermite_cdf([ring_new(1), ring_new(3)], 100, 17)
+        assert len(built) == 1
 
 
 class TestBestSingleAlias:

@@ -1,16 +1,18 @@
+import dataclasses
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import alglat
-from alglat.cli import main
+from alglat.cli import _verify_report, main
 from alglat.experiments import (
     CF_CSV_HEADER,
     cf_experiment,
@@ -19,6 +21,7 @@ from alglat.experiments import (
     write_csv,
 )
 from alglat.lattices import ComplexBasis, basis_to_json
+from alglat.reduction import alll_reduce
 from alglat.rings import ring_new
 
 RING3 = ring_new(3)
@@ -294,11 +297,12 @@ class TestCli:
         assert main(["cf-experiment", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("ring", ("d=1", "d=3"))
 def test_reduce_huge_entry(tmp_path, capsys, ring):
     """Over d = 3 the exact-entry check raised OverflowError and reduce
     ended in a traceback; over d = 1 the norm read inf and first_vs_det
-    failed (exit 2)."""
+    failed (exit 2).  The drift check's tolerance overflowed here too."""
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"ring": ring, "n": 1, "columns": [[[0.0, 1.6e308]]]}))
     out = tmp_path / "r.json"
@@ -307,6 +311,42 @@ def test_reduce_huge_entry(tmp_path, capsys, ring):
     assert report["norms"] == [1.6e308] and report["norms_squared"] == [math.inf]
     assert all(c["passed"] for c in report["bound_checks"].values())
     assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_svp_huge_basis(tmp_path):
+    """The norm read inf above about 1.3e154, and its square raised
+    OverflowError once it was finite, so svp ended in a traceback."""
+    cols = [[[1.0, 0.0], [0.0, 0.3]], [[0.2, 0.1], [1.0, 0.0]]]
+    norms = []
+    for scale in (1.0, 2.0**680):
+        path = tmp_path / "b.json"
+        scaled = [[[x * scale for x in z] for z in col] for col in cols]
+        path.write_text(json.dumps({"ring": "d=1", "n": 2, "columns": scaled}))
+        out = tmp_path / "s.json"
+        assert main(["svp", "--basis", str(path), "--out", str(out)]) == 0
+        res = json.loads(out.read_text())
+        norms.append((res["norm"], res["norm_squared"], res["enumerated_nodes"]))
+    (n1, sq1, nodes1), (n2, sq2, nodes2) = norms
+    assert (n2, sq2, nodes2) == (n1 * 2.0**680, math.inf, nodes1)
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e200, 1e-200))
+def test_drift_check_refuses_a_tampered_basis(scale):
+    """The tolerance 1e-8 * ||B|| overflowed to inf above ||B|| ~ 1.3e154,
+    so the check passed whatever the drift."""
+    rng = np.random.default_rng(8)
+    m = scale * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    basis = ComplexBasis(m, RING3)
+    report = alll_reduce(basis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _verify_report(basis, report)
+        tampered = report.reduced.matrix.copy()
+        tampered[0, 0] += 1e-6 * abs(tampered[0, 0])
+        bad = dataclasses.replace(report, reduced=ComplexBasis(tampered, RING3))
+        with pytest.raises(RuntimeError, match="drifted"):
+            _verify_report(basis, bad)
 
 
 @pytest.mark.parametrize(

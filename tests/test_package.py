@@ -5,6 +5,9 @@ library and the test-side oracles."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -78,3 +81,14 @@ def test_library_imports_no_test_module():
                 continue
             for module in modules:
                 assert module.split(".")[0] not in test_modules, f"{path.name} imports {module}"
+
+
+def test_import_does_not_load_numpy_random():
+    """numpy.random takes about 10 ms to import; the harnesses load it on
+    their first trial, so importing the package stays cheap."""
+    code = "import sys, alglat; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -266,3 +266,33 @@ class TestSuccessiveMinima:
         with pytest.raises(EnumerationBudgetError, match="budget of 11 nodes") as err:
             successive_minima_2d(B, max_nodes=11)
         assert (err.value.budget, err.value.nodes) == (11, 12)
+
+
+@pytest.mark.parametrize("k", (515, -515))
+def test_shortest_vector_at_extreme_scale(k):
+    """The initial radius squared the column norms and overflowed to inf at
+    2^515 (12 nodes instead of 15, norm inf); at 2^-515 the squares were
+    subnormal and the search visited 13 nodes."""
+    rng = np.random.default_rng(4)
+    m = math.sqrt(0.5) * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    base = shortest_vector(ComplexBasis(m, RING1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = shortest_vector(ComplexBasis(m * 2.0**k, RING1))
+    assert base.enumerated_nodes == res.enumerated_nodes == 15
+    assert res.coefficient == base.coefficient
+    assert res.norm == base.norm * 2.0**k
+    assert res.norm_squared == (math.inf if k > 0 else pytest.approx(base.norm_squared * 4.0**k))
+
+
+@pytest.mark.parametrize("k", (515, -515))
+def test_successive_minima_at_extreme_scale(k):
+    """The listing radius squared the column norms: at 2^515 it overflowed
+    to inf, and no independent second minimum was found."""
+    rng = np.random.default_rng(4)
+    m = math.sqrt(0.5) * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    l1, l2, vecs = successive_minima_2d(ComplexBasis(m, RING1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        s1, s2, svecs = successive_minima_2d(ComplexBasis(m * 2.0**k, RING1))
+    assert (s1, s2, svecs) == (l1 * 2.0**k, l2 * 2.0**k, vecs)
