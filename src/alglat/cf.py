@@ -9,13 +9,23 @@ unimodular coefficient matrices at once.  Unimodularity guarantees the mapped
 matrix is invertible over the finite field used by the code space.
 
 The strategies of one relay share their per-channel work (design_relays):
-the Gram matrix I + P h h^H and its inverse, the validated channel basis, and
-one ALLL reduction per distinct delta.  The svp design enumerates from the
-ALLL reduction at 0.99, whatever delta the alll design uses.
+the Gram matrix I + P h h^H and its inverse, the channel basis, and one ALLL
+reduction per distinct delta.  The svp design enumerates from the ALLL
+reduction at 0.99, whatever delta the alll design uses.  The channel basis
+is validated in closed form: its condition number is sqrt(1 + P ||h||^2)
+for n >= 2 and 1 for n = 1, so no SVD runs.
 
-One elimination over F_p (_eliminate_mod_p) gives a mapped matrix's rank
-and determinant; rank_mod_p returns the rank.  The MAC rate floor that
-tests hold the designs to is in tests/oracles.py.
+The designs run on the reductions' integer coordinates.  Each candidate
+coefficient vector is a tuple of (a, b) pairs, and a design's candidates
+get their rates in one stacked pass over the C-contiguous (k, n) complex
+array U of their embeddings (_rates); computation_rate is the stack of one.
+RelayDesign builds its RingElem vectors and its RingMatrix on first read.
+
+One elimination over F_p (_eliminate_mod_p) gives the rank and determinant
+of a matrix given as rows of (a, b) pairs; rank_mod_p maps its RingMatrix
+entries to pairs first, and transmission_rate and the experiments score the
+designs' pairs directly.  The MAC rate floor and the per-vector rate
+that tests hold the designs to are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -26,10 +36,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattices import ComplexBasis, RingMatrix, coeff_to_complex, embed, fold_real_column
-from .reduction import _quiet, alll_reduce, real_lll
+from .lattices import MAX_CONDITION, ComplexBasis, RingMatrix, coeff_to_complex, embed
+from .reduction import _lll_z, _quiet, alll_reduce
 from .rings import FieldMorphism, RingSpec, morphism_new
-from .svp import PREPROCESS_DELTA, _svp
+from .svp import PREPROCESS_DELTA, _elems, _svp
 
 __all__ = [
     "Channel",
@@ -100,7 +110,7 @@ class Channel:
 
     @cached_property
     def _gram_inv(self) -> np.ndarray:
-        """(I + P h h^H)^-1, the matrix of every rate denominator (_rate)."""
+        """(I + P h h^H)^-1, the matrix of every rate denominator (_rates)."""
         return np.linalg.inv(self._gram)
 
 
@@ -110,20 +120,53 @@ def random_channel(n: int, p_linear: float, rng) -> Channel:
     return Channel(h, p_linear)
 
 
+def _basis_condition(ch: Channel) -> float:
+    """cond(B) of the channel basis B in closed form.  B^H B = M^-1 and M =
+    I + P h h^H has the eigenvalue 1 + P ||h||^2 once and 1 n - 1 times, so
+    cond(B) = sqrt(1 + P ||h||^2) for n >= 2 and 1 for n = 1."""
+    if ch.n == 1:
+        return 1.0
+    return math.sqrt(1.0 + ch.p * float(np.vdot(ch.h, ch.h).real))
+
+
 def cf_basis(ch: Channel, ring: RingSpec) -> ComplexBasis:
-    """Basis B with B^H B = (I + P h h^H)^-1, so ||B a||^2 is the rate denominator."""
+    """Basis B with B^H B = (I + P h h^H)^-1, so ||B a||^2 is the rate denominator.
+
+    B is validated by its closed-form condition number (_basis_condition)
+    against MAX_CONDITION, the limit ComplexBasis applies, and built with
+    ComplexBasis._derived, which checks only that its entries are finite.
+    """
+    if ch.n == 0:
+        raise ValueError("basis must be square and non-empty, got shape (0, 0)")
     M = ch.gram()
     L = np.linalg.cholesky(M)
     B = np.linalg.inv(L)  # lower triangular inverse; B^H B = M^-1
-    return ComplexBasis(B, ring)
+    if not _basis_condition(ch) <= MAX_CONDITION:
+        raise ValueError("basis columns are numerically dependent")
+    return ComplexBasis._derived(B, ring)
 
 
-def _rate(ch: Channel, a: np.ndarray) -> float:
-    """log2+(1 / a^H M^-1 a) of a complex vector a on the cached M^-1."""
-    den = float(np.real(a.conj() @ (ch._gram_inv @ a)))
-    if den <= 0:
-        raise ValueError(f"rate denominator must be positive, got {den}")
-    return max(0.0, math.log2(1.0 / den))
+def _embed_pairs(vectors, xi: complex) -> np.ndarray:
+    """The C-contiguous (k, n) complex array of k vectors of n (a, b) pairs,
+    each entry a + b*xi as RingElem.embed computes it."""
+    return np.array([[complex(a) + b * xi for a, b in v] for v in vectors], dtype=complex)
+
+
+def _rates(ch: Channel, U: np.ndarray) -> list[float]:
+    """log2+(1 / u^H M^-1 u) for each row u of a C-contiguous (k, n) complex
+    array U, on the cached M^-1, in one stacked pass.
+
+    The stacked M^-1 @ U[..., None] and np.vecdot equal the per-vector
+    a.conj() @ (M^-1 @ a) bit for bit; the 2-D M^-1 @ U.T and a transposed,
+    non-contiguous U do not.
+    """
+    dens = np.vecdot(U, (ch._gram_inv @ U[..., None])[..., 0]).real.tolist()
+    rates = []
+    for den in dens:
+        if den <= 0:
+            raise ValueError(f"rate denominator must be positive, got {den}")
+        rates.append(max(0.0, math.log2(1.0 / den)))
+    return rates
 
 
 def computation_rate(ch: Channel, coeff) -> float:
@@ -131,19 +174,29 @@ def computation_rate(ch: Channel, coeff) -> float:
     a = coeff_to_complex(coeff)
     if not np.any(a):
         raise ValueError("coefficient vector must be nonzero")
-    return _rate(ch, a)
+    return _rates(ch, a[None])[0]
+
+
+def _rows(cols) -> tuple:
+    """The rows of the square matrix with the given columns."""
+    return tuple(zip(*cols))
 
 
 @dataclass
 class RelayDesign:
-    """One relay's candidate coefficient vectors, sorted by descending rate."""
+    """One relay's candidate coefficient vectors, sorted by descending rate.
+
+    pairs holds the candidates as tuples of (a, b) pairs, entry i of a
+    vector being a + b*xi.  vectors (tuples of RingElem), best_vector and
+    matrix (the unimodular RingMatrix whose columns are the vectors, for
+    the alll design; None for the others) are built from them on first read.
+    """
 
     channel: Channel
     ring: RingSpec
     strategy: str
-    vectors: list
+    pairs: list
     rates: list
-    matrix: RingMatrix | None
     swaps: int
     first_norm: float
 
@@ -152,8 +205,23 @@ class RelayDesign:
         return self.rates[0]
 
     @property
+    def has_matrix(self) -> bool:
+        """Whether the candidates form a unimodular matrix (the alll design)."""
+        return self.strategy == "alll"
+
+    @cached_property
+    def vectors(self) -> list:
+        return [_elems(self.ring, v) for v in self.pairs]
+
+    @property
     def best_vector(self):
         return self.vectors[0]
+
+    @cached_property
+    def matrix(self) -> RingMatrix | None:
+        if not self.has_matrix:
+            return None
+        return RingMatrix.from_int_rows(_rows(self.pairs), self.ring)
 
 
 @dataclass
@@ -185,6 +253,7 @@ def design_relays(
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
     basis = cf_basis(ch, ring)
+    n = ch.n
     reductions = {}
 
     def reduced_at(dl: float):
@@ -193,31 +262,30 @@ def design_relays(
                 reductions[dl] = alll_reduce(basis, delta=dl)
         return reductions[dl]
 
-    def ranked(cols):
-        """Columns and their rates, sorted by descending rate."""
-        rates = [_rate(ch, coeff_to_complex(c)) for c in cols]
-        order = sorted(range(len(cols)), key=lambda i: -rates[i])
-        return [cols[i] for i in order], [rates[i] for i in order]
-
-    # per canonical strategy: (vectors, rates, matrix, swaps, first_norm)
+    # per canonical strategy: (pairs, rates, swaps, first_norm), sorted by
+    # descending rate
     parts = {}
     for c in dict.fromkeys(STRATEGY_ALIASES.get(s, s) for s in strategies):
-        matrix, swaps = None, 0
+        swaps = 0
         if c == "alll":
             rep = reduced_at(delta)
-            vectors, rates = ranked(rep.transform.columns())
-            matrix, swaps = RingMatrix.from_columns(vectors, ring), rep.swaps
+            cands = [tuple(zip(a, b)) for a, b in zip(*rep.coords)]
+            swaps = rep.swaps
         elif c == "rlll":
-            _, T, swaps = real_lll(embed(basis), delta=delta)
-            vectors, rates = ranked([fold_real_column(T[:, j], ring) for j in range(T.shape[1])])
+            # column j of the transform is [x_a; x_b] in the embed layout
+            _, ua, swaps = _lll_z(embed(basis), delta)
+            cands = [tuple(zip(col[:n], col[n:])) for col in ua]
         else:  # svp: the single best equation
-            vectors, rates = ranked([_svp(reduced_at(PREPROCESS_DELTA))[0]])
-        first_norm = float(np.linalg.norm(basis.matrix @ coeff_to_complex(vectors[0])))
-        parts[c] = vectors, rates, matrix, swaps, first_norm
+            cands = [_svp(reduced_at(PREPROCESS_DELTA))[0]]
+        U = _embed_pairs(cands, ring.xi)
+        rates = _rates(ch, U)
+        order = sorted(range(len(cands)), key=lambda i: -rates[i])
+        first_norm = float(np.linalg.norm(basis.matrix @ U[order[0]]))
+        parts[c] = [cands[i] for i in order], [rates[i] for i in order], swaps, first_norm
     designs = {}
     for s in strategies:
-        vectors, rates, matrix, swaps, first_norm = parts[STRATEGY_ALIASES.get(s, s)]
-        designs[s] = RelayDesign(ch, ring, s, list(vectors), list(rates), matrix, swaps, first_norm)
+        pairs, rates, swaps, first_norm = parts[STRATEGY_ALIASES.get(s, s)]
+        designs[s] = RelayDesign(ch, ring, s, list(pairs), list(rates), swaps, first_norm)
     return designs
 
 
@@ -235,10 +303,11 @@ def design_relay(
     return design_relays(ch, ring, (strategy,), delta)[strategy]
 
 
-def _eliminate_mod_p(matrix: RingMatrix, morphism: FieldMorphism) -> tuple[int, int]:
-    """Forward elimination of the entrywise-mapped matrix over F_p: (rank, det)."""
-    p = morphism.p
-    a = [[morphism.apply(e) for e in row] for row in matrix.entries]
+def _eliminate_mod_p(rows, morphism: FieldMorphism) -> tuple[int, int]:
+    """Forward elimination over F_p of a square matrix given as rows of
+    (a, b) pairs, each entry mapped to (a + b*f(xi)) mod p: (rank, det)."""
+    p, image = morphism.p, morphism.xi_image
+    a = [[(ea + eb * image) % p for ea, eb in row] for row in rows]
     n = len(a)
     rank = 0
     det = 1
@@ -262,7 +331,9 @@ def _eliminate_mod_p(matrix: RingMatrix, morphism: FieldMorphism) -> tuple[int, 
 
 def rank_mod_p(matrix: RingMatrix, morphism: FieldMorphism) -> int:
     """Rank of the entrywise-mapped matrix over F_p."""
-    return _eliminate_mod_p(matrix, morphism)[0]
+    if matrix.ring != morphism.ring:
+        raise ValueError("element from a different ring")
+    return _eliminate_mod_p([[(e.a, e.b) for e in row] for row in matrix.entries], morphism)[0]
 
 
 def default_morphism(ring: RingSpec) -> FieldMorphism:
@@ -274,8 +345,9 @@ def default_morphism(ring: RingSpec) -> FieldMorphism:
     )
 
 
-def _candidate_matrices(designs) -> list:
-    """Candidate coefficient matrices of one network, column l for relay l.
+def _candidate_rows(designs) -> list:
+    """Candidate coefficient matrices of one network as rows of (a, b)
+    pairs, column l for relay l.
 
     There must be one design per channel dimension.  Designs with a matrix
     (alll) offer their unimodular matrices; designs without one (rlll, svp)
@@ -283,17 +355,17 @@ def _candidate_matrices(designs) -> list:
     """
     if len(designs) != designs[0].channel.n:
         raise ValueError(f"need one relay design per channel dimension, got {len(designs)}")
-    if all(d.matrix is not None for d in designs):
-        return [d.matrix for d in designs]
-    if any(d.matrix is not None for d in designs):
+    if all(d.has_matrix for d in designs):
+        return [_rows(d.pairs) for d in designs]
+    if any(d.has_matrix for d in designs):
         raise ValueError("mixed candidate kinds; use one strategy per network")
-    return [RingMatrix.from_columns([d.best_vector for d in designs], designs[0].ring)]
+    return [_rows([d.pairs[0] for d in designs])]
 
 
 def transmission_rate(designs: list, morphism: FieldMorphism) -> NetworkDesign:
     """Pick the candidate coefficient matrix with the best min-over-relays rate.
 
-    Candidates (_candidate_matrices) that are rank-deficient over F_p are
+    Candidates (_candidate_rows) that are rank-deficient over F_p are
     discarded; for unimodular candidates this never happens, and the
     determinant-morphism commutation f(det A) = det f(A) is checked on the
     chosen matrix.
@@ -304,13 +376,17 @@ def transmission_rate(designs: list, morphism: FieldMorphism) -> NetworkDesign:
     if any(d.channel.n != n for d in designs):
         raise ValueError("relay designs have mismatched sizes")
 
-    candidates = _candidate_matrices(designs)
+    ring = designs[0].ring
+    if morphism.ring != ring:
+        raise ValueError("element from a different ring")
+    rows = _candidate_rows(designs)
+    candidates = [RingMatrix.from_int_rows(r, ring) for r in rows]
     rates = [
         min(computation_rate(designs[l].channel, cand.column(l)) for l in range(n))
         for cand in candidates
     ]
     # (rank, det) over F_p of each candidate, from one elimination each
-    field = [_eliminate_mod_p(cand, morphism) for cand in candidates]
+    field = [_eliminate_mod_p(r, morphism) for r in rows]
 
     usable = [i for i in range(len(candidates)) if field[i][0] == n]
     if not usable:

@@ -78,11 +78,14 @@ def _cmd_reduce(args) -> int:
             report = alll_reduce(basis, delta=args.delta)
         else:
             reduced, transform, swaps = real_lll(embed(basis), delta=args.delta)
+            # a squared norm beyond the float range is written as inf
+            with np.errstate(over="ignore"):
+                norms2 = [float(np.dot(col, col)) for col in reduced.T]
             payload = {
                 "algorithm": "rlll",
                 "ring": f"d={basis.ring.d}",
                 "delta": args.delta,
-                "norms_squared": [float(np.dot(reduced[:, j], reduced[:, j])) for j in range(reduced.shape[1])],
+                "norms_squared": norms2,
                 "swaps": swaps,
                 "transform": [[int(v) for v in row] for row in transform],
             }

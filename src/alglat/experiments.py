@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cf import (
-    _candidate_matrices,
+    _candidate_rows,
+    _eliminate_mod_p,
     db_to_linear,
     default_morphism,
     design_relay,
     design_relays,
-    rank_mod_p,
     random_channel,
 )
 from .lattices import ComplexBasis, RingMatrix, _independent, volume
@@ -258,13 +258,14 @@ def _resolve_morphism(ring: RingSpec, modulus):
         return None
 
 
-def _rank_failures(A: RingMatrix, morphism: FieldMorphism | None) -> tuple[bool, bool]:
-    """Whether A is singular over the ring and over F_p; a ring-singular
-    matrix counts as a field failure too.  Full rank over F_p proves
-    f(det A) = det f(A) != 0, so the exact det runs only when F_p cannot tell."""
-    if morphism is not None and rank_mod_p(A, morphism) == A.n:
+def _rank_failures(rows, ring: RingSpec, morphism: FieldMorphism | None) -> tuple[bool, bool]:
+    """Whether the matrix A with these rows of (a, b) pairs is singular over
+    the ring and over F_p; a ring-singular matrix counts as a field failure
+    too.  Full rank over F_p proves f(det A) = det f(A) != 0, so the exact
+    det runs only when F_p cannot tell."""
+    if morphism is not None and _eliminate_mod_p(rows, morphism)[0] == len(rows):
         return False, False
-    if A.det().is_zero():
+    if RingMatrix.from_int_rows(rows, ring).det().is_zero():
         return True, True
     return False, morphism is not None
 
@@ -274,7 +275,8 @@ def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) 
 
     Each trial draws one n-relay network and replays its channels for every
     strategy, so the comparison is paired; design_relays designs each relay
-    once for all strategies, and each distinct candidate matrix is scored once.
+    once for all strategies, and each distinct candidate matrix is scored
+    once, on its rows of (a, b) pairs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -286,6 +288,8 @@ def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) 
         raise ValueError("need at least one strategy")
     if len(set(strategies)) < len(strategies):
         raise ValueError("each strategy may appear only once; a repeat would share its counts")
+    if morphism is not None and morphism.ring != ring:
+        raise ValueError("morphism from a different ring")
     acc = {(s, pi): _Acc([], [], []) for s in strategies for pi in range(len(p_linear_list))}
     for pi, _, rng in _trials(seed, len(p_linear_list), trials):
         chans = [random_channel(n, p_linear_list[pi], rng) for _ in range(n)]
@@ -293,9 +297,9 @@ def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) 
         scored = {}
         for s in strategies:
             designs = [r[s] for r in relays]
-            A = _candidate_matrices(designs)[0]
+            A = _candidate_rows(designs)[0]
             if A not in scored:
-                scored[A] = _rank_failures(A, morphism)
+                scored[A] = _rank_failures(A, ring, morphism)
             ring_fail, field_fail = scored[A]
             a = acc[(s, pi)]
             a.rates.extend(d.best_rate for d in designs)

@@ -25,7 +25,6 @@ __all__ = [
     "ComplexBasis",
     "RingMatrix",
     "embed",
-    "fold_real_column",
     "coeff_to_complex",
     "volume",
     "orthogonality_defect",
@@ -137,13 +136,6 @@ def embed(basis: ComplexBasis) -> np.ndarray:
     top = np.hstack([re, xr * re - xs * im if xr else -xs * im])
     bot = np.hstack([im, xr * im + xs * re if xr else xs * re])
     return np.vstack([top, bot])
-
-
-def fold_real_column(col, ring: RingSpec) -> tuple:
-    """Ring coefficient vector x_a + xi*x_b from integer block coordinates
-    [x_a; x_b], the inverse of the embed layout."""
-    n = len(col) // 2
-    return tuple(ring.elem(int(col[j]), int(col[j + n])) for j in range(n))
 
 
 def volume(basis: ComplexBasis) -> float:

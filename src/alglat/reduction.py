@@ -33,14 +33,15 @@ so a Python R would need numpy-matching helpers, and a bit-identical
 prototype of those ran about 14% slower than the numpy statements on
 complex bases of rank 8 and 16.
 
-alll_reduce's quality-bound checks are computed on the first read of
-ReductionReport.bound_checks, so wall_time covers the reduction only and
-callers that never read them (the CF designs, the SVP oracle) never pay
-for them.  The checks keep their verdicts when the basis is rescaled: a
-determinant, norm or norm product outside the normal float range is taken
-of the basis scaled by a power of two, and the tolerance is relative.  The
-loop itself runs on the basis scaled so when the squares of its R would
-leave the float range.
+A ReductionReport keeps the transform as the loop's integer coordinates.
+Its RingMatrix transform, its event strings and alll_reduce's quality-bound
+checks are built on their first read, so wall_time covers the reduction
+only and callers that never read them (the CF designs, the SVP oracle)
+never pay for them.  The checks keep their verdicts when the basis is
+rescaled: a determinant, norm or norm product outside the normal float
+range is taken of the basis scaled by a power of two, and the tolerance is
+relative.  The loop itself runs on the basis scaled so when the squares of
+its R would leave the float range.
 """
 
 from __future__ import annotations
@@ -138,19 +139,60 @@ class BoundCheck:
         }
 
 
+class _BuiltOnRead:
+    """A dataclass field that, when the constructor is not given it (its
+    default, None), is built by build(instance) on its first read and then
+    kept.  A value the constructor is given is kept as it is."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.key = f"_{name}_value"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        value = obj.__dict__.get(self.key)
+        if value is None:
+            value = obj.__dict__[self.key] = self.build(obj)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.key] = value
+
+
 @dataclass
 class ReductionReport:
+    """A reduction's output.  The transform is kept as integer coordinates,
+    coords = (ua, ub): column j of U is ua[j] + xi*ub[j], entry i of it
+    ua[j][i] + xi*ub[j][i] (Python ints).  The exact RingMatrix transform,
+    the event strings and the quality-bound checks are built on their first
+    read and then kept, so callers that read only the coordinates, the
+    counts or the reduced basis (the CF designs, the SVP oracle) never build
+    them.  transform and events stay constructor fields: a value given there
+    is kept instead."""
+
     reduced: ComplexBasis
-    transform: RingMatrix
+    coords: tuple
     swaps: int
     size_reductions: int
     delta: float | None
     warnings: list = field(default_factory=list)
-    events: list = field(default_factory=list)
+    #: the exact unimodular transform, a RingMatrix built from coords
+    transform: RingMatrix | None = _BuiltOnRead(
+        lambda rep: _coords_matrix(*rep.coords, rep.reduced.ring)
+    )
+    #: "size_reduction:j" and "swap:j" for each step of an LLL run in order
+    #: ("size_reduction" and "swap" for Gauss)
+    events: list | None = _BuiltOnRead(lambda rep: _event_strings(rep._steps))
     potential_ratios: list = field(default_factory=list)
     norms_squared_exact: list | None = None
     stalled: bool = False
     wall_time: float = 0.0
+    #: (kind, column) of each step in order; column is None for Gauss,
+    #: whose events name the kind alone
+    _steps: list = field(default_factory=list, repr=False)
     #: (input basis, lambda1) of an alll_reduce report, which bound_checks
     #: reads; None for a Gauss report
     _check_input: tuple | None = field(default=None, repr=False, compare=False)
@@ -195,6 +237,12 @@ class ReductionReport:
             "bound_checks": {k: v.as_dict() for k, v in self.bound_checks.items()},
             "wall_time_s": self.wall_time,
         }
+
+
+def _event_strings(steps) -> list[str]:
+    """The event strings of (kind, column) steps: "kind:column", or the kind
+    alone where the column is None."""
+    return [kind if col is None else f"{kind}:{col}" for kind, col in steps]
 
 
 def _square(x: float) -> float:
@@ -335,28 +383,28 @@ def gauss_reduce(basis: ComplexBasis) -> ReductionReport:
         _warn_non_euclidean(warns, f"ring d={ring.d} is not norm-Euclidean; minima not guaranteed")
 
     ua, ub = _identity_coords(2)
-    events: list[str] = []
+    steps: list[tuple[str, None]] = []
     swaps = size_reductions = 0
     for ca, cb, swapped in _trial_steps(log, 0):
         if ca or cb:
             _sub_multiple(ua, ub, 1, 0, ca, cb, ring)
             size_reductions += 1
-            events.append("size_reduction")
+            steps.append(("size_reduction", None))
         if swapped:
             ua.reverse()
             ub.reverse()
             swaps += 1
-            events.append("swap")
+            steps.append(("swap", None))
 
     return ReductionReport(
         reduced=ComplexBasis._derived(reduced[0], ring),
-        transform=_coords_matrix(ua, ub, ring),
+        coords=(ua, ub),
         swaps=swaps,
         size_reductions=size_reductions,
         delta=None,
         warnings=warns,
-        events=events,
         norms_squared_exact=_exact_norms_squared(basis, ua, ub),
+        _steps=steps,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -490,8 +538,10 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     Raises ValueError when the diagonal of R is zero or spans more than
     MAX_CONDITION (a lower bound on the condition number of B).
 
-    Returns (ua, ub, swaps, size_reductions, events, potential_ratios,
-    stalled), with U = ua + xi*ub as in _sub_multiple (ub stays zero over Z).
+    Returns (ua, ub, swaps, size_reductions, steps, potential_ratios,
+    stalled), with U = ua + xi*ub as in _sub_multiple (ub stays zero over Z)
+    and steps the ("size_reduction" or "swap", j) pairs of the run in order,
+    which _event_strings formats.
     """
     n = B.shape[1]
     real = ring is None
@@ -581,8 +631,7 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
             j = max(j - 1, 1)
         else:
             j += 1
-    events = [f"{kind}:{col}" for kind, col in steps]
-    return ua, ub, swaps, size_reductions, events, pot_ratios, stalled
+    return ua, ub, swaps, size_reductions, steps, pot_ratios, stalled
 
 
 def alll_reduce(
@@ -619,23 +668,23 @@ def alll_reduce(
         )
 
     B = np.array(basis.matrix, dtype=complex)
-    ua, ub, swaps, size_reductions, events, pot_ratios, stalled = _lll(B, delta, ring)
+    ua, ub, swaps, size_reductions, steps, pot_ratios, stalled = _lll(B, delta, ring)
     if stalled:
         warns.append("terminated after repeated swaps with no potential progress")
 
     reduced = ComplexBasis._derived(B @ _embed_coords(ua, ub, ring.xi), ring)
     return ReductionReport(
         reduced=reduced,
-        transform=_coords_matrix(ua, ub, ring),
+        coords=(ua, ub),
         swaps=swaps,
         size_reductions=size_reductions,
         delta=delta,
         warnings=warns,
-        events=events,
         potential_ratios=pot_ratios,
         norms_squared_exact=_exact_norms_squared(basis, ua, ub),
         stalled=stalled,
         wall_time=time.perf_counter() - t0,
+        _steps=steps,
         _check_input=(basis, lambda1),
     )
 
@@ -703,21 +752,30 @@ def _mk_check(name: str, lhs: float, rhs: float, tol: float = 1e-9) -> BoundChec
 # real LLL on embedded bases: the LLL loop over Z
 
 
-def real_lll(matrix: np.ndarray, delta: float = 0.99):
-    """LLL-reduce the columns of a real matrix; returns (reduced, T, swaps).
-
-    T is the integer unimodular transform as an object array of Python ints,
-    and reduced = matrix @ T (computed in floats).  This is _lll over Z.  At
-    delta < 1 every swap cuts the potential by at least delta; at delta = 1
-    the loop ends by the same stall rule as alll_reduce.  A non-finite or
-    numerically dependent matrix raises ValueError, as in ComplexBasis.
-    """
+def _lll_z(matrix, delta: float) -> tuple:
+    """_lll over Z on a real square matrix: (B, ua, swaps), with B the matrix
+    as a float array and column j of the integer transform ua[j], a list of
+    Python ints.  real_lll and the rlll relay design both run it."""
     if not 0.25 < delta <= 1.0:
         raise ValueError(f"delta must be in (0.25, 1], got {delta}")
     B = np.array(matrix, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1] or B.size == 0:
         raise ValueError(f"basis must be square and non-empty, got shape {B.shape}")
     ua, _, swaps, *_ = _lll(_finite(B), delta, None)
+    return B, ua, swaps
+
+
+def real_lll(matrix: np.ndarray, delta: float = 0.99):
+    """LLL-reduce the columns of a real matrix; returns (reduced, T, swaps).
+
+    T is the integer unimodular transform as an object array of Python ints,
+    and reduced = matrix @ T (computed in floats).  This is _lll over Z
+    (_lll_z).  At delta < 1 every swap cuts the potential by at least delta;
+    at delta = 1 the loop ends by the same stall rule as alll_reduce.  A
+    non-finite or numerically dependent matrix raises ValueError, as in
+    ComplexBasis.
+    """
+    B, ua, swaps = _lll_z(matrix, delta)
     m = B.shape[0]
     T = np.array([[ua[j][i] for j in range(m)] for i in range(m)], dtype=object)
     return B @ T.astype(float), T, swaps

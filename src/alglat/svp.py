@@ -13,8 +13,9 @@ The kernel runs on Python lists of floats and ints (R.tolist()): each of its
 steps is one IEEE product, sum or division, or a floor, which Python rounds
 exactly as numpy scalars do, at about a quarter of their cost per node.  The
 winning levels map back to the original basis's coordinates through the
-reduction's exact transform on (a, b) integer pairs, and the RingElem
-coefficient is built once, at the edge.
+reduction's integer transform coordinates on (a, b) pairs; shortest_vector
+builds the RingElem coefficient once, at the edge, and the CF designs keep
+the pairs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .lattices import (
     ComplexBasis,
-    RingMatrix,
     _in_range,
     _pow2_normalized,
     _times_pow2,
@@ -236,21 +236,22 @@ def _in_canonical_sector(a: int, b: int, n_units: int) -> bool:
     return True if n_units == 2 else a >= 1
 
 
-def _map_back(transform: RingMatrix, c: list) -> tuple:
+def _map_back(rep: ReductionReport, c: list) -> tuple:
     """The coefficient U @ c in the original basis's coordinates, scaled by
     the unit that puts its first nonzero entry in the canonical sector.
 
-    U is the reduction's transform and c a list of (a, b) pairs; the
-    products run on integer pairs, and the RingElem tuple is built once,
-    for the result.
+    U is the reduction's transform, read as its integer coordinates
+    rep.coords, and c a list of (a, b) pairs; the result is a tuple of
+    (a, b) pairs too.
     """
-    ring = transform.ring
+    ring = rep.reduced.ring
     s, t = ring.minpoly_coeffs
+    ua, ub = rep.coords
     v = []
-    for row in transform.entries:
+    for i in range(len(ua)):
         a = b = 0
-        for e, q in zip(row, c):
-            pa, pb = _pair_mul((e.a, e.b), q, s, t)
+        for j, q in enumerate(c):
+            pa, pb = _pair_mul((ua[j][i], ub[j][i]), q, s, t)
             a, b = a + pa, b + pb
         v.append((a, b))
     first = next((p for p in v if p != (0, 0)), None)
@@ -260,13 +261,18 @@ def _map_back(transform: RingMatrix, c: list) -> tuple:
             if _in_canonical_sector(*_pair_mul(u, first, s, t), len(us)):
                 v = [_pair_mul(u, p, s, t) for p in v]
                 break
-    return tuple(ring.elem(a, b) for a, b in v)
+    return tuple(v)
+
+
+def _elems(ring: RingSpec, pairs) -> tuple:
+    """The RingElem coefficient of a tuple of (a, b) pairs."""
+    return tuple(ring.elem(a, b) for a, b in pairs)
 
 
 def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAULT_NODE_BUDGET):
     """Shortest nonzero vector from the PREPROCESS_DELTA ALLL report of a
-    basis: (unit-canonical coefficient in that basis's coordinates, enumerated
-    nodes)."""
+    basis: (unit-canonical coefficient in that basis's coordinates as a
+    tuple of (a, b) pairs, enumerated nodes)."""
     reduced = rep.reduced
     ring = reduced.ring
     n = reduced.n
@@ -284,7 +290,7 @@ def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAU
         status, xbest, reached2, nodes, _ = _enum_shortest(R, best2, mode, max_nodes, x_init, False)
         if status == 1:
             raise EnumerationBudgetError(max_nodes, nodes, _times_pow2(math.sqrt(reached2), e))
-    return _map_back(rep.transform, _level_pairs(xbest)), int(nodes)
+    return _map_back(rep, _level_pairs(xbest)), int(nodes)
 
 
 def shortest_vector(
@@ -301,7 +307,8 @@ def shortest_vector(
     """
     with _quiet():
         rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
-    coeff, nodes = _svp(rep, use_symmetry, max_nodes)
+    pairs, nodes = _svp(rep, use_symmetry, max_nodes)
+    coeff = _elems(basis.ring, pairs)
     return SvpResult(coeff, _norm(basis, coeff), nodes)
 
 
@@ -337,5 +344,5 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
     )
     if second is None:
         raise RuntimeError("no independent second minimum found; basis may be degenerate")
-    c1, c2 = (_map_back(rep.transform, c) for c in (first, second))
+    c1, c2 = (_elems(ring, _map_back(rep, c)) for c in (first, second))
     return _norm(basis, c1), _norm(basis, c2), (c1, c2)

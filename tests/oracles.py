@@ -4,9 +4,9 @@ Each is an independent construction that tests compare library results
 against (the geometric covering radius, the ring rules and the embedding
 by their closed forms in the ring's type, the adjugate inverse, the exact
 entries by nearest-point search, the exact norms as a loop, Minkowski's
-bounds, the MAC rate floor, the trial generators as numpy spawns them) or a
-generator of test inputs (random unimodular matrices).  Nothing under src/
-imports this module.
+bounds, the MAC rate floor, the computation rate one vector at a time, the
+trial generators as numpy spawns them) or a generator of test inputs
+(random unimodular matrices).  Nothing under src/ imports this module.
 """
 
 from __future__ import annotations
@@ -269,6 +269,14 @@ def mac_rate_floor(ring: RingSpec, ch: Channel, delta: float = 0.99) -> float:
     cap = max(0.0, math.log2(1.0 + ch.p * float(np.linalg.norm(ch.h)) ** 2)) / n
     penalty = max(0.0, math.log2(eps ** (-(n - 1)) * gamma * ring.det_phi))
     return cap - penalty
+
+
+def rate_reference(ch: Channel, a: np.ndarray) -> float:
+    """log2+(1 / a^H M^-1 a) of a complex vector a on the cached M^-1."""
+    den = float(np.real(a.conj() @ (ch._gram_inv @ a)))
+    if den <= 0:
+        raise ValueError(f"rate denominator must be positive, got {den}")
+    return max(0.0, math.log2(1.0 / den))
 
 
 # ---------------------------------------------------------------------------

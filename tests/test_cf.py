@@ -33,6 +33,7 @@ from alglat.experiments import (
     rank_failure_probability,
 )
 from alglat.lattices import (
+    MAX_CONDITION,
     ComplexBasis,
     RingMatrix,
     coeff_to_complex,
@@ -41,9 +42,15 @@ from alglat.lattices import (
 )
 from alglat.reduction import NonEuclideanRingWarning, alll_reduce, gauss_reduce, real_lll
 from alglat.reduction import reduction_epsilon
-from alglat.rings import morphism_new, ring_new
+from alglat.rings import RingElem, morphism_new, ring_new, units
 from alglat.svp import shortest_vector
-from oracles import identity_matrix, mac_rate_floor, random_unimodular, trial_rng_reference
+from oracles import (
+    identity_matrix,
+    mac_rate_floor,
+    random_unimodular,
+    rate_reference,
+    trial_rng_reference,
+)
 
 RING1 = ring_new(1)
 RING3 = ring_new(3)
@@ -199,7 +206,7 @@ class TestFiniteField:
                     ],
                     ring,
                 )
-                assert mor.apply(A.det()) == cf._eliminate_mod_p(A, mor)[1]
+                assert mor.apply(A.det()) == cf._eliminate_mod_p(pair_rows(A), mor)[1]
 
     def test_default_morphisms(self):
         assert default_morphism(RING1).p == 5
@@ -355,11 +362,11 @@ class TestExperimentOps:
         # svp and best_single design the same stack, so each trial scores it once
         calls = []
 
-        def counting(A, mor):
-            calls.append(A)
-            return rank_mod_p(A, mor)
+        def counting(rows, mor):
+            calls.append(rows)
+            return cf._eliminate_mod_p(rows, mor)
 
-        monkeypatch.setattr(experiments, "rank_mod_p", counting)
+        monkeypatch.setattr(experiments, "_eliminate_mod_p", counting)
         cf_experiment(ring_new(1), 2, [20], 5, ["svp", "best_single"], 0)
         assert len(calls) == 5
 
@@ -367,6 +374,14 @@ class TestExperimentOps:
         mor = default_morphism(RING1)
         with pytest.raises(ValueError):
             rank_failure_probability(RING1, mor, 2, 10.0, 0, "best_single", seed=0)
+
+    def test_rank_failure_morphism_from_another_ring(self):
+        """Rank failures are scored on (a, b) pairs, which carry no ring, so
+        a morphism of another ring is refused before any trial runs."""
+        with pytest.raises(ValueError, match="morphism from a different ring"):
+            rank_failure_probability(RING1, default_morphism(RING3), 2, 10.0, 3, "alll", seed=0)
+        with pytest.raises(ValueError, match="different ring"):
+            rank_mod_p(A1_PAPER, default_morphism(RING3))
 
 
 @pytest.mark.parametrize("d", (1, 3))
@@ -542,6 +557,11 @@ class TestBestSingleAlias:
         assert by_name["best_single"] == by_name["svp"]
 
 
+def pair_rows(A):
+    """The entries of a RingMatrix as rows of (a, b) pairs."""
+    return tuple(tuple((e.a, e.b) for e in row) for row in A.entries)
+
+
 @st.composite
 def ring_matrices(draw):
     ring = ring_new(draw(st.sampled_from((1, 3))))
@@ -563,14 +583,14 @@ def test_rank_failures_rule(A, with_morphism):
         expected = (det_zero, det_zero or rank_mod_p(A, mor) < A.n)
     else:
         mor, expected = None, (det_zero, det_zero)
-    assert _rank_failures(A, mor) == expected
+    assert _rank_failures(pair_rows(A), A.ring, mor) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(ring_matrices())
 def test_field_elimination_properties(A):
     mor = default_morphism(A.ring)
-    det = cf._eliminate_mod_p(A, mor)[1]
+    det = cf._eliminate_mod_p(pair_rows(A), mor)[1]
     rank = rank_mod_p(A, mor)
     assert det == mor.apply(A.det())
     assert (rank == A.n) == (det != 0)
@@ -644,12 +664,15 @@ class TestDesignRelays:
     @pytest.mark.parametrize("d", (1, 3, 5))
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_rates_are_computation_rates(self, d, n):
-        """The design rates and computation_rate are one evaluation, bit for bit."""
+        """The stacked design rates and computation_rate, the stack of one,
+        both equal the per-vector reference bit for bit."""
         rng = np.random.default_rng(100 * d + n)
         for snr_db in (10.0, 30.0, 50.0):
             ch = random_channel(n, db_to_linear(snr_db), rng)
             for s, design in design_relays(ch, ring_new(d), STRATEGIES).items():
-                assert [computation_rate(ch, v) for v in design.vectors] == design.rates, s
+                want = [rate_reference(ch, coeff_to_complex(v)) for v in design.vectors]
+                assert want == design.rates, s
+                assert [computation_rate(ch, v) for v in design.vectors] == want, s
 
     def test_quiet_reductions_keep_other_threads_filters(self, monkeypatch):
         """design_relays silences its reductions in its own context only: a
@@ -686,3 +709,86 @@ class TestDesignRelays:
         both = design_relays(ch, RING3, STRATEGIES, 0.6)
         for s in STRATEGIES:
             assert design_relay(ch, RING3, s, 0.6) == both[s]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((1, 2, 3, 7)),
+    st.integers(1, 8),
+    st.floats(0.0, 60.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_rates_equal_the_reference(d, n, snr_db, seed):
+    """Every candidate of every design gets, from the one stacked pass, the
+    rate the per-vector a^H M^-1 a gives it, bit for bit."""
+    ch = random_channel(n, db_to_linear(snr_db), np.random.default_rng(seed))
+    for s, design in design_relays(ch, ring_new(d), STRATEGIES).items():
+        want = [rate_reference(ch, coeff_to_complex(v)) for v in design.vectors]
+        assert [r.hex() for r in design.rates] == [r.hex() for r in want], s
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.floats(0.0, 60.0), st.integers(0, 2**32 - 1))
+def test_closed_form_basis_condition(n, snr_db, seed):
+    """cf_basis validates B by cond(B) = sqrt(1 + P ||h||^2) (1 for n = 1),
+    which agrees with the SVD condition number of B = L^-1."""
+    ch = random_channel(n, db_to_linear(snr_db), np.random.default_rng(seed))
+    B = np.linalg.inv(np.linalg.cholesky(ch.gram()))
+    assert cf._basis_condition(ch) == pytest.approx(np.linalg.cond(B), rel=1e-9)
+    assert np.array_equal(cf_basis(ch, RING1).matrix, B)
+
+
+class TestBasisRefusal:
+    """Above P ||h||^2 = MAX_CONDITION^2 = 1e24 the channel basis is refused
+    as numerically dependent, as ComplexBasis's SVD check refuses it."""
+
+    def test_closed_form_exceeds_the_limit(self):
+        # at this SNR the Cholesky factorization of a random M already fails
+        # in cf_basis, so the condition is checked directly
+        ch = random_channel(4, db_to_linear(250.0), np.random.default_rng(12))
+        assert ch.p * float(np.linalg.norm(ch.h)) ** 2 > 1e24
+        assert cf._basis_condition(ch) > MAX_CONDITION
+
+    def test_refused_where_cholesky_succeeds(self):
+        # M is diagonal here, so its Cholesky factor is exact
+        ch = Channel(np.array([1.0, 0.0]), 1e30)
+        B = np.linalg.inv(np.linalg.cholesky(ch.gram()))
+        for build in (lambda: cf_basis(ch, RING1), lambda: ComplexBasis(B, RING1)):
+            with pytest.raises(ValueError, match="numerically dependent"):
+                build()
+
+    def test_rank_one_is_never_refused(self):
+        ch = Channel(np.array([1.0]), 1e30)
+        assert cf._basis_condition(ch) == 1.0
+        assert cf_basis(ch, RING1).matrix[0, 0] == pytest.approx(1e-15)
+
+
+class TestLazyExactObjects:
+    """Designs and reports keep integer coordinates; their RingElem and
+    RingMatrix objects are built only when read."""
+
+    def test_reading_counts_builds_no_ring_elements(self, monkeypatch):
+        units(RING1)  # cached per ring: built once, before the count
+        built = []
+        init = RingElem.__init__
+        monkeypatch.setattr(RingElem, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+        designs = design_relays(H1, RING1, STRATEGIES)
+        rep = alll_reduce(cf_basis(H1, RING1))
+        read = [(d.best_rate, d.swaps, d.first_norm) for d in designs.values()]
+        assert read[0] == (designs["alll"].rates[0], 3, designs["alll"].first_norm)
+        assert rep.swaps == 3
+        assert built == []
+
+    def test_read_objects_keep_their_values(self):
+        designs = design_relays(H1, RING1, STRATEGIES)
+        rep = alll_reduce(cf_basis(H1, RING1))
+        assert designs["alll"].matrix == A1_PAPER == rep.transform
+        assert designs["alll"].vectors == [A1_PAPER.column(0), A1_PAPER.column(1)]
+        for s in ("svp", "best_single", "rlll"):
+            assert designs[s].matrix is None
+        for s in ("svp", "best_single"):
+            assert designs[s].vectors == [designs[s].best_vector] == [A1_PAPER.column(0)]
+        assert [[(e.a, e.b) for e in v] for v in designs["rlll"].vectors] == [
+            [(2, -2), (4, -3)], [(-2, -2), (-3, -4)], [(-1, 0), (-2, 0)], [(0, 1), (0, 2)]
+        ]
+        assert rep.events == ["size_reduction:1", "swap:1"] * 3

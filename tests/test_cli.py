@@ -314,6 +314,19 @@ def test_reduce_huge_entry(tmp_path, capsys, ring):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reduce_rlll_huge_entries_are_silent(tmp_path):
+    """rlll printed "overflow encountered in dot" when a squared column norm
+    of the reduced embedding overflowed; inf is the value written."""
+    cols = [[[1e200, 0.0], [0.0, 3e199]], [[2e199, 1e199], [1e200, 0.0]]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"ring": "d=1", "n": 2, "columns": cols}))
+    out = tmp_path / "r.json"
+    assert main(["reduce", "--basis", str(path), "--algorithm", "rlll", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["norms_squared"] == [math.inf] * 4 and report["swaps"] == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_svp_huge_basis(tmp_path):
     """The norm read inf above about 1.3e154, and its square raised
     OverflowError once it was finite, so svp ended in a traceback."""

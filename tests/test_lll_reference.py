@@ -3,7 +3,9 @@
 The library loop skips Gram-Schmidt ratios that cannot have changed since
 they last rounded to 0, and swaps with cheaper numpy calls; its whole
 output (ua, ub, swaps, size_reductions, events, potential_ratios, stalled)
-must equal the reference's bit for bit, while it rounds fewer ratios.
+must equal the reference's bit for bit, while it rounds fewer ratios.  The
+library loop returns its events as (kind, column) steps, which reports
+format on first read; they are compared formatted.
 """
 
 import math
@@ -45,8 +47,14 @@ def cf_shape_basis(ring, n, rng):
     return embed(basis) if ring is None else np.array(basis.matrix, dtype=complex)
 
 
-def assert_same_run(B, delta, ring):
+def run_lll(B, delta, ring):
+    """reduction._lll with its steps formatted as the reference's events."""
     got = reduction._lll(B, delta, ring)
+    return got[:4] + (reduction._event_strings(got[4]),) + got[5:]
+
+
+def assert_same_run(B, delta, ring):
+    got = run_lll(B, delta, ring)
     want = lll_reference._lll(B, delta, ring)
     assert got == want
     assert [r.hex() for r in got[5]] == [r.hex() for r in want[5]]
@@ -162,7 +170,7 @@ def test_fewer_ratio_evaluations(ring, monkeypatch):
             lll_reference, "_quantize_pair", counting("reference", lll_reference._quantize_pair)
         )
     B = cf_shape_basis(ring, 4, np.random.default_rng(1001))
-    got = reduction._lll(B, 0.99, ring)
+    got = run_lll(B, 0.99, ring)
     assert got == lll_reference._lll(B, 0.99, ring)
     assert got[2] > 0
     assert 0 < calls["new"] < calls["reference"]

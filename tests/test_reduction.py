@@ -22,7 +22,7 @@ from alglat.reduction import (
     reduction_epsilon,
 )
 from alglat.reduction import _gauss_batch, _r_positive, _trial_steps
-from alglat.rings import quantize, ring_new
+from alglat.rings import RingElem, quantize, ring_new
 from alglat.svp import shortest_vector, successive_minima_2d
 from oracles import exact_norms_squared_loop, identity_matrix
 
@@ -726,3 +726,25 @@ def test_bound_checks_run_on_first_read_only(monkeypatch):
     assert len(calls) == 1
     assert gauss_reduce(B).bound_checks == {}
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("reduce", (gauss_reduce, alll_reduce))
+def test_transform_and_events_are_built_on_read_or_kept_when_given(reduce, monkeypatch):
+    """A report holds the transform as integer coordinates and builds the
+    RingMatrix (and the event strings) when first read; both stay
+    constructor fields, and a value given there is kept."""
+    basis = ComplexBasis(np.column_stack(eisenstein_golden_basis()), RING3)
+    built = []
+    init = RingElem.__init__
+    monkeypatch.setattr(RingElem, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    rep = reduce(basis)
+    ua, ub = rep.coords
+    assert built == []
+    assert rep.transform == RingMatrix.from_int_rows(
+        [[(ua[j][i], ub[j][i]) for j in range(2)] for i in range(2)], RING3
+    )
+    assert rep.events and all(e.split(":")[0] in ("size_reduction", "swap") for e in rep.events)
+    assert rep.events.count("swap") + sum(e.startswith("swap:") for e in rep.events) == rep.swaps
+    other = identity_matrix(2, RING3)
+    given = dataclasses.replace(rep, transform=other, events=["swap"])
+    assert (given.transform, given.events, given.coords) == (other, ["swap"], rep.coords)
