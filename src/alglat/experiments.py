@@ -191,8 +191,9 @@ def _trials(seed: int, points: int, trials: int):
 def hermite_cdf(rings, trials: int, seed: int) -> dict:
     """Sorted Hermite factors of random rank-2 lattices, one array per ring.
 
-    Bases have i.i.d. CN(0,1) entries; lambda1 comes from Gauss reduction on
-    norm-Euclidean rings, all of a ring's trials reduced as one stack, and
+    Bases have i.i.d. CN(0,1) entries, and each ring's stack of them is
+    checked once (lattices._independent); lambda1 comes from Gauss reduction
+    on norm-Euclidean rings, all of a ring's trials reduced as one stack, and
     from the enumeration oracle otherwise.  A ring may appear only once.
     """
     if trials < 100:
@@ -208,19 +209,22 @@ def hermite_cdf(rings, trials: int, seed: int) -> dict:
     draws = math.sqrt(0.5) * (parts[:, :, 0] + 1j * parts[:, :, 1])
     out = {}
     for ring, bases in zip(rings, draws):
-        vals = np.empty(trials)
+        _independent(bases)
         if ring.euclidean:
-            reduced, _ = _gauss_batch(_independent(bases), ring)
+            reduced, _ = _gauss_batch(bases, ring)
             lam1 = np.linalg.norm(reduced, axis=1)[:, 0].tolist()
-            dets = np.linalg.det(reduced)
+            dets = np.linalg.det(reduced).tolist()
             det_phi2 = ring.det_phi**2
-            for t in range(trials):
-                # lam1**2 / sqrt(volume) in scalars: array ** 2 and np.abs
-                # round differently from libm pow and scalar abs
-                vals[t] = lam1[t] ** 2 / math.sqrt(abs(dets[t]) ** 2 * det_phi2)
+            # lam1**2 / sqrt(volume) on Python floats: array ** 2 and np.abs
+            # round differently from libm pow and scalar abs, while Python's
+            # abs and ** 2 give the bits of numpy's scalar ones
+            vals = np.array(
+                [l1**2 / math.sqrt(abs(det) ** 2 * det_phi2) for l1, det in zip(lam1, dets)]
+            )
         else:
+            vals = np.empty(trials)
             for t in range(trials):
-                basis = ComplexBasis(bases[t], ring)
+                basis = ComplexBasis._derived(bases[t], ring)
                 vals[t] = shortest_vector(basis).norm ** 2 / math.sqrt(volume(basis))
         vals.sort()
         out[ring] = vals

@@ -43,10 +43,34 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _cond(m: np.ndarray):
+    """The 2-norm condition number of a square matrix or of each in a stack.
+
+    A 2x2 with rows r1, r2 is done in closed form: with F = ||A||_F^2 =
+    s1^2 + s2^2 and D = |det A| = s1*s2, cond = s1/s2 =
+    (F + sqrt((F - 2D)(F + 2D))) / (2D).  The discriminant is taken as
+    (|r1|^2 - |r2|^2)^2 + 4|r1 . r2^H|^2, equal to it (both are
+    tr(AA^H)^2 - 4 det(AA^H)), which does not cancel near cond = 1.  cond
+    does not change with scale, so it is taken of each matrix scaled by the
+    power of two that puts its largest entry in [0.5, 1) (or near it, below
+    2**-1021), where no square overflows.  A zero matrix gives 0/0 = NaN and
+    a singular one inf.  Other ranks take np.linalg.cond (an SVD)."""
+    if m.shape[-2:] != (2, 2):
+        return np.linalg.cond(m)
+    e = np.frexp(np.abs(m).max(axis=(-2, -1)))[1]
+    a = m * np.ldexp(1.0, -np.maximum(e, -1021))[..., None, None]
+    r1, r2 = a[..., 0, :], a[..., 1, :]
+    n1, n2 = np.vecdot(r1, r1).real, np.vecdot(r2, r2).real
+    disc = (n1 - n2) ** 2 + 4 * np.abs(np.vecdot(r1, r2)) ** 2
+    D = np.abs(a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (n1 + n2 + np.sqrt(disc)) / (2 * D)
+
+
 def _independent(m: np.ndarray) -> np.ndarray:
-    """m, a basis or a stack of bases, once each is finite and has
-    condition number at most MAX_CONDITION."""
-    if np.any(np.linalg.cond(_finite(m)) > MAX_CONDITION):
+    """m, a basis or a stack of bases, once each is finite and has condition
+    number (_cond) at most MAX_CONDITION; a NaN condition refuses too."""
+    if not np.all(_cond(_finite(m)) <= MAX_CONDITION):
         raise ValueError("basis columns are numerically dependent")
     return m
 
@@ -70,8 +94,7 @@ class ComplexBasis:
     def _derived(cls, matrix: np.ndarray, ring: RingSpec) -> "ComplexBasis":
         """Basis of a lattice already validated: a validated basis times an
         exact unimodular transform.  Only the entries are checked to be
-        finite; independence carries over, so the SVD of the cond check is
-        skipped."""
+        finite; independence carries over, so the cond check is skipped."""
         m = _finite(np.array(matrix, dtype=complex))
         m.setflags(write=False)
         basis = object.__new__(cls)

@@ -139,10 +139,15 @@ class BoundCheck:
         }
 
 
+#: the default of a _BuiltOnRead field: not given, so built on first read
+_UNBUILT = object()
+
+
 class _BuiltOnRead:
     """A dataclass field that, when the constructor is not given it (its
-    default, None), is built by build(instance) on its first read and then
-    kept.  A value the constructor is given is kept as it is."""
+    default, _UNBUILT), is built by build(instance) on its first read and
+    then kept, None included.  A value the constructor is given is kept as
+    it is."""
 
     def __init__(self, build):
         self.build = build
@@ -152,9 +157,9 @@ class _BuiltOnRead:
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            return None  # the field's default
-        value = obj.__dict__.get(self.key)
-        if value is None:
+            return _UNBUILT  # the field's default
+        value = obj.__dict__.get(self.key, _UNBUILT)
+        if value is _UNBUILT:
             value = obj.__dict__[self.key] = self.build(obj)
         return value
 
@@ -167,11 +172,11 @@ class ReductionReport:
     """A reduction's output.  The transform is kept as integer coordinates,
     coords = (ua, ub): column j of U is ua[j] + xi*ub[j], entry i of it
     ua[j][i] + xi*ub[j][i] (Python ints).  The exact RingMatrix transform,
-    the event strings and the quality-bound checks are built on their first
-    read and then kept, so callers that read only the coordinates, the
-    counts or the reduced basis (the CF designs, the SVP oracle) never build
-    them.  transform and events stay constructor fields: a value given there
-    is kept instead."""
+    the event strings, the exact squared norms and the quality-bound checks
+    are built on their first read and then kept, so callers that read only
+    the coordinates, the counts or the reduced basis (the CF designs, the
+    SVP oracle) never build them.  transform, events and norms_squared_exact
+    stay constructor fields: a value given there is kept instead."""
 
     reduced: ComplexBasis
     coords: tuple
@@ -187,24 +192,28 @@ class ReductionReport:
     #: ("size_reduction" and "swap" for Gauss)
     events: list | None = _BuiltOnRead(lambda rep: _event_strings(rep._steps))
     potential_ratios: list = field(default_factory=list)
-    norms_squared_exact: list | None = None
+    #: squared column norms of the reduced basis as exact integers when the
+    #: input has exact ring entries, else None
+    norms_squared_exact: list | None = _BuiltOnRead(
+        lambda rep: _exact_norms_squared(rep._input, *rep.coords)
+    )
     stalled: bool = False
     wall_time: float = 0.0
     #: (kind, column) of each step in order; column is None for Gauss,
     #: whose events name the kind alone
     _steps: list = field(default_factory=list, repr=False)
-    #: (input basis, lambda1) of an alll_reduce report, which bound_checks
-    #: reads; None for a Gauss report
-    _check_input: tuple | None = field(default=None, repr=False, compare=False)
+    #: the input basis, which norms_squared_exact and bound_checks read
+    _input: ComplexBasis | None = field(default=None, repr=False, compare=False)
+    #: lambda1 given to alll_reduce, which bound_checks reads
+    _lambda1: float | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def bound_checks(self) -> dict:
         """The quality-bound checks by name, computed on first read and then
-        cached; {} for a Gauss report."""
-        if self._check_input is None:
+        cached; {} for a Gauss report (delta None)."""
+        if self.delta is None:
             return {}
-        basis, lambda1 = self._check_input
-        return _quality_checks(basis, self, lambda1=lambda1)
+        return _quality_checks(self._input, self, lambda1=self._lambda1)
 
     @property
     def norms(self) -> list[float]:
@@ -403,8 +412,8 @@ def gauss_reduce(basis: ComplexBasis) -> ReductionReport:
         size_reductions=size_reductions,
         delta=None,
         warnings=warns,
-        norms_squared_exact=_exact_norms_squared(basis, ua, ub),
         _steps=steps,
+        _input=basis,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -681,11 +690,11 @@ def alll_reduce(
         delta=delta,
         warnings=warns,
         potential_ratios=pot_ratios,
-        norms_squared_exact=_exact_norms_squared(basis, ua, ub),
         stalled=stalled,
         wall_time=time.perf_counter() - t0,
         _steps=steps,
-        _check_input=(basis, lambda1),
+        _input=basis,
+        _lambda1=lambda1,
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alglat import cf, experiments
+from alglat import cf, experiments, lattices
 from alglat.cf import (
     STRATEGIES,
     Channel,
@@ -539,6 +539,39 @@ class TestBulkSeedWords:
         assert len(built) == 1
 
 
+class TestHermiteValidation:
+    """hermite_cdf checks each ring's stack of draws once, on every ring."""
+
+    def test_each_stack_is_checked_once(self, monkeypatch):
+        calls = []
+        independent = lattices._independent
+
+        def counted(m):
+            calls.append(m.shape)
+            return independent(m)
+
+        monkeypatch.setattr(lattices, "_independent", counted)
+        monkeypatch.setattr(experiments, "_independent", counted)
+        hermite_cdf([ring_new(5), ring_new(3)], 100, 7)
+        assert calls == [(100, 2, 2), (100, 2, 2)]
+
+    @pytest.mark.parametrize("d", (3, 5))
+    def test_dependent_draw_is_refused(self, monkeypatch, d):
+        trials = experiments._trials
+
+        class Dependent:
+            def standard_normal(self, out):
+                out[...] = 1.0  # equal columns
+
+        def one_dependent(seed, points, count):
+            for point, trial, rng in trials(seed, points, count):
+                yield point, trial, (Dependent() if trial == 42 else rng)
+
+        monkeypatch.setattr(experiments, "_trials", one_dependent)
+        with pytest.raises(ValueError, match="numerically dependent"):
+            hermite_cdf([ring_new(d)], 100, 7)
+
+
 class TestBestSingleAlias:
     def test_design_equals_svp(self):
         rng = np.random.default_rng(21)
@@ -778,6 +811,16 @@ class TestLazyExactObjects:
         assert read[0] == (designs["alll"].rates[0], 3, designs["alll"].first_norm)
         assert rep.swaps == 3
         assert built == []
+
+    def test_reading_designs_decodes_no_exact_entries(self, monkeypatch):
+        """Channel bases are float: their exact squared norms (a decode of
+        every entry) are never read by a design, so never computed."""
+        calls = []
+        pairs = ComplexBasis._exact_pairs
+        monkeypatch.setattr(ComplexBasis, "_exact_pairs", lambda b: calls.append(1) or pairs(b))
+        designs = design_relays(H1, RING1, STRATEGIES)
+        [(d.best_rate, d.swaps, d.first_norm) for d in designs.values()]
+        assert calls == []
 
     def test_read_objects_keep_their_values(self):
         designs = design_relays(H1, RING1, STRATEGIES)

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alglat import lattices
 from alglat.lattices import (
+    MAX_CONDITION,
     ComplexBasis,
     RingMatrix,
+    _cond,
+    _independent,
     basis_from_json,
     basis_to_json,
     coeff_to_complex,
@@ -414,3 +418,72 @@ def test_exact_pairs_decode_matches_quantizer_search(basis):
     """The closed-form decode returns the rows (or None) of the
     nearest-point search it replaced."""
     assert basis._exact_pairs() == exact_pairs_reference(basis)
+
+
+def _unitary(alpha, beta, gamma, theta):
+    """A 2x2 unitary: a phase times an SU(2) rotation."""
+    c, s = math.cos(theta), math.sin(theta)
+    u = np.array([[c * np.exp(1j * beta), -s * np.exp(-1j * gamma)],
+                  [s * np.exp(1j * gamma), c * np.exp(-1j * beta)]])
+    return np.exp(1j * alpha) * u
+
+
+@st.composite
+def _conditioned_2x2(draw, log10_cond):
+    """U diag(1, 10**-c) V^H with c drawn from log10_cond, random unitaries
+    U, V, and a power-of-two scale k in [-600, 600]: (matrix at scale 1, k)."""
+    angle = st.floats(0, 2 * math.pi)
+    u = _unitary(*(draw(angle) for _ in range(4)))
+    v = _unitary(*(draw(angle) for _ in range(4)))
+    s = np.diag([1.0, 10.0 ** -draw(log10_cond)])
+    return u @ s @ v.conj().T, draw(st.integers(-600, 600))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_conditioned_2x2(st.floats(0, 3)))
+def test_closed_form_cond_matches_svd(case):
+    """Within 1e-9 relative of np.linalg.cond for cond <= 1e3, at any scale:
+    the closed form scales each matrix by a power of two first, so 2**k
+    changes no bit of it."""
+    m, k = case
+    got = _cond(m * 2.0**k)
+    assert got == _cond(m)
+    assert got == pytest.approx(np.linalg.cond(m), rel=1e-9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_conditioned_2x2(st.floats(9, 15)))
+def test_closed_form_verdict_matches_svd(case):
+    """Outside a 1e-3 relative band around MAX_CONDITION, _independent refuses
+    exactly the matrices whose SVD condition number exceeds it, at any
+    scale, alone and in a stack."""
+    m, k = case
+    svd = np.linalg.cond(m)
+    if abs(svd / MAX_CONDITION - 1) < 1e-3:
+        return
+    scaled = m * 2.0**k
+    for a in (scaled, np.stack([np.eye(2, dtype=complex), scaled])):
+        if svd <= MAX_CONDITION:
+            assert _independent(a) is a
+        else:
+            with pytest.raises(ValueError, match="numerically dependent"):
+                _independent(a)
+
+
+def test_closed_form_cond_edge_cases(monkeypatch):
+    """Zero (0/0) and singular (inf) matrices refuse; a 2x2 never runs an
+    SVD, while other ranks keep np.linalg.cond."""
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda m, *a: calls.append(m.shape) or cond(m, *a))
+    tiny = 2.0**-1074 * np.array([[1, 0], [0, 1]], dtype=complex)  # subnormal entries
+    assert _cond(tiny) == 1.0 and _independent(tiny) is tiny
+    huge = 1.7e308 * np.array([[1, 1j], [1j, 1]], dtype=complex)
+    assert _cond(huge) == pytest.approx(cond(huge / 1.7e308), rel=1e-12)
+    for bad in (np.zeros((2, 2), dtype=complex), np.array([[1, 2], [2, 4]], dtype=complex)):
+        assert not _cond(bad) <= MAX_CONDITION
+        with pytest.raises(ValueError, match="numerically dependent"):
+            ComplexBasis(bad, RING1)
+    assert calls == []
+    ComplexBasis(np.eye(3, dtype=complex), RING1)
+    assert calls == [(3, 3)]

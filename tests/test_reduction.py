@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from alglat.cf import Channel, cf_basis, design_relay
 from alglat.lattices import MAX_CONDITION, ComplexBasis, RingMatrix, _independent, embed
-from alglat import reduction
+from alglat import lattices, reduction
 from alglat.reduction import (
     NonEuclideanRingWarning,
     alll_reduce,
@@ -380,18 +380,18 @@ class TestAlll:
 
 class TestDerivedBases:
     """A reduced basis is the validated input times an exact unimodular
-    transform, so only the input pays for the cond (SVD) check."""
+    transform, so only the input pays for the independence (cond) check."""
 
     @pytest.fixture
     def cond_calls(self, monkeypatch):
         calls = []
-        cond = np.linalg.cond
+        independent = lattices._independent
 
-        def counting(m, *args):
+        def counting(m):
             calls.append(m.shape)
-            return cond(m, *args)
+            return independent(m)
 
-        monkeypatch.setattr(np.linalg, "cond", counting)
+        monkeypatch.setattr(lattices, "_independent", counting)
         return calls
 
     @pytest.mark.parametrize("d", (1, 3, 5))
@@ -748,3 +748,23 @@ def test_transform_and_events_are_built_on_read_or_kept_when_given(reduce, monke
     other = identity_matrix(2, RING3)
     given = dataclasses.replace(rep, transform=other, events=["swap"])
     assert (given.transform, given.events, given.coords) == (other, ["swap"], rep.coords)
+
+
+@pytest.mark.parametrize("reduce", (gauss_reduce, alll_reduce))
+def test_exact_norms_are_built_on_read_or_kept_when_given(reduce, monkeypatch):
+    """norms_squared_exact is built from the input basis on its first read and
+    kept, None included (a float basis decodes once); a value given to the
+    constructor or to dataclasses.replace, None too, is kept."""
+    calls = []
+    pairs = ComplexBasis._exact_pairs
+    monkeypatch.setattr(ComplexBasis, "_exact_pairs", lambda b: calls.append(1) or pairs(b))
+    exact = reduce(ComplexBasis(np.column_stack(eisenstein_golden_basis()), RING3))
+    floats = reduce(TestTinyFloatBasis().basis(2))
+    assert calls == []
+    assert exact.norms_squared_exact == [16, 28] == exact.as_dict()["norms_squared_exact"]
+    assert floats.norms_squared_exact is None and floats.norms_squared_exact is None
+    assert len(calls) == 2
+    assert dataclasses.replace(exact, norms_squared_exact=None).norms_squared_exact is None
+    assert dataclasses.replace(floats, norms_squared_exact=[1, 2]).norms_squared_exact == [1, 2]
+    assert dataclasses.replace(exact, swaps=7).norms_squared_exact == [16, 28]
+    assert len(calls) == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import random
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import alglat
+from alglat import reduction, rings
 from alglat.rings import (
     ZERO_RADIUS2,
     RingKind,
@@ -329,30 +331,15 @@ def test_quantize_pair_matches_exhaustive_search(ring_point):
     assert _quantize_pair(x, ring) == (e.a, e.b)
 
 
-@st.composite
-def _point_list(draw, ring):
-    """Points of test_quantize_pair_matches_exhaustive_search: generic, around
-    |x| = 1/2 and the zero cut-off, and nudged half-lattice ties."""
-    generic = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
-    point = st.one_of(generic, _circle_points(), _half_lattice_points(ring))
-    return draw(st.lists(point, min_size=12, max_size=60))
-
-
-@pytest.mark.parametrize("d", SAMPLE_D)
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_quantize_pairs_matches_quantize_pair(d, data):
-    ring = ring_new(d)
-    xs = data.draw(_point_list(ring))
-    a, b = _quantize_pairs(np.array(xs), ring)
-    assert a.dtype == b.dtype == np.int64
-    assert list(zip(a.tolist(), b.tolist())) == [_quantize_pair(x, ring) for x in xs]
-
-
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0, math.inf)])
 def test_quantize_pairs_rejects_nonfinite(bad):
+    """On the scalar loop (few entries outside the zero radius) and on the
+    array path alike."""
     with pytest.raises(ValueError, match="non-finite"):
         _quantize_pairs(np.array([0.3 + 2j, bad, 0.1j]), ring_new(3))
+    for d in (1, 3):
+        with pytest.raises(ValueError, match="non-finite"):
+            _quantize_pairs(np.array([0.3 + 2j] * 20 + [bad, 0.1j]), ring_new(d))
 
 
 #: rings of the reference property: SAMPLE_D, two large square-free d (type II)
@@ -364,12 +351,11 @@ MARGIN = 2.0**-16
 
 
 @st.composite
-def _reference_case(draw):
-    """A ring and a point where the rounding quantizer could part from the full
-    search: coordinates at k + 1/2 and k + 1/2 +- (MARGIN +- a few ulp) in the
+def _reference_point(draw, ring):
+    """A point where the rounding quantizer could part from the full search:
+    coordinates at k + 1/2 and k + 1/2 +- (MARGIN +- a few ulp) in the
     rectangular or the coset frame, magnitudes from 2**-3 to 2**44 across the
     2**20 bound, and half-lattice ties nudged by one ulp."""
-    ring = draw(st.sampled_from(REFERENCE_RINGS))
     root = math.sqrt(ring.d)
 
     def near_half():
@@ -398,7 +384,128 @@ def _reference_case(draw):
         re, y = (near_half(), free()) if draw(st.booleans()) else (free(), near_half())
     else:
         re, y = scaled() if kind == "scaled" else tie()
-    return ring, complex(re, y * root)
+    return complex(re, y * root)
+
+
+@st.composite
+def _reference_case(draw):
+    ring = draw(st.sampled_from(REFERENCE_RINGS))
+    return ring, draw(_reference_point(ring))
+
+
+#: relative nudges of a frame tie: none, a few ulp, across the array
+#: quantizer's 2**-30 gap, and beyond it
+FRAME_NUDGES = (0.0, 2.0**-52, -(2.0**-52), 2.0**-31, -(2.0**-31), 2.0**-29, -(2.0**-29), 2.0**-20)
+
+
+def _frame_tie(ring, p, q, sx, sy, t, nudge):
+    """A point on the bisector of the rectangular point p + q*sqrt(-d) and its
+    coset neighbour (p + sx/2) + (q + sy/2)*sqrt(-d) (sx, sy = +-1), t along
+    it from their midpoint, scaled by 1 + nudge: the two frames' candidates
+    tie or nearly tie for a type II ring."""
+    root = math.sqrt(ring.d)
+    mid = complex(p + sx / 4, (q + sy / 4) * root)
+    along = complex(-sy * root, sx) / math.hypot(root, 1.0)
+    return (mid + t * along) * (1 + nudge)
+
+
+def _frame_ties(ring):
+    one = st.sampled_from((-1, 1))
+    return st.builds(
+        functools.partial(_frame_tie, ring),
+        st.integers(-64, 64), st.integers(-64, 64), one, one,
+        st.floats(-0.2, 0.2), st.sampled_from(FRAME_NUDGES),
+    )
+
+
+@st.composite
+def _point_list(draw, ring):
+    """Points of the scalar quantizer's properties: generic, around |x| = 1/2
+    and the zero cut-off, nudged half-lattice ties, the reference cases
+    (|re| or |y| up to 2**44) and near-ties of the two type II frames."""
+    generic = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+    point = st.one_of(
+        generic, _circle_points(), _half_lattice_points(ring),
+        _reference_point(ring), _frame_ties(ring),
+    )
+    return draw(st.lists(point, min_size=12, max_size=60))
+
+
+@pytest.mark.parametrize("d", [ring.d for ring in REFERENCE_RINGS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quantize_pairs_matches_quantize_pair(d, data):
+    ring = ring_new(d)
+    xs = data.draw(_point_list(ring))
+    a, b = _quantize_pairs(np.array(xs), ring)
+    assert a.dtype == b.dtype == np.int64
+    assert list(zip(a.tolist(), b.tolist())) == [_quantize_pair(x, ring) for x in xs]
+    grid = np.array(xs[: len(xs) // 2 * 2]).reshape(2, -1)  # any shape, entry by entry
+    a, b = _quantize_pairs(grid, ring)
+    assert a.shape == grid.shape
+    assert list(zip(a.ravel().tolist(), b.ravel().tolist())) == [
+        _quantize_pair(x, ring) for x in grid.ravel().tolist()
+    ]
+
+
+def _sweep_points(ring, count):
+    """count points, seeded by d, in four equal families: CN(0,1) scaled by
+    2**U(-3, 44); near-half coordinates (MARGIN and a few ulp off k + 1/2,
+    rectangular or coset frame) at the same magnitudes; half-lattice ties
+    nudged by one ulp; and type II frame near-ties (_frame_tie)."""
+    rng = np.random.default_rng(ring.d)
+    root = math.sqrt(ring.d)
+    k = count // 4
+    sign = lambda: rng.choice((-1.0, 1.0), k)  # noqa: E731
+
+    def near_half():
+        t = sign() * np.floor(2.0 ** rng.uniform(-3, 44, k)) + 0.5
+        t += sign() * MARGIN * rng.choice((0.0, 1.0, 2.0, 33.0), k)
+        return t + rng.integers(-4, 5, k) * np.spacing(np.abs(t)) + rng.choice((0.0, 0.5), k)
+
+    generic = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * 2.0 ** rng.uniform(-3, 44, k)
+    halves = near_half() + 1j * near_half() * root
+    ties = (rng.integers(-64, 65, k) + rng.integers(-64, 65, k) * ring.xi) / 2
+    ties += sign() * np.spacing(np.abs(ties.real)) + 1j * sign() * np.spacing(np.abs(ties.imag))
+    frames = [
+        _frame_tie(ring, p, q, sx, sy, t, nudge)
+        for p, q, sx, sy, t, nudge in zip(
+            rng.integers(-64, 65, k).tolist(), rng.integers(-64, 65, k).tolist(),
+            sign().tolist(), sign().tolist(), rng.uniform(-0.2, 0.2, k).tolist(),
+            rng.choice(FRAME_NUDGES, k).tolist(),
+        )
+    ]
+    return np.concatenate((generic, halves, ties, frames))
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=lambda r: f"d={r.d}")
+def test_quantize_pairs_sweep(ring):
+    """10**5 seeded points per ring, bit for bit against _quantize_pair."""
+    x = _sweep_points(ring, 100_000)
+    a, b = _quantize_pairs(x, ring)
+    want = [_quantize_pair(z, ring) for z in x.tolist()]
+    assert list(zip(a.tolist(), b.tolist())) == want
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_quantize_pairs_rarely_falls_back(d, monkeypatch):
+    """A work-count guard: on CN(0,1) rank-2 stacks run through the batched
+    Gauss loop, at most 1% of the entries outside the zero radius reach the
+    scalar _quantize_pair."""
+    live, fallback = [], []
+    scalar, array = rings._quantize_pair, rings._quantize_pairs
+
+    def counted_array(x, ring):
+        live.append(np.count_nonzero(~(x.real * x.real + x.imag * x.imag < ZERO_RADIUS2)))
+        return array(x, ring)
+
+    monkeypatch.setattr(rings, "_quantize_pair", lambda x, r: fallback.append(1) or scalar(x, r))
+    monkeypatch.setattr(reduction, "_quantize_pairs", counted_array)
+    rng = np.random.default_rng(d)
+    M = math.sqrt(0.5) * (rng.standard_normal((2000, 2, 2)) + 1j * rng.standard_normal((2000, 2, 2)))
+    reduction._gauss_batch(M, ring_new(d))
+    assert sum(live) > 2000
+    assert len(fallback) <= 0.01 * sum(live)
 
 
 @settings(max_examples=2000, deadline=None)
