@@ -19,19 +19,22 @@ neither row k nor column j of R has been written since; it would read the
 same two floats again, so every output is bit for bit that of rounding
 every ratio on every pass.
 
-Over Z the loop holds R as rows of Python floats.  The ratio and its
-rounding, the size-reduction update, the Lovasz test, the Givens entries,
-the column swap and the sign flip are each one IEEE operation per entry,
-which a Python float rounds exactly as a numpy float64 does, at a fraction
-of a numpy scalar's cost.  Two steps stay in numpy: the rotation of rows
-j-1 and j is one matmul on a 2 x n array, because OpenBLAS rounds it with
-fused multiply-adds (19574 of 20000 random 2x2 @ 2x8 products differ from
-a*x + b*y), and the refactor is numpy's QR.  Over a ring R stays a complex
-numpy array: numpy's complex division and array complex multiply round
-differently from Python's complex (42967 and 43619 of 100000 random pairs),
-so a Python R would need numpy-matching helpers, and a bit-identical
-prototype of those ran about 14% slower than the numpy statements on
-complex bases of rank 8 and 16.
+The loop holds R as rows of Python floats over Z and of Python complex
+over a ring, so between refactors it makes no numpy call over a ring and
+one per swap over Z.  The ratio and its rounding, the size-reduction
+update, the Lovasz test and, over a ring, the whole swap (the rotation
+entries, the rotation of rows j-1 and j as complex multiply-adds, the phase
+fix) are Python arithmetic, at a fraction of a numpy scalar's cost.  Over Z
+each is one IEEE operation per entry, which Python rounds exactly as numpy
+does; the rotation there stays one numpy matmul on a 2 x n array, because
+OpenBLAS rounds it with fused multiply-adds (19574 of 20000 random 2x2 @
+2x8 products differ from a*x + b*y).  Python's complex division and
+multiply do not round as numpy's SIMD loops and BLAS do (about 43% of
+random pairs differ), so algebraic LLL rounds each step once, the Python
+way, whatever numpy's dispatch or BLAS kernel: it agrees with a numpy R up
+to the last bits, and on rare exact quantization ties (1 in 751 test runs)
+takes the other nearest element.  The refactor is numpy's QR of B @ U in
+both fields.
 
 A ReductionReport keeps the transform as the loop's integer coordinates.
 Its RingMatrix transform, its event strings and alll_reduce's quality-bound
@@ -84,8 +87,9 @@ __all__ = [
 GAUSS_ITER_FACTOR = 64
 REFACTOR_EVERY = 100
 STALL_RATIO = 1.0 - 1e-12
-#: the range of |R_jj| in which _lll runs on B as given: squares of R stay
-#: far inside the normal float range
+#: the range of |R_jj| in which _lll runs on B as given, and of the column
+#: norms with which _gauss_batch does: squares stay far inside the normal
+#: float range
 _R_LOW, _R_HIGH = 2.0**-256, 2.0**256
 
 
@@ -232,6 +236,23 @@ class ReductionReport:
     def bounds_ok(self) -> bool:
         return all(c.passed or c.skipped for c in self.bound_checks.values())
 
+    def verify(self) -> None:
+        """Re-check the transform against the input basis: it must be
+        unimodular, and the reduced basis may drift from input @ transform by
+        at most 1e-8 * ||input||.  Both matrices are scaled by the power of
+        two 2**-e that normalizes the input, so no norm overflows or
+        underflows and the verdict does not depend on the scale.  Raises
+        RuntimeError when either check fails."""
+        if not self.transform.is_unimodular():
+            raise RuntimeError("reduction produced a non-unimodular transform")
+        m, e = _pow2_normalized(self._input.matrix)
+        applied = m @ self.transform.to_complex()
+        err = float(np.linalg.norm(applied - _times_pow2(self.reduced.matrix, -e)))
+        if err > 1e-8 * np.linalg.norm(m):
+            raise RuntimeError(
+                f"reduced basis drifted from basis*transform by {_times_pow2(err, e):.3g}"
+            )
+
     def as_dict(self) -> dict:
         return {
             "norms": self.norms,
@@ -334,10 +355,29 @@ def _gauss_batch(M: np.ndarray, ring: RingSpec):
     ca + cb*xi subtracted from their second column times the first, and
     whether they then swapped.  The first entry orders the input columns by
     norm, with ca = cb = 0.
+
+    A basis with a squared column norm outside [_R_LOW**2, _R_HIGH**2] (inf,
+    0 and subnormal norms among them), where a later square could leave the
+    float range, is reduced as the basis scaled by the power of two of
+    _pow2_normalized, the same lattice up to scale, and its reduced columns
+    are scaled back.  The scaling commutes with every step, so its log is
+    that of the basis as given; a stack with no such basis takes the path
+    unchanged.
     """
+    n0, n1 = _column_norms2(M)
+    outside = np.flatnonzero(
+        ~((np.minimum(n0, n1) >= _R_LOW**2) & (np.maximum(n0, n1) <= _R_HIGH**2))
+    )
+    exps = []
+    if outside.size:
+        M = M.copy()
+        for t in outside:
+            M[t], e = _pow2_normalized(M[t])
+            exps.append(e)
+        n0, n1 = _column_norms2(M)
     b0, b1 = M[:, :, 0], M[:, :, 1]
     rows = np.arange(len(M))
-    swap = np.vecdot(b0, b0).real > np.vecdot(b1, b1).real
+    swap = n0 > n1
     zeros = np.zeros(len(M), dtype=np.int64)
     log = [(rows, zeros, zeros, swap)]
     # b0, b1: the columns of the active trials, in their current order
@@ -357,9 +397,20 @@ def _gauss_batch(M: np.ndarray, ring: RingSpec):
             reduced[rows[done], :, 0], reduced[rows[done], :, 1] = b0[done], b1[done]
             rows, b0, b1 = rows[swap], b0[swap], b1[swap]
         if rows.size == 0:
-            return reduced, log
+            break
         b0, b1 = b1, b0
-    raise RuntimeError("gauss reduction exceeded its iteration budget")
+    else:
+        raise RuntimeError("gauss reduction exceeded its iteration budget")
+    for t, e in zip(outside, exps):
+        reduced[t] = _times_pow2(reduced[t], e)
+    return reduced, log
+
+
+def _column_norms2(M: np.ndarray) -> tuple:
+    """The squared norms of the two columns of each basis in the stack M;
+    inf, 0 or NaN where they leave the float range."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return np.vecdot(M[:, :, 0], M[:, :, 0]).real, np.vecdot(M[:, :, 1], M[:, :, 1]).real
 
 
 def _trial_steps(log, t: int) -> list:
@@ -515,6 +566,32 @@ def _swap_real(R: list, j: int, r_above: float, r_below: float) -> None:
         R[i] = [-v for v in row] if row[i] < 0.0 else row
 
 
+def _swap_complex(R: list, j: int, r_above: complex, r_below: complex) -> None:
+    """Swap columns j-1 and j of a complex R held as rows of Python complex,
+    and restore its triangle: quaternion_rotation's entries applied to rows
+    j-1 and j as Python complex multiply-adds, then _phase_normalize's
+    multiplication of each row by conj(rii / |rii|).  Both rows are zero left
+    of column j-1, so only their tails are rotated and scaled."""
+    s = math.hypot(abs(r_above), abs(r_below))
+    if s == 0.0:
+        raise ValueError("cannot rotate a zero column segment")
+    m00, m01 = r_above.conjugate() / s, r_below.conjugate() / s
+    m10, m11 = -r_below / s, r_above / s
+    for row in R[: j + 1]:
+        row[j - 1], row[j] = row[j], row[j - 1]
+    head, x, y = R[j - 1][: j - 1], R[j - 1][j - 1 :], R[j][j - 1 :]
+    top = [m00 * u + m01 * v for u, v in zip(x, y)]
+    bottom = [m10 * u + m11 * v for u, v in zip(x, y)]
+    bottom[0] = 0j
+    for i, tail in ((j - 1, top), (j, bottom)):
+        rii = tail[i - j + 1]
+        mag = abs(rii)
+        if mag != 0.0:
+            phase = (rii / mag).conjugate()
+            tail = [phase * v for v in tail]
+        R[i] = head + tail
+
+
 def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     """LLL-reduce the columns of B over ring, or over Z when ring is None.
 
@@ -532,11 +609,13 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     moves with column j when it swaps.  Size-reducing column j at row k
     writes its rows 0..k, so every ratio below k is evaluated again.
 
-    Over Z, R is a list of Python float rows (R.tolist() of each QR) and the
-    R steps take the real branches, _swap_real among them; over a ring they
-    are numpy statements on the complex array.  Everything else (the skip
-    bookkeeping, the Lovasz test, the stall rule, the refactor cadence, the
-    transform and the events) is the one control flow of both.
+    R is a list of rows of Python floats over Z and of Python complex over a
+    ring (R.tolist() of each QR), so between refactors the loop makes no
+    numpy call but _swap_real's matmul.  The two fields differ only in the
+    rounding of a ratio (math.ceil or _quantize_pair) and in the swap helper
+    (_swap_real or _swap_complex); everything else (the skip bookkeeping,
+    the size-reduction update, the Lovasz test, the stall rule, the refactor
+    cadence, the transform and the events) is one control flow.
 
     The Lovasz test squares entries of R, which overflow or underflow far
     from scale 1.  So when the diagonal of R leaves [_R_LOW, _R_HIGH], the
@@ -555,6 +634,7 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     n = B.shape[1]
     real = ring is None
     xi = 0.0 if real else ring.xi
+    swap = _swap_real if real else _swap_complex
     R = _r_positive(B)
     diag = np.abs(np.diagonal(R))
     if not _R_LOW <= diag.min() <= diag.max() <= _R_HIGH:
@@ -563,8 +643,7 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
         diag = np.abs(np.diagonal(R))
     if not 0.0 < diag.max() <= diag.min() * MAX_CONDITION:
         raise ValueError("basis columns are numerically dependent")
-    if real:
-        R = R.tolist()
+    R = R.tolist()
     ua, ub = _identity_coords(n)
 
     swaps = size_reductions = 0
@@ -585,13 +664,11 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
             if real:
                 ca, cb = math.ceil(R[k][j] / R[k][k] - 0.5), 0
             else:
-                ca, cb = _quantize_pair(complex(R[k, j] / R[k, k]), ring)
+                ca, cb = _quantize_pair(R[k][j] / R[k][k], ring)
             if ca or cb:
-                if real:
-                    for row in R[: k + 1]:
-                        row[j] -= ca * row[k]
-                else:
-                    R[: k + 1, j] -= (ca + cb * xi) * R[: k + 1, k]
+                c = ca + cb * xi
+                for row in R[: k + 1]:
+                    row[j] -= c * row[k]
                 _sub_multiple(ua, ub, j, k, ca, cb, ring)
                 size_reductions += 1
                 steps.append(("size_reduction", j))
@@ -599,12 +676,8 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
                 written = True
             else:
                 seen[k] = version[k]
-        if real:
-            r_above, r_below = R[j - 1][j], R[j][j]
-            r_diag2 = abs(R[j - 1][j - 1]) ** 2
-        else:
-            r_above, r_below = R[j - 1, j], R[j, j]
-            r_diag2 = abs(R[j - 1, j - 1]) ** 2
+        r_above, r_below = R[j - 1][j], R[j][j]
+        r_diag2 = abs(R[j - 1][j - 1]) ** 2
         r_next2 = abs(r_below) ** 2 + abs(r_above) ** 2
         if delta * r_diag2 > r_next2:
             ratio = r_next2 / r_diag2
@@ -612,23 +685,13 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
             ua[j - 1], ua[j] = ua[j], ua[j - 1]
             ub[j - 1], ub[j] = ub[j], ub[j - 1]
             zero_at[j - 1], zero_at[j] = zero_at[j], zero_at[j - 1]
-            if real:
-                _swap_real(R, j, r_above, r_below)
-            else:
-                M = quaternion_rotation(r_above, r_below)
-                pair = R[:, j - 1 : j + 1]
-                pair[:] = pair[:, ::-1]
-                R[j - 1 : j + 1, :] = M @ R[j - 1 : j + 1, :]
-                R[j, j - 1] = 0.0
-                _phase_normalize(R, (j - 1, j))
+            swap(R, j, r_above, r_below)
             version[j - 1] += 1
             version[j] += 1
             swaps += 1
             steps.append(("swap", j))
             if swaps % REFACTOR_EVERY == 0:
-                R = _r_positive(B @ _embed_coords(ua, ub, xi))
-                if real:
-                    R = R.tolist()
+                R = _r_positive(B @ _embed_coords(ua, ub, xi)).tolist()
                 version = [v + 1 for v in version]
             if ratio >= STALL_RATIO:
                 stall_run += 1

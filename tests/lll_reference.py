@@ -1,8 +1,11 @@
 """The LLL loop as it was before its skip bookkeeping, kept as a test oracle.
 
-This is a verbatim copy of reduction._lll and of the helpers it then used
-(_round_half_down, _phase_normalize, _r_positive), from before the loop
-learned to skip Gram-Schmidt ratios that cannot have changed.  Nothing under
+Over Z this is a verbatim copy of reduction._lll and of the helpers it then
+used (_round_half_down, _phase_normalize, _r_positive), from before the loop
+learned to skip Gram-Schmidt ratios that cannot have changed.  Over a ring
+it is the same loop on the library's arithmetic: R as rows of Python
+complex, the ratio, the size-reduction update and the Lovasz test as Python
+complex operations, and reduction._swap_complex at a swap.  Nothing under
 src/ imports it; tests/test_lll_reference.py checks that the library loop
 returns the same (ua, ub, swaps, size_reductions, events, potential_ratios,
 stalled).
@@ -20,6 +23,7 @@ from alglat.reduction import (
     _embed_coords,
     _identity_coords,
     _sub_multiple,
+    _swap_complex,
     quaternion_rotation,
 )
 from alglat.rings import RingSpec, _quantize_pair
@@ -62,6 +66,8 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     Returns (ua, ub, swaps, size_reductions, events, potential_ratios,
     stalled), with U = ua + xi*ub as in _sub_multiple (ub stays zero over Z).
     """
+    if ring is not None:
+        return _lll_rows(B, delta, ring)
     n = B.shape[1]
     xi = 0.0 if ring is None else ring.xi
     R = _r_positive(B)
@@ -100,6 +106,53 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
             events.append(f"swap:{j}")
             if swaps % REFACTOR_EVERY == 0:
                 R = _r_positive(B @ _embed_coords(ua, ub, xi))
+            if ratio >= STALL_RATIO:
+                stall_run += 1
+                if stall_run >= 3 * n:
+                    stalled = True
+                    break
+            else:
+                stall_run = 0
+            j = max(j - 1, 1)
+        else:
+            j += 1
+    return ua, ub, swaps, size_reductions, events, pot_ratios, stalled
+
+
+def _lll_rows(B: np.ndarray, delta: float, ring: RingSpec):
+    """_lll over a ring, with R held as rows of Python complex."""
+    n = B.shape[1]
+    xi = ring.xi
+    R = _r_positive(B).tolist()
+    ua, ub = _identity_coords(n)
+
+    swaps = size_reductions = 0
+    events: list[str] = []
+    pot_ratios: list[float] = []
+    stalled = False
+    stall_run = 0
+
+    j = 1
+    while j < n:
+        for k in range(j - 1, -1, -1):
+            ca, cb = _quantize_pair(R[k][j] / R[k][k], ring)
+            if ca or cb:
+                c = ca + cb * xi
+                for row in R[: k + 1]:
+                    row[j] -= c * row[k]
+                _sub_multiple(ua, ub, j, k, ca, cb, ring)
+                size_reductions += 1
+                events.append(f"size_reduction:{j}")
+        if delta * abs(R[j - 1][j - 1]) ** 2 > abs(R[j][j]) ** 2 + abs(R[j - 1][j]) ** 2:
+            ratio = (abs(R[j][j]) ** 2 + abs(R[j - 1][j]) ** 2) / abs(R[j - 1][j - 1]) ** 2
+            pot_ratios.append(ratio)
+            ua[j - 1], ua[j] = ua[j], ua[j - 1]
+            ub[j - 1], ub[j] = ub[j], ub[j - 1]
+            _swap_complex(R, j, R[j - 1][j], R[j][j])
+            swaps += 1
+            events.append(f"swap:{j}")
+            if swaps % REFACTOR_EVERY == 0:
+                R = _r_positive(B @ _embed_coords(ua, ub, xi)).tolist()
             if ratio >= STALL_RATIO:
                 stall_run += 1
                 if stall_run >= 3 * n:

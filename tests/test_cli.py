@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import alglat
-from alglat.cli import _verify_report, main
+from alglat.cli import main
 from alglat.experiments import (
     CF_CSV_HEADER,
     cf_experiment,
@@ -354,12 +354,12 @@ def test_drift_check_refuses_a_tampered_basis(scale):
     report = alll_reduce(basis)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _verify_report(basis, report)
+        report.verify()
         tampered = report.reduced.matrix.copy()
         tampered[0, 0] += 1e-6 * abs(tampered[0, 0])
         bad = dataclasses.replace(report, reduced=ComplexBasis(tampered, RING3))
         with pytest.raises(RuntimeError, match="drifted"):
-            _verify_report(basis, bad)
+            bad.verify()
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,8 @@ from alglat import reduction, svp
 from alglat.lattices import ComplexBasis
 from alglat.rings import ring_new
 
+pytestmark = pytest.mark.pins
+
 D_VALUES = (1, 2, 3, 5, 7, 11, 15)
 BUDGET = 4000
 

@@ -1,11 +1,15 @@
 """reduction._lll against the loop it replaced (tests/lll_reference.py).
 
 The library loop skips Gram-Schmidt ratios that cannot have changed since
-they last rounded to 0, and swaps with cheaper numpy calls; its whole
-output (ua, ub, swaps, size_reductions, events, potential_ratios, stalled)
-must equal the reference's bit for bit, while it rounds fewer ratios.  The
-library loop returns its events as (kind, column) steps, which reports
-format on first read; they are compared formatted.
+they last rounded to 0, and holds R as rows of Python floats (over Z) or
+Python complex (over a ring); its whole output (ua, ub, swaps,
+size_reductions, events, potential_ratios, stalled) must equal the
+reference's bit for bit, while it rounds fewer ratios.  Over Z the
+reference still runs on numpy R; over a ring it runs the library's Python
+complex arithmetic, because numpy's complex statements round differently
+and meet a quantization tie on another side.  The library loop returns its
+events as (kind, column) steps, which reports format on first read; they
+are compared formatted.
 """
 
 import math
@@ -22,6 +26,8 @@ from alglat.cf import Channel, cf_basis
 from alglat.lattices import ComplexBasis, embed
 from alglat.rings import ring_new
 from oracles import random_unimodular
+
+pytestmark = pytest.mark.pins
 
 RINGS = [None] + [ring_new(d) for d in (1, 2, 3, 5, 7)]
 DELTAS = (0.75, 0.99, 1.0)

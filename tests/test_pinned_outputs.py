@@ -39,6 +39,8 @@ from alglat.lattices import ComplexBasis, basis_to_json, embed
 from alglat.reduction import alll_reduce, gauss_reduce, real_lll
 from alglat.rings import ring_new
 
+pytestmark = pytest.mark.pins
+
 CF_CSV_SHA256 = {
     1: "787d24a246a6ec9026e82d5fcffa234351a34570bffabe10b6faf586a0e71a86",
     3: "12710d520ddd38732af3921cde2ee05dd1e971bc1064495bcde797b5345bc307",

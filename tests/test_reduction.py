@@ -175,6 +175,21 @@ class TestGaussBatch:
             assert rep.swaps == sum(sw for _, _, sw in steps)
             assert rep.size_reductions == sum(bool(a or b) for a, b, _ in steps)
 
+    def test_out_of_range_trials_run_scaled(self):
+        """Trials whose squared norms overflow or underflow are reduced at a
+        power-of-two scale and scaled back: each equals its scale-1 run times
+        the scale, bit for bit, with the same steps, and the in-range trials
+        of the stack are untouched."""
+        M = gauss_stack(RING1, [False, True] * 3, 4)
+        base, base_log = _gauss_batch(M, RING1)
+        scales = np.array([1.0, 2.0**600, 2.0**-600, 1.0, 2.0**1000, 2.0**-1000])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reduced, log = _gauss_batch(M * scales[:, None, None], RING1)
+        for t, scale in enumerate(scales):
+            assert reduced[t].tobytes() == (base[t] * scale).tobytes()
+            assert _trial_steps(log, t) == _trial_steps(base_log, t)
+
     def test_budget_error(self, monkeypatch):
         monkeypatch.setattr(reduction, "GAUSS_ITER_FACTOR", 0)
         M = gauss_stack(RING1, [False, True, False], 1)
@@ -587,6 +602,52 @@ def test_real_lll_properties(case):
         assert delta * R[j - 1, j - 1] ** 2 <= (R[j, j] ** 2 + R[j - 1, j] ** 2) * (1 + 1e-9)
 
 
+@st.composite
+def ring_bases(draw):
+    ring = ring_new(draw(st.sampled_from(EUCLIDEAN_D)))
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(-40, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    delta = draw(st.sampled_from([0.99, 1.0]))
+    return random_basis(ring, n, np.random.default_rng(seed)).matrix * 2.0**k, ring, delta
+
+
+def assert_ring_lll_properties(matrix, ring, delta):
+    """An exactly unimodular transform, reduced == matrix @ U bit for bit,
+    and a fresh QR of the output that is size-reduced (every ratio quantizes
+    to 0) and satisfies Lovasz up to a relative 1e-9; returns the report."""
+    rep = alll_reduce(ComplexBasis(matrix, ring), delta)
+    assert rep.transform.is_unimodular()
+    assert np.array_equal(rep.reduced.matrix, matrix @ rep.transform.to_complex())
+    R = _r_positive(rep.reduced.matrix)
+    n = R.shape[0]
+    for j in range(n):
+        for k in range(j):
+            assert quantize(R[k, j] / R[k, k], ring).is_zero()
+    for j in range(1, n):
+        lhs = delta * abs(R[j - 1, j - 1]) ** 2
+        assert lhs <= (abs(R[j, j]) ** 2 + abs(R[j - 1, j]) ** 2) * (1 + 1e-9)
+    return rep
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_bases())
+def test_ring_lll_properties(case):
+    """The twin of test_real_lll_properties for the loop over a ring, whose
+    R is held as Python complex rows."""
+    assert_ring_lll_properties(*case)
+
+
+@pytest.mark.parametrize("delta", (0.99, 1.0))
+def test_ring_lll_properties_across_refactors(delta):
+    """A scrambled rank-16 basis swaps past REFACTOR_EVERY, so R is
+    recomputed from B @ U and turned into Python complex rows mid-run."""
+    from test_lll_reference import scrambled_rank16
+
+    matrix, ring = scrambled_rank16()
+    assert assert_ring_lll_properties(matrix, ring, delta).swaps > reduction.REFACTOR_EVERY
+
+
 # ---------------------------------------------------------------------------
 # bound checks: scale-safe, and computed on first read
 
@@ -673,6 +734,40 @@ def test_alll_reduces_at_extreme_scales(k):
     assert [x / scale for x in norms] == pytest.approx(base.norms, rel=1e-12)
     unscaled = ComplexBasis(rep.reduced.matrix / scale, RING1)
     assert_alll_conditions(dataclasses.replace(rep, reduced=unscaled))
+
+
+def gauss_scale_basis():
+    return np.array([[1, 5.3 + 0.2j], [0.2, 2 - 0.4j]])
+
+
+@pytest.mark.parametrize("k", (600, -600))
+def test_gauss_reduces_at_extreme_scales(k):
+    """The squared norms overflowed or underflowed here, the quantizer got
+    NaN, and gauss_reduce raised "cannot quantize non-finite value"."""
+    m = gauss_scale_basis()
+    base = gauss_reduce(ComplexBasis(m, RING1))
+    scale = 2.0**k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = gauss_reduce(ComplexBasis(m * scale, RING1))
+        norms = rep.norms
+    assert rep.transform == base.transform
+    assert (rep.swaps, rep.size_reductions) == (base.swaps, base.size_reductions)
+    assert [x / scale for x in norms] == base.norms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EUCLIDEAN_D), st.integers(0, 2**32 - 1), st.integers(-1000, 1000))
+def test_gauss_reduce_is_scale_invariant(d, seed, k):
+    """Scaling a rank-2 basis by 2^k keeps the transform and the steps, and
+    scales the norms, as it does for alll_reduce."""
+    ring = ring_new(d)
+    m = random_basis(ring, 2, np.random.default_rng(seed)).matrix
+    base = gauss_reduce(ComplexBasis(m, ring))
+    rep = gauss_reduce(ComplexBasis(m * 2.0**k, ring))
+    assert rep.transform == base.transform
+    assert rep.events == base.events
+    assert [x / 2.0**k for x in rep.norms] == pytest.approx(base.norms, rel=1e-12)
 
 
 def test_real_lll_at_extreme_scale():
