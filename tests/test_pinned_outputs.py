@@ -108,9 +108,9 @@ def test_golden_integer_outputs(tmp_path, d):
 
 REPORT_SHA256 = {
     "alll": {
-        1: "8929f3d42a544a1637b8ef861adcc5fa684776b2b91246b78413f124cb873a0d",
-        3: "28b45316dade80ee91d4904b792c24d6936b50c66ea22a707260b5b708574b72",
-        5: "0d8d5c77cdd83c83bc2a105e60c17585d38cb4148a917d917228ef3facb9315d",
+        1: "b557e0b1a2fcd3baa11e97ff9e1a8011e389b4a1927a7b04557c017194879b9a",
+        3: "1a486d23d2e186c67d39e9fb427a99b562144e8a3addb7e79218df6fbea07874",
+        5: "904ad5692d0633203b3d2c9618fa14f4e6f76c1d3293eda9447ff4a397780913",
     },
     "gauss": {
         1: "1c3dce70d840ce31731a47016e7f790bf3c7f14e15b05bb2d38ca09868f9f9d5",
