@@ -481,15 +481,16 @@ def quaternion_rotation(r_above: complex, r_below: complex) -> np.ndarray:
     swap without refactoring.  The matrix keeps the dtype of its inputs, so
     a real pair gives the real Givens rotation.
     """
+    return np.array(_rotation(r_above, r_below))
+
+
+def _rotation(r_above, r_below) -> tuple:
+    """The rows of quaternion_rotation as a pair of pairs, computed in the
+    arithmetic of the inputs: Python floats or complex stay Python scalars."""
     s = math.hypot(abs(r_above), abs(r_below))
     if s == 0.0:
         raise ValueError("cannot rotate a zero column segment")
-    return np.array(
-        [
-            [np.conj(r_above) / s, np.conj(r_below) / s],
-            [-r_below / s, r_above / s],
-        ]
-    )
+    return (r_above.conjugate() / s, r_below.conjugate() / s), (-r_below / s, r_above / s)
 
 
 def _phase_normalize(R: np.ndarray, rows) -> None:
@@ -554,10 +555,7 @@ def _swap_real(R: list, j: int, r_above: float, r_below: float) -> None:
     of rows j-1 and j as one numpy matmul on a 2 x n array (the BLAS kernel
     rounds it with fused multiply-adds, which a*x + b*y in Python would not
     reproduce), and _phase_normalize's sign flip."""
-    s = math.hypot(r_above, r_below)
-    if s == 0.0:
-        raise ValueError("cannot rotate a zero column segment")
-    M = np.array([[r_above / s, r_below / s], [-r_below / s, r_above / s]])
+    M = quaternion_rotation(r_above, r_below)
     for row in R:
         row[j - 1], row[j] = row[j], row[j - 1]
     top, bottom = (M @ np.array((R[j - 1], R[j]))).tolist()
@@ -570,13 +568,11 @@ def _swap_complex(R: list, j: int, r_above: complex, r_below: complex) -> None:
     """Swap columns j-1 and j of a complex R held as rows of Python complex,
     and restore its triangle: quaternion_rotation's entries applied to rows
     j-1 and j as Python complex multiply-adds, then _phase_normalize's
-    multiplication of each row by conj(rii / |rii|).  Both rows are zero left
-    of column j-1, so only their tails are rotated and scaled."""
-    s = math.hypot(abs(r_above), abs(r_below))
-    if s == 0.0:
-        raise ValueError("cannot rotate a zero column segment")
-    m00, m01 = r_above.conjugate() / s, r_below.conjugate() / s
-    m10, m11 = -r_below / s, r_above / s
+    multiplication of each row by conj(rii / |rii|).  R is upper triangular:
+    rows below j are zero in both columns, so the column swap stops at row
+    j, and rows j-1 and j are zero left of column j-1, so only their tails
+    are rotated and scaled."""
+    (m00, m01), (m10, m11) = _rotation(r_above, r_below)
     for row in R[: j + 1]:
         row[j - 1], row[j] = row[j], row[j - 1]
     head, x, y = R[j - 1][: j - 1], R[j - 1][j - 1 :], R[j][j - 1 :]

@@ -25,6 +25,7 @@ from alglat.reduction import _gauss_batch, _r_positive, _trial_steps
 from alglat.rings import RingElem, quantize, ring_new
 from alglat.svp import shortest_vector, successive_minima_2d
 from oracles import exact_norms_squared_loop, identity_matrix
+from test_lll_reference import scrambled_rank16
 
 RING1 = ring_new(1)
 RING3 = ring_new(3)
@@ -642,8 +643,6 @@ def test_ring_lll_properties(case):
 def test_ring_lll_properties_across_refactors(delta):
     """A scrambled rank-16 basis swaps past REFACTOR_EVERY, so R is
     recomputed from B @ U and turned into Python complex rows mid-run."""
-    from test_lll_reference import scrambled_rank16
-
     matrix, ring = scrambled_rank16()
     assert assert_ring_lll_properties(matrix, ring, delta).swaps > reduction.REFACTOR_EVERY
 
@@ -736,15 +735,11 @@ def test_alll_reduces_at_extreme_scales(k):
     assert_alll_conditions(dataclasses.replace(rep, reduced=unscaled))
 
 
-def gauss_scale_basis():
-    return np.array([[1, 5.3 + 0.2j], [0.2, 2 - 0.4j]])
-
-
 @pytest.mark.parametrize("k", (600, -600))
 def test_gauss_reduces_at_extreme_scales(k):
     """The squared norms overflowed or underflowed here, the quantizer got
     NaN, and gauss_reduce raised "cannot quantize non-finite value"."""
-    m = gauss_scale_basis()
+    m = np.array([[1, 5.3 + 0.2j], [0.2, 2 - 0.4j]])
     base = gauss_reduce(ComplexBasis(m, RING1))
     scale = 2.0**k
     with warnings.catch_warnings():
