@@ -19,22 +19,20 @@ neither row k nor column j of R has been written since; it would read the
 same two floats again, so every output is bit for bit that of rounding
 every ratio on every pass.
 
-The loop holds R as rows of Python floats over Z and of Python complex
-over a ring, so between refactors it makes no numpy call over a ring and
-one per swap over Z.  The ratio and its rounding, the size-reduction
-update, the Lovasz test and, over a ring, the whole swap (the rotation
-entries, the rotation of rows j-1 and j as complex multiply-adds, the phase
-fix) are Python arithmetic, at a fraction of a numpy scalar's cost.  Over Z
-each is one IEEE operation per entry, which Python rounds exactly as numpy
-does; the rotation there stays one numpy matmul on a 2 x n array, because
-OpenBLAS rounds it with fused multiply-adds (19574 of 20000 random 2x2 @
-2x8 products differ from a*x + b*y).  Python's complex division and
-multiply do not round as numpy's SIMD loops and BLAS do (about 43% of
-random pairs differ), so algebraic LLL rounds each step once, the Python
-way, whatever numpy's dispatch or BLAS kernel: it agrees with a numpy R up
-to the last bits, and on rare exact quantization ties (1 in 751 test runs)
-takes the other nearest element.  The refactor is numpy's QR of B @ U in
-both fields.
+The loop holds R by columns, as lists of Python floats over Z and of
+Python complex over a ring, so between refactors it makes no numpy call in
+either field.  The ratio and its rounding, the size-reduction update (one
+list comprehension over the head of a column), the Lovasz test and the
+swap (two column references exchanged, the rotation entries applied as
+m00*x + m01*y, the phase fix) are Python arithmetic, at a fraction of a
+numpy scalar's cost, and round the same whatever numpy's SIMD dispatch or
+BLAS kernel.  Over Z a BLAS matmul would round the rotation with fused
+multiply-adds (19574 of 20000 random 2x2 @ 2x8 products differ from
+a*x + b*y), and Python's complex division and multiply do not round as
+numpy's SIMD loops do (about 43% of random pairs differ), so the loop
+agrees with a numpy R up to the last bits, and where a ratio sits on a
+rounding tie may take the other nearest element.  The refactor is numpy's
+QR of B @ U in both fields.
 
 A ReductionReport keeps the transform as the loop's integer coordinates.
 Its RingMatrix transform, its event strings and alll_reduce's quality-bound
@@ -549,45 +547,6 @@ def decoding_radius_bound(ring: RingSpec, n: int, k: int, lambda1: float, eps: f
 # The LLL loop, over a ring or over Z
 
 
-def _swap_real(R: list, j: int, r_above: float, r_below: float) -> None:
-    """Swap columns j-1 and j of a real R held as rows of Python floats, and
-    restore its triangle: quaternion_rotation's Givens entries, the rotation
-    of rows j-1 and j as one numpy matmul on a 2 x n array (the BLAS kernel
-    rounds it with fused multiply-adds, which a*x + b*y in Python would not
-    reproduce), and _phase_normalize's sign flip."""
-    M = quaternion_rotation(r_above, r_below)
-    for row in R:
-        row[j - 1], row[j] = row[j], row[j - 1]
-    top, bottom = (M @ np.array((R[j - 1], R[j]))).tolist()
-    bottom[j - 1] = 0.0
-    for i, row in ((j - 1, top), (j, bottom)):
-        R[i] = [-v for v in row] if row[i] < 0.0 else row
-
-
-def _swap_complex(R: list, j: int, r_above: complex, r_below: complex) -> None:
-    """Swap columns j-1 and j of a complex R held as rows of Python complex,
-    and restore its triangle: quaternion_rotation's entries applied to rows
-    j-1 and j as Python complex multiply-adds, then _phase_normalize's
-    multiplication of each row by conj(rii / |rii|).  R is upper triangular:
-    rows below j are zero in both columns, so the column swap stops at row
-    j, and rows j-1 and j are zero left of column j-1, so only their tails
-    are rotated and scaled."""
-    (m00, m01), (m10, m11) = _rotation(r_above, r_below)
-    for row in R[: j + 1]:
-        row[j - 1], row[j] = row[j], row[j - 1]
-    head, x, y = R[j - 1][: j - 1], R[j - 1][j - 1 :], R[j][j - 1 :]
-    top = [m00 * u + m01 * v for u, v in zip(x, y)]
-    bottom = [m10 * u + m11 * v for u, v in zip(x, y)]
-    bottom[0] = 0j
-    for i, tail in ((j - 1, top), (j, bottom)):
-        rii = tail[i - j + 1]
-        mag = abs(rii)
-        if mag != 0.0:
-            phase = (rii / mag).conjugate()
-            tail = [phase * v for v in tail]
-        R[i] = head + tail
-
-
 def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     """LLL-reduce the columns of B over ring, or over Z when ring is None.
 
@@ -605,13 +564,18 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     moves with column j when it swaps.  Size-reducing column j at row k
     writes its rows 0..k, so every ratio below k is evaluated again.
 
-    R is a list of rows of Python floats over Z and of Python complex over a
-    ring (R.tolist() of each QR), so between refactors the loop makes no
-    numpy call but _swap_real's matmul.  The two fields differ only in the
-    rounding of a ratio (math.ceil or _quantize_pair) and in the swap helper
-    (_swap_real or _swap_complex); everything else (the skip bookkeeping,
-    the size-reduction update, the Lovasz test, the stall rule, the refactor
-    cadence, the transform and the events) is one control flow.
+    R is held by columns, C[j][i] = R[i, j], as Python floats over Z and
+    Python complex over a ring (R.T.tolist() of each QR), so between
+    refactors the loop makes no numpy call.  Size reduction is one list
+    comprehension over the head of column j, and a swap exchanges two
+    column references, then rotates entries j-1 and j of columns j-1..n-1
+    with _rotation's entries, zeroes the sub-diagonal entry and multiplies
+    those rows by conj(rii / |rii|) where rii is not real-positive (over Z,
+    a negation).  The two fields differ only in the rounding of a ratio
+    (math.ceil or _quantize_pair); everything else (the skip bookkeeping,
+    the size-reduction update, the Lovasz test, the swap, the stall rule,
+    the refactor cadence, the transform and the events) is one control
+    flow.
 
     The Lovasz test squares entries of R, which overflow or underflow far
     from scale 1.  So when the diagonal of R leaves [_R_LOW, _R_HIGH], the
@@ -630,7 +594,7 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     n = B.shape[1]
     real = ring is None
     xi = 0.0 if real else ring.xi
-    swap = _swap_real if real else _swap_complex
+    zero = 0.0 if real else 0j
     R = _r_positive(B)
     diag = np.abs(np.diagonal(R))
     if not _R_LOW <= diag.min() <= diag.max() <= _R_HIGH:
@@ -639,7 +603,7 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
         diag = np.abs(np.diagonal(R))
     if not 0.0 < diag.max() <= diag.min() * MAX_CONDITION:
         raise ValueError("basis columns are numerically dependent")
-    R = R.tolist()
+    C = R.T.tolist()
     ua, ub = _identity_coords(n)
 
     swaps = size_reductions = 0
@@ -652,19 +616,19 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
 
     j = 1
     while j < n:
-        seen = zero_at[j]
+        col, seen = C[j], zero_at[j]
         written = False  # whether column j was size-reduced in this pass
         for k in range(j - 1, -1, -1):
             if not written and seen[k] == version[k]:
                 continue
+            ck = C[k]
             if real:
-                ca, cb = math.ceil(R[k][j] / R[k][k] - 0.5), 0
+                ca, cb = math.ceil(col[k] / ck[k] - 0.5), 0
             else:
-                ca, cb = _quantize_pair(R[k][j] / R[k][k], ring)
+                ca, cb = _quantize_pair(col[k] / ck[k], ring)
             if ca or cb:
                 c = ca + cb * xi
-                for row in R[: k + 1]:
-                    row[j] -= c * row[k]
+                col[: k + 1] = [x - c * y for x, y in zip(col, ck[: k + 1])]
                 _sub_multiple(ua, ub, j, k, ca, cb, ring)
                 size_reductions += 1
                 steps.append(("size_reduction", j))
@@ -672,8 +636,8 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
                 written = True
             else:
                 seen[k] = version[k]
-        r_above, r_below = R[j - 1][j], R[j][j]
-        r_diag2 = abs(R[j - 1][j - 1]) ** 2
+        r_above, r_below = col[j - 1], col[j]
+        r_diag2 = abs(C[j - 1][j - 1]) ** 2
         r_next2 = abs(r_below) ** 2 + abs(r_above) ** 2
         if delta * r_diag2 > r_next2:
             ratio = r_next2 / r_diag2
@@ -681,13 +645,27 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
             ua[j - 1], ua[j] = ua[j], ua[j - 1]
             ub[j - 1], ub[j] = ub[j], ub[j - 1]
             zero_at[j - 1], zero_at[j] = zero_at[j], zero_at[j - 1]
-            swap(R, j, r_above, r_below)
+            C[j - 1], C[j] = col, C[j - 1]
+            (m00, m01), (m10, m11) = _rotation(r_above, r_below)
+            tail = C[j - 1 :]
+            for v in tail:
+                x, y = v[j - 1], v[j]
+                v[j - 1] = m00 * x + m01 * y
+                v[j] = m10 * x + m11 * y
+            col[j] = zero
+            for i in (j - 1, j):
+                rii = C[i][i]
+                mag = abs(rii)
+                if rii != mag:
+                    phase = (rii / mag).conjugate()
+                    for v in tail:
+                        v[i] *= phase
             version[j - 1] += 1
             version[j] += 1
             swaps += 1
             steps.append(("swap", j))
             if swaps % REFACTOR_EVERY == 0:
-                R = _r_positive(B @ _embed_coords(ua, ub, xi)).tolist()
+                C = _r_positive(B @ _embed_coords(ua, ub, xi)).T.tolist()
                 version = [v + 1 for v in version]
             if ratio >= STALL_RATIO:
                 stall_run += 1

@@ -1,14 +1,18 @@
 """The LLL loop as it was before its skip bookkeeping, kept as a test oracle.
 
-Over Z this is a verbatim copy of reduction._lll and of the helpers it then
-used (_round_half_down, _phase_normalize, _r_positive), from before the loop
-learned to skip Gram-Schmidt ratios that cannot have changed.  Over a ring
-it is the same loop on the library's arithmetic: R as rows of Python
-complex, the ratio, the size-reduction update and the Lovasz test as Python
-complex operations, and reduction._swap_complex at a swap.  Nothing under
-src/ imports it; tests/test_lll_reference.py checks that the library loop
-returns the same (ua, ub, swaps, size_reductions, events, potential_ratios,
-stalled).
+It rounds every Gram-Schmidt ratio on every pass, and holds R as rows
+(R[i][j]) of Python floats over Z and of Python complex over a ring, where
+reduction._lll holds columns.  Each step is written out here in that row
+layout, in the same IEEE operations as the library: the ratio and its
+rounding (_round_half_down over Z, _quantize_pair over a ring), the
+size-reduction update row by row, the Lovasz test, and at a swap the column
+exchange across every row, the rotation of rows j-1 and j as a*x + b*y with
+the entries of _rotation, and the phase fix, which multiplies both rows by
+conj(rii / |rii|) whatever rii is.  The start and each refactor take R from
+its own copy of the numpy QR helpers (_phase_normalize, _r_positive).
+Nothing under src/ imports it; tests/test_lll_reference.py checks that the
+library loop returns the same (ua, ub, swaps, size_reductions, events,
+potential_ratios, stalled).
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from alglat.reduction import (
     _embed_coords,
     _identity_coords,
     _sub_multiple,
-    _swap_complex,
-    quaternion_rotation,
 )
 from alglat.rings import RingSpec, _quantize_pair
 
@@ -52,77 +54,52 @@ def _r_positive(B: np.ndarray) -> np.ndarray:
     return R
 
 
+def _rotation(r_above, r_below) -> tuple:
+    """The unitary 2x2 rotation sending [r_above; r_below] to [s; 0], s > 0,
+    as a pair of rows, in the arithmetic of the inputs."""
+    s = math.hypot(abs(r_above), abs(r_below))
+    return (r_above.conjugate() / s, r_below.conjugate() / s), (-r_below / s, r_above / s)
+
+
+def _swap(R: list, j: int, zero) -> None:
+    """Swap columns j-1 and j of R, rows of Python scalars, and restore its
+    triangle: rotate rows j-1 and j from column j-1 on, set R[j][j-1] to
+    zero, and multiply those row tails by conj(rii / |rii|)."""
+    (m00, m01), (m10, m11) = _rotation(R[j - 1][j], R[j][j])
+    for row in R:
+        row[j - 1], row[j] = row[j], row[j - 1]
+    top, bottom = R[j - 1], R[j]
+    for c in range(j - 1, len(R)):
+        x, y = top[c], bottom[c]
+        top[c] = m00 * x + m01 * y
+        bottom[c] = m10 * x + m11 * y
+    bottom[j - 1] = zero
+    for i, row in ((j - 1, top), (j, bottom)):
+        rii = row[i]
+        mag = abs(rii)
+        if mag != 0.0:
+            phase = (rii / mag).conjugate()
+            row[j - 1 :] = [phase * v for v in row[j - 1 :]]
+
+
 def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     """LLL-reduce the columns of B over ring, or over Z when ring is None.
 
     Size reduction rounds each Gram-Schmidt ratio to the nearest ring
     element (the nearest integer over Z, ties toward the smaller one); a
-    swap restores triangularity with quaternion_rotation, a Givens rotation
-    when B is real.  R is recomputed from B @ U every REFACTOR_EVERY swaps.
-    The loop ends when the Lovasz condition holds everywhere, or after 3n
+    swap restores triangularity with _swap, a Givens rotation when B is
+    real.  R is recomputed from B @ U every REFACTOR_EVERY swaps.  The loop
+    ends when the Lovasz condition holds everywhere, or after 3n
     consecutive swaps that each leave the potential within STALL_RATIO of
     where it was.
 
     Returns (ua, ub, swaps, size_reductions, events, potential_ratios,
     stalled), with U = ua + xi*ub as in _sub_multiple (ub stays zero over Z).
     """
-    if ring is not None:
-        return _lll_rows(B, delta, ring)
     n = B.shape[1]
-    xi = 0.0 if ring is None else ring.xi
-    R = _r_positive(B)
-    ua, ub = _identity_coords(n)
-
-    swaps = size_reductions = 0
-    events: list[str] = []
-    pot_ratios: list[float] = []
-    stalled = False
-    stall_run = 0
-
-    j = 1
-    while j < n:
-        for k in range(j - 1, -1, -1):
-            mu = R[k, j] / R[k, k]
-            if ring is None:
-                ca, cb = _round_half_down(mu), 0
-            else:
-                ca, cb = _quantize_pair(complex(mu), ring)
-            if ca or cb:
-                R[: k + 1, j] -= (ca + cb * xi) * R[: k + 1, k]
-                _sub_multiple(ua, ub, j, k, ca, cb, ring)
-                size_reductions += 1
-                events.append(f"size_reduction:{j}")
-        if delta * abs(R[j - 1, j - 1]) ** 2 > abs(R[j, j]) ** 2 + abs(R[j - 1, j]) ** 2:
-            ratio = (abs(R[j - 1, j]) ** 2 + abs(R[j, j]) ** 2) / abs(R[j - 1, j - 1]) ** 2
-            pot_ratios.append(ratio)
-            M = quaternion_rotation(R[j - 1, j], R[j, j])
-            R[:, [j - 1, j]] = R[:, [j, j - 1]]
-            ua[j - 1], ua[j] = ua[j], ua[j - 1]
-            ub[j - 1], ub[j] = ub[j], ub[j - 1]
-            R[j - 1 : j + 1, :] = M @ R[j - 1 : j + 1, :]
-            R[j, j - 1] = 0.0
-            _phase_normalize(R, (j - 1, j))
-            swaps += 1
-            events.append(f"swap:{j}")
-            if swaps % REFACTOR_EVERY == 0:
-                R = _r_positive(B @ _embed_coords(ua, ub, xi))
-            if ratio >= STALL_RATIO:
-                stall_run += 1
-                if stall_run >= 3 * n:
-                    stalled = True
-                    break
-            else:
-                stall_run = 0
-            j = max(j - 1, 1)
-        else:
-            j += 1
-    return ua, ub, swaps, size_reductions, events, pot_ratios, stalled
-
-
-def _lll_rows(B: np.ndarray, delta: float, ring: RingSpec):
-    """_lll over a ring, with R held as rows of Python complex."""
-    n = B.shape[1]
-    xi = ring.xi
+    real = ring is None
+    xi = 0.0 if real else ring.xi
+    zero = 0.0 if real else 0j
     R = _r_positive(B).tolist()
     ua, ub = _identity_coords(n)
 
@@ -135,7 +112,11 @@ def _lll_rows(B: np.ndarray, delta: float, ring: RingSpec):
     j = 1
     while j < n:
         for k in range(j - 1, -1, -1):
-            ca, cb = _quantize_pair(R[k][j] / R[k][k], ring)
+            mu = R[k][j] / R[k][k]
+            if real:
+                ca, cb = _round_half_down(mu), 0
+            else:
+                ca, cb = _quantize_pair(mu, ring)
             if ca or cb:
                 c = ca + cb * xi
                 for row in R[: k + 1]:
@@ -148,7 +129,7 @@ def _lll_rows(B: np.ndarray, delta: float, ring: RingSpec):
             pot_ratios.append(ratio)
             ua[j - 1], ua[j] = ua[j], ua[j - 1]
             ub[j - 1], ub[j] = ub[j], ub[j - 1]
-            _swap_complex(R, j, R[j - 1][j], R[j][j])
+            _swap(R, j, zero)
             swaps += 1
             events.append(f"swap:{j}")
             if swaps % REFACTOR_EVERY == 0:

@@ -1,15 +1,15 @@
 """reduction._lll against the loop it replaced (tests/lll_reference.py).
 
 The library loop skips Gram-Schmidt ratios that cannot have changed since
-they last rounded to 0, and holds R as rows of Python floats (over Z) or
+they last rounded to 0, and holds R by columns of Python floats (over Z) or
 Python complex (over a ring); its whole output (ua, ub, swaps,
 size_reductions, events, potential_ratios, stalled) must equal the
-reference's bit for bit, while it rounds fewer ratios.  Over Z the
-reference still runs on numpy R; over a ring it runs the library's Python
-complex arithmetic, because numpy's complex statements round differently
-and meet a quantization tie on another side.  The library loop returns its
-events as (kind, column) steps, which reports format on first read; they
-are compared formatted.
+reference's bit for bit, while it rounds fewer ratios.  The reference holds
+R by rows in both fields and writes out its own size reduction, rotation
+and phase fix in that layout, so each field checks the column layout
+against an independent row layout in the same Python arithmetic.  The
+library loop returns its events as (kind, column) steps, which reports
+format on first read; they are compared formatted.
 """
 
 import math
@@ -101,7 +101,7 @@ def test_same_output_across_refactors():
 
 def test_same_output_across_refactors_over_z():
     """Real LLL past REFACTOR_EVERY: each refactor turns R into Python float
-    rows again."""
+    columns (rows in the reference) again."""
     B, ring = embedded_rank16()
     assert assert_same_run(B, 0.99, ring)[2] > reduction.REFACTOR_EVERY
 
@@ -136,8 +136,8 @@ def test_refactor_voids_every_skip(monkeypatch):
 
 
 def test_refactor_voids_every_skip_over_z(monkeypatch):
-    """The same over Z, where the shift is made on the numpy R before it
-    becomes Python float rows."""
+    """The same over Z, where the shift is made on the numpy R before either
+    loop turns it into Python floats."""
     shift_every_refactor(monkeypatch)
     B, ring = embedded_rank16()
     assert assert_same_run(B, 0.99, ring)[2] > reduction.REFACTOR_EVERY
@@ -190,7 +190,7 @@ def test_fewer_ratio_evaluations(ring, monkeypatch):
     st.integers(0, 2**32 - 1),
 )
 def test_same_output_over_z(delta, shape, n, seed):
-    """Real LLL on Python float rows equals the reference on numpy R, on
+    """Real LLL on Python float columns equals the row-major reference, on
     standard normal bases of rank n <= 12 and on cf-shape embeddings of
     rank 2 * (n // 2)."""
     rng = np.random.default_rng(seed)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from alglat.reduction import _gauss_batch, _r_positive, _trial_steps
 from alglat.rings import RingElem, quantize, ring_new
 from alglat.svp import shortest_vector, successive_minima_2d
 from oracles import exact_norms_squared_loop, identity_matrix
-from test_lll_reference import scrambled_rank16
+from test_lll_reference import cf_shape_basis, scrambled_rank16
 
 RING1 = ring_new(1)
 RING3 = ring_new(3)
@@ -635,16 +636,59 @@ def assert_ring_lll_properties(matrix, ring, delta):
 @given(ring_bases())
 def test_ring_lll_properties(case):
     """The twin of test_real_lll_properties for the loop over a ring, whose
-    R is held as Python complex rows."""
+    R is held as Python complex columns."""
     assert_ring_lll_properties(*case)
 
 
 @pytest.mark.parametrize("delta", (0.99, 1.0))
 def test_ring_lll_properties_across_refactors(delta):
     """A scrambled rank-16 basis swaps past REFACTOR_EVERY, so R is
-    recomputed from B @ U and turned into Python complex rows mid-run."""
+    recomputed from B @ U and turned into Python complex columns mid-run."""
     matrix, ring = scrambled_rank16()
     assert assert_ring_lll_properties(matrix, ring, delta).swaps > reduction.REFACTOR_EVERY
+
+
+class CountingModule:
+    """A module stand-in that appends the name of every call made through
+    it, or through its submodules, to calls."""
+
+    def __init__(self, module, calls):
+        self._module, self._calls = module, calls
+
+    def __getattr__(self, name):
+        value = getattr(self._module, name)
+        if isinstance(value, types.ModuleType):
+            return CountingModule(value, self._calls)
+        if not callable(value):
+            return value
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return value(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("ring", [None, RING1], ids=["Z", "d=1"])
+def test_lll_numpy_calls_do_not_grow_with_swaps(ring, monkeypatch):
+    """Between refactors _lll makes no numpy call in either field: a
+    cf-shape basis that swaps tens of times, fewer than REFACTOR_EVERY,
+    makes the same calls through reduction.np as the identity, which does
+    not swap."""
+
+    def numpy_calls(B):
+        calls = []
+        monkeypatch.setattr(reduction, "np", CountingModule(np, calls))
+        swaps = reduction._lll(B, 0.99, ring)[2]
+        monkeypatch.setattr(reduction, "np", np)
+        return calls, swaps
+
+    B = cf_shape_basis(ring, 4 if ring is None else 8, np.random.default_rng(3))
+    assert B.shape == (8, 8)
+    calls, swaps = numpy_calls(B)
+    assert 10 <= swaps < reduction.REFACTOR_EVERY
+    assert calls
+    assert numpy_calls(np.eye(8, dtype=B.dtype)) == (calls, 0)
 
 
 # ---------------------------------------------------------------------------
