@@ -185,9 +185,9 @@ CF_ROWS_SHA256 = {
 
 DESIGN_SHA256 = {
     (1, 0.6): "4bccea971c0af65689912f322955f0b5c23236f18087a87f5910a27224f887cf",
-    (1, 0.99): "fe6727e1623c91cbe87410056c3f33c8ba6d4665b1ff76b7d30e0584d936fa09",
-    (3, 0.6): "08dcb266dd21b37ef4b5ab4353419ba069355adae8c5378be9d49810242ec9e1",
-    (3, 0.99): "96527eb99c197d6cbe5a27a04f14be5e957d44af6df528a7f0d014fff3dfb59a",
+    (1, 0.99): "57e8fd34ae3b35b1fd2cca9de19f4820474acca62dd45cfae34af6c086eebbcd",
+    (3, 0.6): "d54f3759beedfc939ff14b18b04da3315b160bedbb06e78be650bb1f7659b06a",
+    (3, 0.99): "895a0059d3fbc331149b87ec4861c3732df74506a56a6659e900b64802ae7562",
     (5, 0.6): "0a11c10c454a06ceb4cc4b5d390ae7bbbde7a7ddc9273317a405b248901a7e99",
     (5, 0.99): "0883aa7b160ffb340092aa51784ba5c1649f8ed017355d3661810fbc11ce5a45",
 }
@@ -236,11 +236,11 @@ def test_relay_designs(d, delta):
 # real LLL on embedded bases
 
 REAL_LLL_SHA256 = {
-    1: "3b60f8646b1568a01b2e7149f38bc03ab928c56fca56013cd88992c8e37bbbf2",
+    1: "7ace99a2873812edc1db02e2a0e6420d30f06c3621dd42907dd2a8f71f180a0a",
     2: "b9dd213cf2f73b4614d0c5d5ad08bf9a6f06aa212733dd9fc459a18269d4e563",
-    3: "1ccb193ffbb93128d7cb6e62bc1b6de51af98d3070a4f10d790e6220e4d54d85",
+    3: "834747918da63708745b5b25fd2b3a910406e75602c556ea215416702c52d177",
     5: "5e8a2360755bc07a4377c6dfa067d2cf1aaffdbb22a785513e71a814e89ee219",
-    7: "70b487b8ea9fd8cb9b3c5b2434e2aa2168aa7202d45330660b355ca4f2e287de",
+    7: "d9a6f17731672d5544ebeae60401fea580c7935f8478f8fc72cee0efb51a4408",
     "golden": "d3e77dbc289f63f2e3713379f8e9ced5bc4906961b44dabad18abec80126df5d",
 }
 
@@ -342,7 +342,7 @@ DOF_SLOPE_REPR = {
     (1, "rlll"): "0.3523049859011477",
     (3, "alll"): "0.34623737135731436",
     (3, "svp"): "0.34623737135731664",
-    (3, "rlll"): "0.34623737135732235",
+    (3, "rlll"): "0.346237371357323",
     (5, "alll"): "0.1536254044277758",
 }
 
