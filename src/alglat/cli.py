@@ -15,7 +15,7 @@ import numpy as np
 
 from . import experiments
 from .cf import STRATEGIES, Channel, design_relay
-from .lattices import ComplexBasis, basis_from_json, basis_to_json, embed
+from .lattices import ComplexBasis, _complex_pair, basis_from_json, basis_to_json, embed
 from .reduction import _quiet, alll_reduce, gauss_reduce, real_lll
 from .rings import morphism_new, parse_ring
 from .svp import shortest_vector
@@ -109,8 +109,8 @@ def _cmd_cf_rate(args) -> int:
     with open(args.channel) as f:
         data = json.load(f)
     try:
-        h = [complex(re, im) for re, im in data["h"]]
-    except TypeError as exc:
+        h = [_complex_pair(pair) for pair in data["h"]]
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed channel file: {exc}") from exc
     ch = Channel.from_db(np.array(h), args.snr_db)
     design = design_relay(ch, ring, args.strategy, delta=args.delta)
@@ -155,7 +155,7 @@ def _cmd_cf_experiment(args) -> int:
         out = cfg.get("out")
         if out is not None and not isinstance(out, str):
             raise TypeError(f"'out' must be a string, got {out!r}")
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed config: {exc}") from exc
     rows = experiments.cf_experiment(
         ring, n, snr_db_list, trials, strategies, seed, modulus=modulus

@@ -348,6 +348,15 @@ def basis_to_json(basis: ComplexBasis) -> str:
     )
 
 
+def _complex_pair(pair) -> complex:
+    """complex(re, im) of a JSON [re, im] pair.  Raises TypeError for
+    anything else, and OverflowError for an integer beyond the float range;
+    the file parsers report both as malformed."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise TypeError(f"expected an [re, im] pair, got {pair!r:.40}")
+    return complex(*pair)
+
+
 def basis_from_json(text: str) -> ComplexBasis:
     data = json.loads(text)
     try:
@@ -358,8 +367,8 @@ def basis_from_json(text: str) -> ComplexBasis:
             raise ValueError(f"basis file claims n={n} but columns disagree")
         m = np.empty((n, n), dtype=complex)
         for j, col in enumerate(cols):
-            for i, (re, im) in enumerate(col):
-                m[i, j] = complex(re, im)
-    except (KeyError, TypeError) as exc:
+            for i, pair in enumerate(col):
+                m[i, j] = _complex_pair(pair)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed basis file: {exc}") from exc
     return ComplexBasis(m, ring)

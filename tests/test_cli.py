@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import dataclasses
 import io
 import json
@@ -5,11 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alglat
 from alglat.cli import main
@@ -256,17 +261,37 @@ class TestCli:
             ("cf-experiment", "--config", {**CONFIG, "snr_db": []}, [], "at least one SNR point"),
             ("cf-experiment", "--config", {**CONFIG, "out": 5}, [], "malformed config: 'out'"),
             ("cf-experiment", "--config", {**CONFIG, "out": ["x"]}, [], "malformed config: 'out'"),
+            (
+                "reduce", "--basis", '{"ring": "d=1", "n": 1e400, "columns": [[[1, 0]]]}', [],
+                "malformed basis file",
+            ),
+            (
+                "reduce", "--basis", {"ring": "d=1", "n": 1, "columns": [[[10**400, 0]]]}, [],
+                "malformed basis file",
+            ),
+            ("reduce", "--basis", {"ring": "d=1", "n": 1, "columns": [[[1]]]}, [], "malformed basis file"),
+            ("cf-rate", "--channel", {"h": [[10**400, 0]]}, ["--ring", "d=1", "--snr-db", "10"],
+             "malformed channel file"),
+            ("cf-rate", "--channel", {"h": {"a": 1}}, ["--ring", "d=1", "--snr-db", "10"],
+             "malformed channel file"),
+            ("cf-experiment", "--config", json.dumps(CONFIG).replace('"n": 2', '"n": 1e400'), [],
+             "malformed config"),
+            ("cf-experiment", "--config", json.dumps(CONFIG).replace('"seed": 1', '"seed": 1e400'), [],
+             "malformed config"),
         ],
         ids=["basis-bare-number", "basis-string-pair", "channel-not-a-list", "snr-overflow",
              "config-null-n", "config-strategies-string", "config-strategies-nested",
              "config-modulus-number", "config-modulus-string-entry",
              "config-strategies-repeated", "config-strategies-empty", "config-snr-empty",
-             "config-out-number", "config-out-list"],
+             "config-out-number", "config-out-list", "basis-n-1e400", "basis-entry-10**400",
+             "basis-short-pair", "channel-entry-10**400", "channel-dict", "config-n-1e400",
+             "config-seed-1e400"],
     )
     def test_malformed_input_is_an_error(self, tmp_path, capsys, command, flag, content, extra, says):
-        """Malformed files and values end in 'error: ...' and exit 1, not a traceback."""
+        """Malformed files and values end in 'error: ...' and exit 1, not a
+        traceback.  A str content is the file's text as it stands."""
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(content))
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
         assert main([command, flag, str(path), *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and says in err
@@ -390,3 +415,91 @@ def test_searches_on_user_input_end(args, code, says):
     assert out.returncode == code
     assert says in (out.stdout if code == 0 else out.stderr)
     assert "Traceback" not in out.stderr
+
+
+# ---------------------------------------------------------------------------
+# malformed input files, as a property
+
+#: JSON values no input field accepts at any depth: null, objects, non-finite
+#: floats and integers beyond the float range
+BAD_LEAVES = (
+    st.none()
+    | st.dictionaries(st.text(max_size=3), st.integers() | st.text(max_size=3), max_size=2)
+    | st.sampled_from([math.inf, -math.inf, math.nan, 10**400, -(10**400)])
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+#: a bad leaf, or a list with a poisoned value among any JSON values
+POISONED = st.recursive(
+    BAD_LEAVES,
+    lambda inner: st.builds(
+        lambda bad, rest, at: rest[:at] + [bad] + rest[at:],
+        inner, st.lists(JSON_VALUES, max_size=2), st.integers(0, 2),
+    ),
+    max_leaves=4,
+)
+#: a valid document of each input file, and the command line that reads it
+VALID_INPUTS = {
+    "basis": (
+        {"ring": "d=1", "n": 1, "columns": [[[1.0, 0.5]]]},
+        ["reduce", "--algorithm", "rlll", "--basis"], [],
+    ),
+    "channel": (
+        {"h": [[1.0, 0.0], [0.5, -0.5]]},
+        ["cf-rate", "--channel"], ["--ring", "d=1", "--snr-db", "10"],
+    ),
+    "config": (CONFIG, ["cf-experiment", "--config"], []),
+}
+
+
+def node_paths(value, path=()):
+    """The path, as keys and list indices, of every node of a JSON value."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for k, v in items:
+        yield from node_paths(v, path + (k,))
+
+
+@st.composite
+def malformed_inputs(draw):
+    """A valid document with one node, at any depth, poisoned or (a field)
+    deleted, or a poisoned value that is not an object in its place; and
+    the command line that reads it."""
+    valid, command, extra = VALID_INPUTS[draw(st.sampled_from(sorted(VALID_INPUTS)))]
+    path = draw(st.sampled_from(list(node_paths(valid))))
+    if not path:
+        return draw(POISONED.filter(lambda v: not isinstance(v, dict))), command, extra
+    doc = copy.deepcopy(valid)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    elif type(parent[path[-1]]) is int:
+        # an integer beyond the float range is still a valid count or seed
+        parent[path[-1]] = draw(POISONED.filter(lambda v: type(v) is not int))
+    else:
+        parent[path[-1]] = draw(POISONED)
+    return doc, command, extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_inputs())
+def test_malformed_json_is_one_error_line(case):
+    """main returns 1 and prints one 'error:' line, and no exception escapes
+    it, for any malformed basis, channel or config file."""
+    doc, command, extra = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*command, str(path), *extra])
+    assert code == 1
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
