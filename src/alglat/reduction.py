@@ -652,11 +652,11 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
                 x, y = v[j - 1], v[j]
                 v[j - 1] = m00 * x + m01 * y
                 v[j] = m10 * x + m11 * y
-            col[j] = zero
+            col[j] = zero  # col is column j-1 now; this is its sub-diagonal
             for i in (j - 1, j):
                 rii = C[i][i]
                 mag = abs(rii)
-                if rii != mag:
+                if rii != mag:  # else rii is real-positive or zero: no fix
                     phase = (rii / mag).conjugate()
                     for v in tail:
                         v[i] *= phase
