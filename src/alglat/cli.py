@@ -137,12 +137,21 @@ def _config_list(cfg: dict, key: str, kinds: tuple) -> list:
     return value
 
 
+def _config_int(cfg: dict, key: str) -> int:
+    """cfg[key], which must be a JSON integer: int() would truncate a float
+    and take a bool as 0 or 1."""
+    value = cfg[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _cmd_cf_experiment(args) -> int:
     with open(args.config) as f:
         cfg = json.load(f)
     try:
         ring = parse_ring(cfg["ring"])
-        n, trials, seed = int(cfg["n"]), int(cfg["trials"]), int(cfg["seed"])
+        n, trials, seed = (_config_int(cfg, key) for key in ("n", "trials", "seed"))
         snr_db_list = _config_list(cfg, "snr_db", (int, float))
         strategies = _config_list(cfg, "strategies", (str,))
         modulus = cfg.get("modulus")

@@ -361,7 +361,9 @@ def basis_from_json(text: str) -> ComplexBasis:
     data = json.loads(text)
     try:
         ring = parse_ring(data["ring"])
-        n = int(data["n"])
+        n = data["n"]
+        if type(n) is not int:  # a float would truncate, and bool is an int
+            raise TypeError(f"'n' must be an integer, got {n!r}")
         cols = data["columns"]
         if len(cols) != n or any(len(c) != n for c in cols):
             raise ValueError(f"basis file claims n={n} but columns disagree")

@@ -67,7 +67,7 @@ from .lattices import (
     _times_pow2,
     orthogonality_defect,
 )
-from .rings import RingSpec, _quantize_pair, _quantize_pairs, quantize  # noqa: F401  (perfbench traces and checks alglat.reduction.quantize)
+from .rings import RingSpec, _quantize_pairs, _quantizer, quantize  # noqa: F401  (perfbench traces and checks alglat.reduction.quantize)
 
 __all__ = [
     "BoundCheck",
@@ -287,7 +287,10 @@ def _square(x: float) -> float:
 
 
 def _identity_coords(n: int):
-    return [[int(i == j) for i in range(n)] for j in range(n)], [[0] * n for _ in range(n)]
+    ua = [[0] * n for _ in range(n)]
+    for j in range(n):
+        ua[j][j] = 1
+    return ua, [[0] * n for _ in range(n)]
 
 
 def _sub_multiple(ua, ub, j: int, k: int, ca: int, cb: int, ring: RingSpec | None) -> None:
@@ -572,10 +575,10 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     with _rotation's entries, zeroes the sub-diagonal entry and multiplies
     those rows by conj(rii / |rii|) where rii is not real-positive (over Z,
     a negation).  The two fields differ only in the rounding of a ratio
-    (math.ceil or _quantize_pair); everything else (the skip bookkeeping,
-    the size-reduction update, the Lovasz test, the swap, the stall rule,
-    the refactor cadence, the transform and the events) is one control
-    flow.
+    (math.ceil, or the ring's _quantizer, bound once per call); everything
+    else (the skip bookkeeping, the size-reduction update, the Lovasz test,
+    the swap, the stall rule, the refactor cadence, the transform and the
+    events) is one control flow.
 
     The Lovasz test squares entries of R, which overflow or underflow far
     from scale 1.  So when the diagonal of R leaves [_R_LOW, _R_HIGH], the
@@ -595,13 +598,16 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     real = ring is None
     xi = 0.0 if real else ring.xi
     zero = 0.0 if real else 0j
+    quant = None if real else _quantizer(ring)
     R = _r_positive(B)
     diag = np.abs(np.diagonal(R))
-    if not _R_LOW <= diag.min() <= diag.max() <= _R_HIGH:
+    low, high = diag.min(), diag.max()
+    if not _R_LOW <= low <= high <= _R_HIGH:
         B = _pow2_normalized(B)[0]
         R = _r_positive(B)
         diag = np.abs(np.diagonal(R))
-    if not 0.0 < diag.max() <= diag.min() * MAX_CONDITION:
+        low, high = diag.min(), diag.max()
+    if not 0.0 < high <= low * MAX_CONDITION:
         raise ValueError("basis columns are numerically dependent")
     C = R.T.tolist()
     ua, ub = _identity_coords(n)
@@ -625,7 +631,7 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
             if real:
                 ca, cb = math.ceil(col[k] / ck[k] - 0.5), 0
             else:
-                ca, cb = _quantize_pair(col[k] / ck[k], ring)
+                ca, cb = quant(col[k] / ck[k])
             if ca or cb:
                 c = ca + cb * xi
                 col[: k + 1] = [x - c * y for x, y in zip(col, ck[: k + 1])]

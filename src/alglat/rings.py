@@ -17,11 +17,13 @@ division only up to d = 2**42, and a modulus norm is tested by deterministic
 Miller-Rabin, exact below _MR_LIMIT (about 3.3e24); larger values are
 refused with ValueError.
 
-The quantizer rounds each coordinate of the rectangular lattice (and of its
-half-shifted coset for type II), the nearest-point decoder of Conway and
-Sloane for Z^2 and A_2, but only to drop the candidates that provably lose:
-the float distance and tie-break of the full 4- or 8-candidate search still
-choose among the rest, so its results are those of that search bit for bit.
+Each ring's quantizer is built once (_quantizer).  It rounds each coordinate
+of the rectangular lattice (and of its half-shifted coset for type II), the
+nearest-point decoder of Conway and Sloane for Z^2 and A_2, where that
+provably keeps the nearest candidate: a type I point then is the rounded
+pair, and a type II point the nearer of the two frames' points by the float
+distance and tie-break of the full 4- or 8-candidate search.  Every other
+input takes that full search, so the results are its own bit for bit.
 The array quantizer (_quantize_pairs, which batched Gauss reduction uses)
 makes the same decision in numpy wherever it provably equals the scalar
 one: y, floor, the fraction and the margin test are the same single IEEE
@@ -129,14 +131,15 @@ class RingSpec:
     def euclidean(self) -> bool:
         return self.d in NORM_EUCLIDEAN_D
 
-    @property
+    @functools.cached_property
     def minpoly_coeffs(self) -> tuple[int, int]:
-        """(s, t) such that xi^2 = s*xi + t with integer s, t."""
+        """(s, t) such that xi^2 = s*xi + t with integer s, t; cached, as
+        ring size reduction reads it on every step."""
         if self.kind is RingKind.TYPE_I:
             return 0, -self.d
         return 1, -((1 + self.d) // 4)
 
-    @property
+    @functools.cached_property
     def norm_form(self) -> tuple[int, int]:
         """(p, q) such that Nr(a + b*xi) = a^2 + p*a*b + q*b^2: (s, -t), as
         xi + conj(xi) = s and xi * conj(xi) = -t."""
@@ -297,58 +300,98 @@ _ROUND_MARGIN = 2.0**-16
 _ROUND_BOUND = 2.0**20
 
 
-def _near(t: float, safe: bool) -> tuple:
-    """The integers next to t that can be the nearest: floor(t) or
-    floor(t) + 1 alone when safe and t is not within _ROUND_MARGIN of a
-    half-integer, else both."""
-    u = math.floor(t)
-    f = t - u
-    if safe and abs(f - 0.5) > _ROUND_MARGIN:
-        return (u,) if f < 0.5 else (u + 1,)
-    return u, u + 1
+@functools.cache
+def _quantizer(ring: RingSpec):
+    """The nearest-element quantizer of ring, built once per ring: a function
+    x -> (a, b) for a Python complex x, which _quantize_pair calls.  sqrt(d),
+    xi, the ring kind and the rounding bound are its locals.
+
+    Each frame's coordinates, re and y = im/sqrt(d) (re - 1/2 and y - 1/2 in
+    the coset for type II), round to one candidate integer when |re|, |y| and
+    d are below _ROUND_BOUND and the coordinate is farther than _ROUND_MARGIN
+    from a half-integer.  When every frame coordinate does, the result comes
+    directly: the rounded pair for type I, the nearer of the two frames'
+    points by float distance and the (dist, a, b) tie-break for type II.
+    Every other x goes to _full_search, which scores all 4 or 8 candidates.
+    """
+    root, xi = math.sqrt(ring.d), ring.xi
+    type1 = ring.kind is RingKind.TYPE_I
+    # no coordinate rounds to one candidate when d is not below the bound
+    bound = _ROUND_BOUND if ring.d < _ROUND_BOUND else 0.0
+    floor, isfinite, margin = math.floor, math.isfinite, _ROUND_MARGIN
+
+    def quantize_pair(x: complex) -> tuple[int, int]:
+        re, im = x.real, x.imag
+        if re * re + im * im < ZERO_RADIUS2:
+            return 0, 0
+        if not (isfinite(re) and isfinite(im)):
+            raise ValueError(f"cannot quantize non-finite value {x}")
+        y = im / root
+        if abs(re) < bound and abs(y) < bound:
+            u, v = floor(re), floor(y)
+            f, g = re - u, y - v
+            if abs(f - 0.5) > margin and abs(g - 0.5) > margin:
+                p = u if f < 0.5 else u + 1
+                q = v if g < 0.5 else v + 1
+                if type1:
+                    return p, q
+                t, w = re - 0.5, y - 0.5
+                u, v = floor(t), floor(w)
+                f, g = t - u, w - v
+                if abs(f - 0.5) > margin and abs(g - 0.5) > margin:
+                    # the rectangular point p + q*sqrt(-d) is (p - q, 2q), the
+                    # coset point (r + 1/2) + (s + 1/2)*sqrt(-d) is (r - s, 2s + 1)
+                    r = u if f < 0.5 else u + 1
+                    s = v if g < 0.5 else v + 1
+                    a0, b0, a1, b1 = p - q, 2 * q, r - s, 2 * s + 1
+                    d0 = abs(x - (complex(a0) + b0 * xi)) ** 2
+                    d1 = abs(x - (complex(a1) + b1 * xi)) ** 2
+                    if d1 < d0 or (d1 == d0 and (a1, b1) < (a0, b0)):
+                        return a1, b1
+                    return a0, b0
+        return _full_search(x, re, y, xi, type1)
+
+    return quantize_pair
+
+
+def _full_search(x: complex, re: float, y: float, xi: complex, type1: bool) -> tuple[int, int]:
+    """The nearest of all 4 (type I) or 8 (type II) candidates floor(t) and
+    floor(t) + 1 of each frame coordinate, by float distance, exact ties to
+    the smaller (a, b): the search of tests/quantize_reference.py."""
+    u, v = math.floor(re), math.floor(y)
+    if type1:
+        cands = [(p, q) for p in (u, u + 1) for q in (v, v + 1)]
+    else:
+        # rectangular points p + q*sqrt(-d) correspond to (a, b) = (p - q, 2q);
+        # coset points (p + 1/2) + (q + 1/2)*sqrt(-d) to (a, b) = (p - q, 2q + 1)
+        cands = [(p - q, 2 * q) for p in (u, u + 1) for q in (v, v + 1)]
+        u, v = math.floor(re - 0.5), math.floor(y - 0.5)
+        cands += [(p - q, 2 * q + 1) for p in (u, u + 1) for q in (v, v + 1)]
+    _, a, b = min((abs(x - (complex(a) + b * xi)) ** 2, a, b) for a, b in cands)
+    return a, b
 
 
 def _quantize_pair(x: complex, ring: RingSpec) -> tuple[int, int]:
-    """Coordinates (a, b) of the ring element nearest to the Python complex x.
+    """Coordinates (a, b) of the ring element nearest to the Python complex x:
+    _quantizer(ring)(x), the one scalar quantizer.
 
     Type I rings round componentwise on the rectangular lattice; type II rings
     take the better of the rectangular lattice Z[sqrt(-d)] and its half-shifted
     coset.  Exact distance ties prefer the lexicographically smaller (a, b).
 
-    Each frame's coordinates, re and y = im/sqrt(d) (re - 1/2 and y - 1/2 in
-    the coset), keep floor(t) and floor(t) + 1 as candidates; _near drops the
-    farther one when that is safe, and the float distance and tie-break choose
-    among the rest, so the result is that of scoring all 4 or 8 bit for bit.
-    A dropped candidate is strictly farther in float distance than the kept
-    one that shares its other coordinate.  Along re the two share the float
-    im - Im(b*xi), re - Re(a + b*xi) is exact, and their exact squared
-    distances differ by at least 2*margin = 2**-15, while hypot and squaring
-    at |re|, |y|, d < 2**20 are off by a few ulp of values below 2**21, about
-    2**-32.  Along y the gap is at least 2*d*margin, and the rounding of y and
-    of b*xi adds at most about d*2**-31.  d is bounded as well: near
-    d = 2**40 a squared distance's ulp exceeds 2*margin and ties appear.
+    Rounding a frame coordinate t to one candidate drops the farther of
+    floor(t) and floor(t) + 1, and the result is that of scoring all 4 or 8
+    candidates bit for bit, because a dropped candidate is strictly farther in
+    float distance than the kept one that shares its other coordinate.  Along
+    re the two share the float im - Im(b*xi), re - Re(a + b*xi) is exact, and
+    their exact squared distances differ by at least 2*margin = 2**-15, while
+    hypot and squaring at |re|, |y|, d < 2**20 are off by a few ulp of values
+    below 2**21, about 2**-32.  Along y the gap is at least 2*d*margin, and the
+    rounding of y and of b*xi adds at most about d*2**-31.  d is bounded as
+    well: near d = 2**40 a squared distance's ulp exceeds 2*margin and ties
+    appear.
     """
-    re, im = x.real, x.imag
-    if re * re + im * im < ZERO_RADIUS2:
-        return 0, 0
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ValueError(f"cannot quantize non-finite value {x}")
-    y = im / math.sqrt(ring.d)
-    safe = abs(re) < _ROUND_BOUND and abs(y) < _ROUND_BOUND and ring.d < _ROUND_BOUND
-    ps, qs = _near(re, safe), _near(y, safe)
-    if ring.kind is RingKind.TYPE_I:
-        cands = [(p, q) for p in ps for q in qs]
-        if len(cands) == 1:
-            return cands[0]
-    else:
-        # rectangular points p + q*sqrt(-d) correspond to (a, b) = (p - q, 2q);
-        # coset points (p + 1/2) + (q + 1/2)*sqrt(-d) to (a, b) = (p - q, 2q + 1)
-        cands = [(p - q, 2 * q) for p in ps for q in qs]
-        ps, qs = _near(re - 0.5, safe), _near(y - 0.5, safe)
-        cands += [(p - q, 2 * q + 1) for p in ps for q in qs]
-    xi = ring.xi
-    _, a, b = min((abs(x - (complex(a) + b * xi)) ** 2, a, b) for a, b in cands)
-    return a, b
+    return _quantizer(ring)(x)
 
 
 #: relative gap between the rectangular and coset squared distances above
@@ -358,7 +401,7 @@ _FRAME_GAP = 2.0**-30
 
 
 #: live entries up to which _quantize_pairs loops over _quantize_pair: a
-#: scalar call costs about 2 (type I) to 7 (type II) us, the array path
+#: scalar call costs about 1 (type I) to 2 (type II) us, the array path
 #: about 20 to 45 us whatever the size
 _ARRAY_MIN = 8
 
@@ -387,12 +430,13 @@ def _round_frames(x: np.ndarray, live: np.ndarray, ring: RingSpec) -> tuple:
     """(one, a, b): the live entries of x decided in numpy, as a mask, and
     their coordinates, each equal to _quantize_pair's.
 
-    y, the safe mask and _near's floor, fraction and margin test are the same
-    single IEEE operations in numpy as in _near, so a coordinate with one
-    candidate gets the scalar one exactly.  A type I entry with one candidate
-    per coordinate is that candidate.  A type II entry with one candidate per
-    frame is the nearer of the two where their squared distances differ by
-    more than _FRAME_GAP relative, so numpy orders them as Python does."""
+    y, the safe mask and the floor, fraction and margin test are the same
+    single IEEE operations in numpy as in _quantizer's function, so a
+    coordinate with one candidate gets the scalar one exactly.  A type I
+    entry with one candidate per coordinate is that candidate.  A type II
+    entry with one candidate per frame is the nearer of the two where their
+    squared distances differ by more than _FRAME_GAP relative, so numpy
+    orders them as Python does."""
     finite = np.isfinite(x)  # a non-finite entry is never inside the zero radius
     if not finite.all():
         bad = complex(x[~finite][0])

@@ -296,6 +296,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and says in err
 
+    @pytest.mark.parametrize(
+        "command, flag, content, key",
+        [
+            ("reduce", "--basis", {"ring": "d=1", "n": 1.9, "columns": [[[1, 0]]]}, "'n'"),
+            ("reduce", "--basis", {"ring": "d=1", "n": True, "columns": [[[1, 0]]]}, "'n'"),
+            ("reduce", "--basis", {"ring": "d=1", "n": 1.0, "columns": [[[1, 0]]]}, "'n'"),
+            ("cf-experiment", "--config", {**CONFIG, "n": 2.9}, "'n'"),
+            ("cf-experiment", "--config", {**CONFIG, "trials": 1.9}, "'trials'"),
+            ("cf-experiment", "--config", {**CONFIG, "seed": 1.5}, "'seed'"),
+            ("cf-experiment", "--config", {**CONFIG, "n": 2.9, "trials": 1.9, "seed": 1.5}, "'n'"),
+            ("cf-experiment", "--config", {**CONFIG, "trials": True}, "'trials'"),
+            ("cf-experiment", "--config", {**CONFIG, "seed": False}, "'seed'"),
+        ],
+        ids=["basis-n-float", "basis-n-bool", "basis-n-integral-float", "config-n-float",
+             "config-trials-float", "config-seed-float", "config-all-float",
+             "config-trials-bool", "config-seed-bool"],
+    )
+    def test_non_integer_count_is_malformed(self, tmp_path, capsys, command, flag, content, key):
+        """A count or seed that is not a JSON integer is refused, not
+        truncated: a float n of 1.9 was read as 1, and true as 1."""
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        assert main([command, flag, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed ") and key in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("algorithm", ("alll", "rlll"))
     def test_reduce_nan_delta_is_an_error(self, golden_basis_file, capsys, algorithm):
         code = main([

@@ -171,7 +171,9 @@ def test_fewer_ratio_evaluations(ring, monkeypatch):
             lll_reference, "_round_half_down", counting("reference", lll_reference._round_half_down)
         )
     else:
-        monkeypatch.setattr(reduction, "_quantize_pair", counting("new", reduction._quantize_pair))
+        # the loop binds its ring's quantizer once per call: count what it returns
+        quantizer = reduction._quantizer
+        monkeypatch.setattr(reduction, "_quantizer", lambda r: counting("new", quantizer(r)))
         monkeypatch.setattr(
             lll_reference, "_quantize_pair", counting("reference", lll_reference._quantize_pair)
         )

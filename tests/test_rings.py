@@ -23,6 +23,7 @@ from alglat.rings import (
     _pair_mul,
     _quantize_pair,
     _quantize_pairs,
+    _quantizer,
     morphism_new,
     parse_ring,
     quantize,
@@ -513,11 +514,27 @@ def test_quantize_pairs_rarely_falls_back(d, monkeypatch):
 @example((ring_new(5), complex(math.nextafter(0.5, 1), math.sqrt(5) / 2)))  # a nudged tie
 @example((ring_new(2), complex(-2.559511699922293, -17720725912434.35)))  # |y| ~ 2**43
 @example((ring_new(2**40 + 1), complex(0.5000152587890626, 524272.0000002384)))  # d > 2**20
+# midpoints of a rectangular and a coset point, every frame coordinate 1/4
+# from a half-integer: the direct two-point compare decides, and where the
+# float distances tie, by the (dist, a, b) rule
+@example((ring_new(3), complex(0.25, math.sqrt(3) / 4)))  # 0 and xi: tie, b
+@example((ring_new(3), complex(0.25, -math.sqrt(3) / 4)))  # 0 and 1 - xi: tie, a
+@example((ring_new(3), complex(0.75, math.sqrt(3) / 4)))  # 1 and xi: tie, a
+@example((ring_new(7), complex(-0.25, 0.75 * math.sqrt(7))))  # -1 + 2xi and -1 + xi: tie, b
+@example((ring_new(15), complex(1.25, -0.25 * math.sqrt(15))))  # 1 and 2 - xi: tie, a
+@example((ring_new(1019), complex(4.75, -6.75 * math.sqrt(1019))))  # a near-tie
 def test_quantize_pair_matches_full_search(ring_point):
     """Rounding drops only candidates that the 4- or 8-candidate search of
     tests/quantize_reference.py would not pick, so both give the same (a, b)."""
     ring, x = ring_point
     assert _quantize_pair(x, ring) == quantize_reference._quantize_pair(x, ring)
+
+
+@pytest.mark.parametrize("d", (1, 3, 10007))
+def test_quantizer_is_built_once_per_ring(d):
+    """Equal rings share one quantizer, as they share units."""
+    assert _quantizer(ring_new(d)) is _quantizer(ring_new(d))
+    assert _quantizer(ring_new(d))(2.6 + 0.1j) == _quantize_pair(2.6 + 0.1j, ring_new(d))
 
 
 @pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=lambda r: f"d={r.d}")
