@@ -92,6 +92,13 @@ _POOL_SIZE = 4
 #: children whose seed words are derived at once; memory does not grow with
 #: the number of trials
 _BLOCK = 4096
+#: the most trials one harness call draws, over all its points (rings or SNR
+#: values): 1000 times criterion 7's 10 000 per ring; a count far beyond it,
+#: such as a config's "trials": 10**400, would run without end
+_MAX_DRAWS = 10**7
+#: the most relays of a network trial; each relay hears all n transmitters,
+#: so one trial draws n**2 channel gains and designs n rank-n lattices
+_MAX_RELAYS = 64
 
 
 @functools.cache
@@ -172,8 +179,17 @@ def _trials(seed: int, points: int, trials: int):
     """(point, trial, generator) in index order, where a point is a ring or an
     SNR value; trial (point, trial) draws from child point * trials + trial
     of SeedSequence(seed), as default_rng(SeedSequence(seed, spawn_key=(k,)))
-    would, so its draws depend only on the seed and its own index."""
-    root = np.random.SeedSequence(seed)
+    would, so its draws depend only on the seed and its own index.
+
+    Raises ValueError on the call, before any draw, when points * trials is
+    above _MAX_DRAWS, and numpy's error for a seed it refuses."""
+    if points * trials > _MAX_DRAWS:
+        raise ValueError(f"points x trials must be at most {_MAX_DRAWS}, got {points} x {trials}")
+    return _draws(np.random.SeedSequence(seed), points, trials)
+
+
+def _draws(root: np.random.SeedSequence, points: int, trials: int):
+    """The generators of _trials, derived from root block by block."""
     words = _words_type()
     total = points * trials
     # blocks start at multiples of _BLOCK, which divides 2**32
@@ -201,10 +217,11 @@ def hermite_cdf(rings, trials: int, seed: int) -> dict:
     rings = list(rings)
     if len(set(rings)) < len(rings):
         raise ValueError("each ring may appear only once; a repeat would overwrite its trials")
+    generators = _trials(seed, len(rings), trials)  # refuses a huge count before np.empty
     # one 8-draw call per trial gives the real parts, then the imaginary
     # parts, exactly as two 4-draw calls do
     parts = np.empty((len(rings), trials, 2, 2, 2))
-    for ri, t, rng in _trials(seed, len(rings), trials):
+    for ri, t, rng in generators:
         rng.standard_normal(out=parts[ri, t])
     draws = math.sqrt(0.5) * (parts[:, :, 0] + 1j * parts[:, :, 1])
     out = {}
@@ -286,6 +303,8 @@ def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) 
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > _MAX_RELAYS:
+        raise ValueError(f"n must be at most {_MAX_RELAYS}, got {n}")
     if not p_linear_list:
         raise ValueError("need at least one SNR point")
     if not strategies:

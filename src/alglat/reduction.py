@@ -2,11 +2,14 @@
 
 The algebraic algorithms quantize Gram-Schmidt coefficients to the ring and
 keep the unimodular transform exact, as two integer coordinate arrays
-U = A + xi*B that the inner loops update with Python ints.  Only the R factor
-is maintained incrementally: its structure is restored after each column
-swap by a 2x2 unitary rotation (the matrix form of a quaternion), and it is
-recomputed from the input basis and the exact transform every
-REFACTOR_EVERY swaps.
+U = A + xi*B.  Gauss reduction updates them as lists of Python ints; the
+LLL loop holds each column of A and of B packed into one Python int
+(Kronecker substitution), so its transform update is a few big-int products
+whatever the rank, and it unpacks them to lists at each refactor and at its
+return.  Only the R factor is maintained incrementally: its structure is
+restored after each column swap by a 2x2 unitary rotation (the matrix form
+of a quaternion), and it is recomputed from the input basis and the exact
+transform every REFACTOR_EVERY swaps.
 
 There is one LLL loop, _lll.  alll_reduce runs it over the basis's ring;
 real_lll runs it over Z (covering radius 1/2), where the nearest ring element
@@ -34,7 +37,8 @@ agrees with a numpy R up to the last bits, and where a ratio sits on a
 rounding tie may take the other nearest element.  The refactor is numpy's
 QR of B @ U in both fields.
 
-A ReductionReport keeps the transform as the loop's integer coordinates.
+A ReductionReport keeps the transform as the loop's integer coordinates,
+as lists.
 Its RingMatrix transform, its event strings and alll_reduce's quality-bound
 checks are built on their first read, so wall_time covers the reduction
 only and callers that never read them (the CF designs, the SVP oracle)
@@ -48,7 +52,9 @@ its R would leave the float range.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
+import struct
 import time
 import warnings
 from contextlib import contextmanager
@@ -84,6 +90,10 @@ __all__ = [
 
 GAUSS_ITER_FACTOR = 64
 REFACTOR_EVERY = 100
+#: bits per entry of the transform columns that _lll packs into one int each,
+#: at the start of a call; _lll widens them before an entry could reach
+#: 2**(_PACK_WIDTH - 1)
+_PACK_WIDTH = 64
 STALL_RATIO = 1.0 - 1e-12
 #: the range of |R_jj| in which _lll runs on B as given, and of the column
 #: norms with which _gauss_batch does: squares stay far inside the normal
@@ -306,6 +316,47 @@ def _sub_multiple(ua, ub, j: int, k: int, ca: int, cb: int, ring: RingSpec | Non
     tb, sb = t * cb, ca + s * cb
     ua[j] = [x - ca * y - tb * z for x, y, z in zip(ua[j], ua[k], ub[k])]
     ub[j] = [x - sb * z - cb * y for x, y, z in zip(ub[j], ua[k], ub[k])]
+
+
+# The LLL loop packs each column of ua and ub into one int (Kronecker
+# substitution): entry i is digit i, at bit w*i, and every digit has
+# magnitude below 2**(w-1).  A column update is then a few big-int products
+# and sums, whatever n is.
+
+
+def _pack(digits, w: int) -> int:
+    """The int whose signed base-2**w digits are digits, least first."""
+    return sum(x << (w * i) for i, x in enumerate(digits))
+
+
+@functools.cache
+def _digit_offset(n: int, w: int) -> int:
+    """_pack of n digits 2**(w-1)."""
+    return _pack([1 << (w - 1)] * n, w)
+
+
+def _unpack(p: int, n: int, w: int) -> list[int]:
+    """The n digits of p = _pack(digits, w), each of magnitude below
+    2**(w-1), as a list of Python ints.
+
+    Adding 2**(w-1) to every digit makes each one an ordinary base-2**w
+    digit of p + offset, in [0, 2**w); flipping the top bit of each again
+    (xor offset) leaves its w-bit two's complement, which struct reads
+    directly when w is 64."""
+    off = _digit_offset(n, w)
+    p = (p + off) ^ off
+    if w == 64:
+        return list(struct.unpack(f"<{n}q", p.to_bytes(8 * n, "little")))
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    return [(((p >> (w * i)) & mask) ^ half) - half for i in range(n)]
+
+
+def _unpack_columns(PA, PB, n: int, w: int) -> tuple:
+    """(ua, ub, bound): the packed columns unpacked, and the largest |entry|
+    of each column of U."""
+    ua = [_unpack(p, n, w) for p in PA]
+    ub = [_unpack(p, n, w) for p in PB]
+    return ua, ub, [max(map(abs, a + b)) for a, b in zip(ua, ub)]
 
 
 def _embed_coords(ua, ub, xi) -> np.ndarray:
@@ -580,6 +631,18 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     the swap, the stall rule, the refactor cadence, the transform and the
     events) is one control flow.
 
+    The transform U = ua + xi*ub is held packed: PA[j] = _pack(ua[j], w)
+    and PB[j] = _pack(ub[j], w), so a size reduction updates column j with
+    at most four big-int products over a ring (with xi^2 = s*xi + t) and
+    one over Z, whatever n is, and a swap exchanges references.  bound[j]
+    is at least every |entry| of column j, and
+    before each update the loop checks that the updated bound stays below
+    2**(w-1), within which _unpack reads the digits back exactly.  When it
+    would not, every column is unpacked at w and its bound restarts from its
+    largest entry; if the update still does not fit, the columns are
+    repacked at w doubled until it does.  w starts at _PACK_WIDTH, and the
+    columns are unpacked to lists at each refactor and at the return.
+
     The Lovasz test squares entries of R, which overflow or underflow far
     from scale 1.  So when the diagonal of R leaves [_R_LOW, _R_HIGH], the
     loop runs on B scaled by a power of two (_pow2_normalized), the same
@@ -590,15 +653,16 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     MAX_CONDITION (a lower bound on the condition number of B).
 
     Returns (ua, ub, swaps, size_reductions, steps, potential_ratios,
-    stalled), with U = ua + xi*ub as in _sub_multiple (ub stays zero over Z)
-    and steps the ("size_reduction" or "swap", j) pairs of the run in order,
-    which _event_strings formats.
+    stalled), with ua and ub lists of columns of Python ints as in
+    _sub_multiple (ub stays zero over Z), and steps the ("size_reduction"
+    or "swap", j) pairs of the run in order, which _event_strings formats.
     """
     n = B.shape[1]
     real = ring is None
     xi = 0.0 if real else ring.xi
     zero = 0.0 if real else 0j
     quant = None if real else _quantizer(ring)
+    s, t = (0, 0) if real else ring.minpoly_coeffs
     R = _r_positive(B)
     diag = np.abs(np.diagonal(R))
     low, high = diag.min(), diag.max()
@@ -610,7 +674,11 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     if not 0.0 < high <= low * MAX_CONDITION:
         raise ValueError("basis columns are numerically dependent")
     C = R.T.tolist()
-    ua, ub = _identity_coords(n)
+    w = _PACK_WIDTH
+    limit = 1 << (w - 1)
+    PA = [1 << (w * i) for i in range(n)]
+    PB = [0] * n
+    bound = [1] * n
 
     swaps = size_reductions = 0
     steps: list[tuple[str, int]] = []
@@ -635,7 +703,34 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
             if ca or cb:
                 c = ca + cb * xi
                 col[: k + 1] = [x - c * y for x, y in zip(col, ck[: k + 1])]
-                _sub_multiple(ua, ub, j, k, ca, cb, ring)
+                # column j of U -= (ca + cb*xi) * column k, as _sub_multiple,
+                # once its bound is known to stay below limit = 2**(w-1)
+                if cb:
+                    tb, sb = t * cb, ca + s * cb
+                    grow = max(abs(ca) + abs(tb), abs(cb) + abs(sb))
+                else:
+                    grow = abs(ca)
+                new_bound = bound[j] + grow * bound[k]
+                if new_bound >= limit:
+                    # unpack at w, exact while every bound is below limit,
+                    # and bound each column by its largest entry again;
+                    # widen only if the update still reaches limit
+                    ua, ub, bound = _unpack_columns(PA, PB, n, w)
+                    new_bound = bound[j] + grow * bound[k]
+                    if new_bound >= limit:
+                        while new_bound >= 1 << (w - 1):
+                            w *= 2
+                        limit = 1 << (w - 1)
+                        PA, PB = [_pack(a, w) for a in ua], [_pack(b, w) for b in ub]
+                bound[j] = new_bound
+                if cb:
+                    pa, pb = PA[k], PB[k]
+                    PA[j] -= ca * pa + tb * pb
+                    PB[j] -= cb * pa + sb * pb
+                else:
+                    PA[j] -= ca * PA[k]
+                    if not real:
+                        PB[j] -= ca * PB[k]
                 size_reductions += 1
                 steps.append(("size_reduction", j))
                 seen[k] = -1
@@ -648,8 +743,9 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
         if delta * r_diag2 > r_next2:
             ratio = r_next2 / r_diag2
             pot_ratios.append(ratio)
-            ua[j - 1], ua[j] = ua[j], ua[j - 1]
-            ub[j - 1], ub[j] = ub[j], ub[j - 1]
+            PA[j - 1], PA[j] = PA[j], PA[j - 1]
+            PB[j - 1], PB[j] = PB[j], PB[j - 1]
+            bound[j - 1], bound[j] = bound[j], bound[j - 1]
             zero_at[j - 1], zero_at[j] = zero_at[j], zero_at[j - 1]
             C[j - 1], C[j] = col, C[j - 1]
             (m00, m01), (m10, m11) = _rotation(r_above, r_below)
@@ -671,6 +767,7 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
             swaps += 1
             steps.append(("swap", j))
             if swaps % REFACTOR_EVERY == 0:
+                ua, ub, bound = _unpack_columns(PA, PB, n, w)
                 C = _r_positive(B @ _embed_coords(ua, ub, xi)).T.tolist()
                 version = [v + 1 for v in version]
             if ratio >= STALL_RATIO:
@@ -683,6 +780,7 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
             j = max(j - 1, 1)
         else:
             j += 1
+    ua, ub = [_unpack(p, n, w) for p in PA], [_unpack(p, n, w) for p in PB]
     return ua, ub, swaps, size_reductions, steps, pot_ratios, stalled
 
 

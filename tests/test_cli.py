@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -443,6 +444,43 @@ def test_searches_on_user_input_end(args, code, says):
     assert "Traceback" not in out.stderr
 
 
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "args, config, says",
+    [
+        (["cf-experiment", "--config"], {"trials": 10**400}, "points x trials must be at most"),
+        (["cf-experiment", "--config"], {"n": 10**6}, "n must be at most"),
+        (
+            ["rank-failure", "--ring", "gaussian", "--n", "2", "--snr-db", "25", "--trials", HUGE,
+             "--seed", "1"],
+            None, "points x trials must be at most",
+        ),
+        (
+            ["hermite-cdf", "--ring", "d=1", "--trials", HUGE, "--seed", "1"],
+            None, "points x trials must be at most",
+        ),
+    ],
+    ids=["config-trials-1e400", "config-n-1e6", "rank-failure-trials-1e400", "hermite-trials-1e400"],
+)
+def test_huge_counts_are_refused_at_once(args, config, says, tmp_path, capsys):
+    """A config "trials" of 10**400 ran without end, and "n": 10**6 drew
+    n**2 channel gains per trial; the harnesses now refuse counts above
+    their ceilings before drawing, with one error line, within a second."""
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**CONFIG, **config}))
+        args = [*args, str(path)]
+    t0 = time.perf_counter()
+    code = main(args)
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert says in err
+    assert elapsed < 1.0
+
+
 # ---------------------------------------------------------------------------
 # malformed input files, as a property
 
@@ -507,9 +545,9 @@ def malformed_inputs(draw):
         parent = parent[k]
     if isinstance(parent, dict) and draw(st.booleans()):
         del parent[path[-1]]
-    elif type(parent[path[-1]]) is int:
-        # an integer beyond the float range is still a valid count or seed
-        parent[path[-1]] = draw(POISONED.filter(lambda v: type(v) is not int))
+    elif path[-1] == "seed":
+        # a seed beyond the float range is still a valid seed
+        parent[path[-1]] = draw(POISONED.filter(lambda v: v != 10**400))
     else:
         parent[path[-1]] = draw(POISONED)
     return doc, command, extra

@@ -9,7 +9,10 @@ R by rows in both fields and writes out its own size reduction, rotation
 and phase fix in that layout, so each field checks the column layout
 against an independent row layout in the same Python arithmetic.  The
 library loop returns its events as (kind, column) steps, which reports
-format on first read; they are compared formatted.
+format on first read; they are compared formatted.  The library loop also
+holds each column of the transform packed into one int, where the reference
+updates lists with _sub_multiple; the tests at the end run it where those
+packed columns must be repacked wider.
 """
 
 import math
@@ -198,3 +201,43 @@ def test_same_output_over_z(delta, shape, n, seed):
     rng = np.random.default_rng(seed)
     B = cn_basis(None, n, rng) if shape == "cn" else cf_shape_basis(None, n // 2, rng)
     assert_same_run(B, delta, None)
+
+
+# ---------------------------------------------------------------------------
+# the packed transform: _lll holds each column of U as one int
+
+
+@pytest.mark.parametrize("ring", [None, ring_new(1)], ids=ring_id)
+def test_entry_past_pack_width(ring):
+    """A ratio of 2**70 makes an entry of U that no 64-bit digit holds: the
+    loop widens before that update, and returns the entry exactly."""
+    B = np.array([[1.0, 2.0**70], [0.0, 1.0]], dtype=float if ring is None else complex)
+    got = assert_same_run(B, 0.99, ring)
+    assert got[0] == [[1, 0], [-(2**70), 1]]
+
+
+@pytest.mark.parametrize("width", [2, 5])
+def test_same_output_at_narrow_pack_width(width, monkeypatch):
+    """With the packed digits only a few bits wide, the loop retightens its
+    bounds and widens the columns many times; the reference corpus (ring
+    and Z runs, and the scrambled rank-16 basis past REFACTOR_EVERY in both
+    fields) must still give the reference's output."""
+    monkeypatch.setattr(reduction, "_PACK_WIDTH", width)
+    unpacked_at = []  # the width of each unpack of every column: a refactor or a bound
+    unpack = reduction._unpack_columns
+
+    def recording(PA, PB, n, w):
+        unpacked_at.append(w)
+        return unpack(PA, PB, n, w)
+
+    monkeypatch.setattr(reduction, "_unpack_columns", recording)
+    rng = np.random.default_rng(width)
+    for ring in RINGS:
+        for n in range(2, 9):
+            for make in (cn_basis, cf_shape_basis):
+                assert_same_run(make(ring, n, rng), 0.99, ring)
+    for B, ring in (scrambled_rank16(), embedded_rank16()):
+        assert assert_same_run(B, 0.99, ring)[2] > reduction.REFACTOR_EVERY
+    # widened at least three times past the start, and unpacked far more
+    # often than the 78 refactors of the two rank-16 runs
+    assert len(set(unpacked_at)) >= 4 and len(unpacked_at) > 300

@@ -902,3 +902,15 @@ def test_exact_norms_are_built_on_read_or_kept_when_given(reduce, monkeypatch):
     assert dataclasses.replace(floats, norms_squared_exact=[1, 2]).norms_squared_exact == [1, 2]
     assert dataclasses.replace(exact, swaps=7).norms_squared_exact == [16, 28]
     assert len(calls) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 5, 8, 64, 128)), st.integers(1, 64), st.data())
+def test_pack_round_trip(w, n, data):
+    """_unpack reads back every digit list _pack packs, for digits up to
+    +-(2**(w-1) - 1)."""
+    top = (1 << (w - 1)) - 1
+    edge = st.sampled_from((-top, -1, 0, 1, top))
+    digits = data.draw(st.lists(st.integers(-top, top) | edge, min_size=n, max_size=n))
+    got = reduction._unpack(reduction._pack(digits, w), n, w)
+    assert type(got) is list and got == digits
