@@ -45,8 +45,9 @@ only and callers that never read them (the CF designs, the SVP oracle)
 never pay for them.  The checks keep their verdicts when the basis is
 rescaled: a determinant, norm or norm product outside the normal float
 range is taken of the basis scaled by a power of two, and the tolerance is
-relative.  The loop itself runs on the basis scaled so when the squares of
-its R would leave the float range.
+relative.  The LLL loop itself runs on the basis scaled so when the squares
+of its R would leave the float range; gauss_reduce always runs Gauss
+reduction on its basis scaled by the power of two that normalizes it.
 """
 
 from __future__ import annotations
@@ -95,9 +96,8 @@ REFACTOR_EVERY = 100
 #: 2**(_PACK_WIDTH - 1)
 _PACK_WIDTH = 64
 STALL_RATIO = 1.0 - 1e-12
-#: the range of |R_jj| in which _lll runs on B as given, and of the column
-#: norms with which _gauss_batch does: squares stay far inside the normal
-#: float range
+#: the range of |R_jj| in which _lll runs on B as given: squares stay far
+#: inside the normal float range
 _R_LOW, _R_HIGH = 2.0**-256, 2.0**256
 
 
@@ -408,28 +408,13 @@ def _gauss_batch(M: np.ndarray, ring: RingSpec):
     whether they then swapped.  The first entry orders the input columns by
     norm, with ca = cb = 0.
 
-    A basis with a squared column norm outside [_R_LOW**2, _R_HIGH**2] (inf,
-    0 and subnormal norms among them), where a later square could leave the
-    float range, is reduced as the basis scaled by the power of two of
-    _pow2_normalized, the same lattice up to scale, and its reduced columns
-    are scaled back.  The scaling commutes with every step, so its log is
-    that of the basis as given; a stack with no such basis takes the path
-    unchanged.
+    The stack's squared column norms must lie far inside the normal float
+    range, as those of hermite_cdf's CN(0,1) draws do; gauss_reduce
+    normalizes its one basis by a power of two first.
     """
-    n0, n1 = _column_norms2(M)
-    outside = np.flatnonzero(
-        ~((np.minimum(n0, n1) >= _R_LOW**2) & (np.maximum(n0, n1) <= _R_HIGH**2))
-    )
-    exps = []
-    if outside.size:
-        M = M.copy()
-        for t in outside:
-            M[t], e = _pow2_normalized(M[t])
-            exps.append(e)
-        n0, n1 = _column_norms2(M)
     b0, b1 = M[:, :, 0], M[:, :, 1]
     rows = np.arange(len(M))
-    swap = n0 > n1
+    swap = np.vecdot(b0, b0).real > np.vecdot(b1, b1).real
     zeros = np.zeros(len(M), dtype=np.int64)
     log = [(rows, zeros, zeros, swap)]
     # b0, b1: the columns of the active trials, in their current order
@@ -453,16 +438,7 @@ def _gauss_batch(M: np.ndarray, ring: RingSpec):
         b0, b1 = b1, b0
     else:
         raise RuntimeError("gauss reduction exceeded its iteration budget")
-    for t, e in zip(outside, exps):
-        reduced[t] = _times_pow2(reduced[t], e)
     return reduced, log
-
-
-def _column_norms2(M: np.ndarray) -> tuple:
-    """The squared norms of the two columns of each basis in the stack M;
-    inf, 0 or NaN where they leave the float range."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return np.vecdot(M[:, :, 0], M[:, :, 0]).real, np.vecdot(M[:, :, 1], M[:, :, 1]).real
 
 
 def _trial_steps(log, t: int) -> list:
@@ -484,12 +460,20 @@ def gauss_reduce(basis: ComplexBasis) -> ReductionReport:
     minima of the lattice; other rings get a warning flag instead.  This is
     _gauss_batch on a stack of one, with its step log replayed into the
     exact transform.
+
+    The stack is the basis scaled by the power of two 2**-e that puts its
+    largest entry in [0.5, 1) (_pow2_normalized), and the reduced columns
+    are scaled back by 2**e.  Every step commutes with that scaling, so the
+    steps, the transform and the reduced bytes are those of the basis as
+    given (only a subnormal input entry may lose low bits), and at any scale
+    no square overflows or underflows.
     """
     t0 = time.perf_counter()
     if basis.n != 2:
         raise ValueError("gauss reduction needs a rank-2 basis")
     ring = basis.ring
-    reduced, log = _gauss_batch(basis.matrix[None], ring)
+    m, e = _pow2_normalized(basis.matrix)
+    reduced, log = _gauss_batch(m[None], ring)
     warns = []
     if not ring.euclidean:
         _warn_non_euclidean(warns, f"ring d={ring.d} is not norm-Euclidean; minima not guaranteed")
@@ -509,7 +493,7 @@ def gauss_reduce(basis: ComplexBasis) -> ReductionReport:
             steps.append(("swap", None))
 
     return ReductionReport(
-        reduced=ComplexBasis._derived(reduced[0], ring),
+        reduced=ComplexBasis._derived(_times_pow2(reduced[0], e), ring),
         coords=(ua, ub),
         swaps=swaps,
         size_reductions=size_reductions,

@@ -171,10 +171,9 @@ def _enum_shortest(R, best2, mode, budget, x_init, collect):
                 center[i] = -acc / Ri[i]
                 init_level(i)
         else:
-            # ascending-from-bound levels are only monotone past the center
-            if constrained[i] and x[i] < center[i]:
-                advance(i)
-                continue
+            # a constrained level starts at its bound, at or past its center
+            # (0, or -Re(xi) * x[i+1] <= 0 < 1), so ascending only moves it
+            # further out: the level is done, as an unconstrained one is
             i += 1
             if i == m:
                 return 0, best_x, cur_best2, nodes, points

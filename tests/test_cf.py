@@ -293,6 +293,22 @@ class TestTransmissionRate:
         with pytest.raises(ValueError):
             transmission_rate([d2, d3], mor)
 
+    def test_no_designs_rejected(self):
+        with pytest.raises(ValueError, match="at least one relay design"):
+            transmission_rate([], default_morphism(RING1))
+
+    def test_morphism_from_another_ring_rejected(self):
+        designs = [design_relay(H1, RING1, "alll"), design_relay(H2, RING1, "alll")]
+        with pytest.raises(ValueError, match="different ring"):
+            transmission_rate(designs, default_morphism(RING3))
+
+    def test_all_candidates_singular_over_the_field_rejected(self):
+        """Two relays hearing the same channel stack the same best vector
+        twice: the only candidate has rank 1 over F_5."""
+        designs = [design_relay(H1, RING1, "svp"), design_relay(H1, RING1, "svp")]
+        with pytest.raises(ValueError, match="every candidate matrix is rank-deficient"):
+            transmission_rate(designs, default_morphism(RING1))
+
 
 class TestExperimentOps:
     def test_dof_scalar_capacity_scaling(self):

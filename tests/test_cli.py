@@ -177,6 +177,11 @@ class TestCli:
         res = json.loads(out.read_text())
         assert res["norm_squared"] == pytest.approx(20.0, abs=1e-6)
 
+    def test_svp_without_out_prints_json(self, noneuclid_basis_file, capsys):
+        assert main(["svp", "--basis", str(noneuclid_basis_file)]) == 0
+        res = json.loads(capsys.readouterr().out)
+        assert res["norm_squared"] == pytest.approx(20.0, abs=1e-6)
+
     def test_hermite_cdf_csv(self, tmp_path):
         out = tmp_path / "h.csv"
         code = main([
@@ -228,6 +233,21 @@ class TestCli:
             assert main(["cf-experiment", "--config", str(cfg), "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_cf_experiment_explicit_modulus(self, tmp_path, capsys):
+        """A config "modulus" gives the quotient map: 1 + xi of norm 3 fills
+        the field column over d=2, which has no default map; over d=5 its
+        norm is 6, not prime, and the command fails with one error line."""
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps({**CONFIG, "ring": "d=2", "modulus": [1, 1]}))
+        assert main(["cf-experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert header.split(",")[8] == "p_rank_fail_field"
+        assert float(row.split(",")[8]) == 0.0  # alll is unimodular
+        cfg.write_text(json.dumps({**CONFIG, "ring": "d=5", "modulus": [1, 1]}))
+        capsys.readouterr()
+        assert main(["cf-experiment", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: modulus norm 6 is not prime"]
 
     def test_rank_failure_cmd(self, tmp_path):
         out = tmp_path / "rf.csv"

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alglat.cf import Channel, cf_basis, design_relay
@@ -176,21 +176,6 @@ class TestGaussBatch:
             steps = _trial_steps(log, t)
             assert rep.swaps == sum(sw for _, _, sw in steps)
             assert rep.size_reductions == sum(bool(a or b) for a, b, _ in steps)
-
-    def test_out_of_range_trials_run_scaled(self):
-        """Trials whose squared norms overflow or underflow are reduced at a
-        power-of-two scale and scaled back: each equals its scale-1 run times
-        the scale, bit for bit, with the same steps, and the in-range trials
-        of the stack are untouched."""
-        M = gauss_stack(RING1, [False, True] * 3, 4)
-        base, base_log = _gauss_batch(M, RING1)
-        scales = np.array([1.0, 2.0**600, 2.0**-600, 1.0, 2.0**1000, 2.0**-1000])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            reduced, log = _gauss_batch(M * scales[:, None, None], RING1)
-        for t, scale in enumerate(scales):
-            assert reduced[t].tobytes() == (base[t] * scale).tobytes()
-            assert _trial_steps(log, t) == _trial_steps(base_log, t)
 
     def test_budget_error(self, monkeypatch):
         monkeypatch.setattr(reduction, "GAUSS_ITER_FACTOR", 0)
@@ -795,18 +780,29 @@ def test_gauss_reduces_at_extreme_scales(k):
     assert [x / scale for x in norms] == base.norms
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(EUCLIDEAN_D), st.integers(0, 2**32 - 1), st.integers(-1000, 1000))
-def test_gauss_reduce_is_scale_invariant(d, seed, k):
-    """Scaling a rank-2 basis by 2^k keeps the transform and the steps, and
-    scales the norms, as it does for alll_reduce."""
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(EUCLIDEAN_D + (5,)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.integers(-1000, 1000),
+)
+def test_gauss_reduce_is_scale_invariant(d, exact, seed, k):
+    """gauss_reduce(2^k B) takes B's steps: the same transform, events and
+    counts, and its reduced matrix is 2^k times B's, bit for bit, with no
+    overflow or underflow on the way."""
     ring = ring_new(d)
-    m = random_basis(ring, 2, np.random.default_rng(seed)).matrix
+    m = gauss_stack(ring, [exact], seed)[0]
+    scaled = m * 2.0**k
+    assume(np.array_equal(scaled * 2.0**-k, m))  # 2^k B is exact
     base = gauss_reduce(ComplexBasis(m, ring))
-    rep = gauss_reduce(ComplexBasis(m * 2.0**k, ring))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = gauss_reduce(ComplexBasis(scaled, ring))
     assert rep.transform == base.transform
     assert rep.events == base.events
-    assert [x / 2.0**k for x in rep.norms] == pytest.approx(base.norms, rel=1e-12)
+    assert (rep.swaps, rep.size_reductions) == (base.swaps, base.size_reductions)
+    assert rep.reduced.matrix.tobytes() == (base.reduced.matrix * 2.0**k).tobytes()
 
 
 def test_real_lll_at_extreme_scale():
@@ -882,6 +878,27 @@ def test_transform_and_events_are_built_on_read_or_kept_when_given(reduce, monke
     other = identity_matrix(2, RING3)
     given = dataclasses.replace(rep, transform=other, events=["swap"])
     assert (given.transform, given.events, given.coords) == (other, ["swap"], rep.coords)
+
+
+def test_verify_refuses_a_non_unimodular_transform():
+    rep = gauss_reduce(ComplexBasis(np.column_stack(eisenstein_golden_basis()), RING3))
+    rep.verify()
+    doubled = RingMatrix.from_int_rows([[(2, 0), (0, 0)], [(0, 0), (1, 0)]], RING3)
+    with pytest.raises(RuntimeError, match="non-unimodular transform"):
+        dataclasses.replace(rep, transform=doubled).verify()
+
+
+def test_alll_stall_rule_ends_the_run(monkeypatch):
+    """The Fibonacci basis takes 7 swaps; with STALL_RATIO 0 every swap
+    counts as no progress, so the run stops after 3n = 6 of them, stalled
+    and with its warning."""
+    basis = ComplexBasis(np.array([[377, 233], [233, 144]], dtype=complex), RING1)
+    rep = alll_reduce(basis)
+    assert (rep.swaps, rep.stalled, rep.warnings) == (7, False, [])
+    monkeypatch.setattr(reduction, "STALL_RATIO", 0.0)
+    rep = alll_reduce(basis)
+    assert (rep.swaps, rep.stalled) == (6, True)
+    assert rep.warnings == ["terminated after repeated swaps with no potential progress"]
 
 
 @pytest.mark.parametrize("reduce", (gauss_reduce, alll_reduce))
