@@ -177,6 +177,23 @@ class TestGaussBatch:
             assert rep.swaps == sum(sw for _, _, sw in steps)
             assert rep.size_reductions == sum(bool(a or b) for a, b, _ in steps)
 
+    def test_out_of_range_trials_run_scaled(self):
+        """Trials whose squared norms would overflow or underflow are reduced
+        by gauss_reduce at a power-of-two scale and scaled back: each equals
+        the stack's scale-1 run times the scale, bit for bit, with the same
+        steps, and no square leaves the float range."""
+        M = gauss_stack(RING1, [False, True] * 3, 4)
+        base, base_log = _gauss_batch(M, RING1)
+        scales = np.array([1.0, 2.0**600, 2.0**-600, 1.0, 2.0**1000, 2.0**-1000])
+        for t, scale in enumerate(scales):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rep = gauss_reduce(ComplexBasis(M[t] * scale, RING1))
+            assert rep.reduced.matrix.tobytes() == (base[t] * scale).tobytes()
+            steps = _trial_steps(base_log, t)
+            assert rep.swaps == sum(sw for _, _, sw in steps)
+            assert rep.size_reductions == sum(bool(a or b) for a, b, _ in steps)
+
     def test_budget_error(self, monkeypatch):
         monkeypatch.setattr(reduction, "GAUSS_ITER_FACTOR", 0)
         M = gauss_stack(RING1, [False, True, False], 1)
