@@ -417,6 +417,10 @@ def dof_slope(
     """Least-squares slope of the mean computation rate vs log2(1 + P)."""
     if channels_per_point < 1:
         raise ValueError(f"channels_per_point must be >= 1, got {channels_per_point}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > _MAX_RELAYS:
+        raise ValueError(f"n must be at most {_MAX_RELAYS}, got {n}")
     p_grid_db = list(p_grid_db)
     if len(p_grid_db) < 2 or max(p_grid_db) - min(p_grid_db) < 30:
         raise ValueError("the SNR grid must span at least 30 dB")

@@ -83,7 +83,7 @@ class ComplexBasis:
     ring: RingSpec
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"basis must be square and non-empty, got shape {m.shape}")
         _independent(m)
@@ -95,7 +95,7 @@ class ComplexBasis:
         """Basis of a lattice already validated: a validated basis times an
         exact unimodular transform.  Only the entries are checked to be
         finite; independence carries over, so the cond check is skipped."""
-        m = _finite(np.array(matrix, dtype=complex))
+        m = _finite(np.array(matrix, dtype=complex, order="C"))
         m.setflags(write=False)
         basis = object.__new__(cls)
         object.__setattr__(basis, "matrix", m)
@@ -166,7 +166,7 @@ def volume(basis: ComplexBasis) -> float:
 
     It scales as the 2n-th power of B, so it leaves the float range (inf, or
     0 and subnormal) long before B does; hermite_factor rescales then."""
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         return abs(np.linalg.det(basis.matrix)) ** 2 * basis.ring.det_phi**basis.n
 
 
@@ -200,7 +200,7 @@ def orthogonality_defect(basis: ComplexBasis) -> float:
     are taken of B scaled by a power of two (_pow2_normalized).
     """
     m = basis.matrix
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         prod = float(np.prod(np.linalg.norm(m, axis=0)))
         absdet = abs(np.linalg.det(m))
     if not (_in_range(prod) and _in_range(absdet)):

@@ -42,12 +42,18 @@ as lists.
 Its RingMatrix transform, its event strings and alll_reduce's quality-bound
 checks are built on their first read, so wall_time covers the reduction
 only and callers that never read them (the CF designs, the SVP oracle)
-never pay for them.  The checks keep their verdicts when the basis is
-rescaled: a determinant, norm or norm product outside the normal float
-range is taken of the basis scaled by a power of two, and the tolerance is
-relative.  The LLL loop itself runs on the basis scaled so when the squares
-of its R would leave the float range; gauss_reduce always runs Gauss
-reduction on its basis scaled by the power of two that normalizes it.
+never pay for them.
+
+One scale rule holds for every float kernel whose arithmetic commutes
+exactly with scaling by a power of two (the LLL loop, Gauss reduction and
+the reported norms): it runs on the basis scaled by the power of two that
+puts its largest entry in [0.5, 1), and only results that depend on scale
+are scaled back.  So no square overflows or underflows, and the outputs do
+not depend on the scale of the basis.  The quality-bound checks keep their
+verdicts under rescaling another way: numpy's determinant is
+sign * exp(logdet), which does not commute with scaling, so a determinant,
+norm or norm product is taken of the basis scaled by a power of two only
+when it is outside the normal float range, and the tolerance is relative.
 """
 
 from __future__ import annotations
@@ -96,9 +102,6 @@ REFACTOR_EVERY = 100
 #: 2**(_PACK_WIDTH - 1)
 _PACK_WIDTH = 64
 STALL_RATIO = 1.0 - 1e-12
-#: the range of |R_jj| in which _lll runs on B as given: squares stay far
-#: inside the normal float range
-_R_LOW, _R_HIGH = 2.0**-256, 2.0**256
 
 
 class NonEuclideanRingWarning(UserWarning):
@@ -229,17 +232,13 @@ class ReductionReport:
 
     @property
     def norms(self) -> list[float]:
-        """Column norms of the reduced basis.  When a squared norm is out of
-        the normal float range, the norms are taken of the basis scaled by a
-        power of two and scaled back, so a norm is inf or 0 only when it is
-        out of the float range itself."""
-        m = self.reduced.matrix
-        with np.errstate(over="ignore", under="ignore"):
-            norms = np.linalg.norm(m, axis=0)
-            if not all(_in_range(x * x) for x in norms):
-                m, e = _pow2_normalized(m)
-                norms = _times_pow2(np.linalg.norm(m, axis=0), e)
-        return [float(x) for x in norms]
+        """Column norms of the reduced basis, taken of the basis scaled by
+        the power of two 2**-e that normalizes it (_pow2_normalized) and
+        scaled back by 2**e in Python floats, so they do not depend on the
+        scale and a norm is inf or 0 only when it is out of the float range
+        itself."""
+        m, e = _pow2_normalized(self.reduced.matrix)
+        return [_times_pow2(float(x), e) for x in np.linalg.norm(m, axis=0)]
 
     def bounds_ok(self) -> bool:
         return all(c.passed or c.skipped for c in self.bound_checks.values())
@@ -627,11 +626,13 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     repacked at w doubled until it does.  w starts at _PACK_WIDTH, and the
     columns are unpacked to lists at each refactor and at the return.
 
-    The Lovasz test squares entries of R, which overflow or underflow far
-    from scale 1.  So when the diagonal of R leaves [_R_LOW, _R_HIGH], the
-    loop runs on B scaled by a power of two (_pow2_normalized), the same
-    lattice up to scale, whose transform reduces B too; a basis in that
-    range takes the unscaled path.
+    The loop runs on B scaled by the power of two that puts its largest
+    entry in [0.5, 1) (_pow2_normalized): the same lattice up to scale,
+    whose transform reduces B too.  Every step (both QRs, the ratios and
+    their rounding, the Lovasz test, which squares by multiplication, and
+    the rotation) commutes with that scaling, so the outputs are those of B
+    at any power-of-two scale (only a subnormal entry of B may lose low
+    bits), and no square of R overflows or underflows.
 
     Raises ValueError when the diagonal of R is zero or spans more than
     MAX_CONDITION (a lower bound on the condition number of B).
@@ -647,14 +648,10 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     zero = 0.0 if real else 0j
     quant = None if real else _quantizer(ring)
     s, t = (0, 0) if real else ring.minpoly_coeffs
+    B = _pow2_normalized(B)[0]
     R = _r_positive(B)
     diag = np.abs(np.diagonal(R))
     low, high = diag.min(), diag.max()
-    if not _R_LOW <= low <= high <= _R_HIGH:
-        B = _pow2_normalized(B)[0]
-        R = _r_positive(B)
-        diag = np.abs(np.diagonal(R))
-        low, high = diag.min(), diag.max()
     if not 0.0 < high <= low * MAX_CONDITION:
         raise ValueError("basis columns are numerically dependent")
     C = R.T.tolist()
@@ -722,8 +719,11 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
             else:
                 seen[k] = version[k]
         r_above, r_below = col[j - 1], col[j]
-        r_diag2 = abs(C[j - 1][j - 1]) ** 2
-        r_next2 = abs(r_below) ** 2 + abs(r_above) ** 2
+        # squares as products: x ** 2 is libm pow, which does not commute
+        # with scaling by a power of two in the last bit
+        m_diag, m_below, m_above = abs(C[j - 1][j - 1]), abs(r_below), abs(r_above)
+        r_diag2 = m_diag * m_diag
+        r_next2 = m_below * m_below + m_above * m_above
         if delta * r_diag2 > r_next2:
             ratio = r_next2 / r_diag2
             pot_ratios.append(ratio)
@@ -849,7 +849,7 @@ def _quality_checks(basis: ComplexBasis, report: ReductionReport, lambda1=None) 
 
     # |det B| out of the normal range is taken of B scaled by 2^-e, and the
     # bound, homogeneous of degree 1 in B, scaled back by 2^e
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         absdet = abs(np.linalg.det(basis.matrix))
     e = 0
     if not _in_range(absdet):

@@ -27,7 +27,6 @@ import numpy as np
 
 from .lattices import (
     ComplexBasis,
-    _in_range,
     _pow2_normalized,
     _times_pow2,
     coeff_to_complex,
@@ -188,31 +187,21 @@ def _enumeration_r(basis: ComplexBasis) -> np.ndarray:
 
 
 def _enumeration_frame(reduced: ComplexBasis) -> tuple:
-    """(R, squared column norms, e) of a reduced basis for the enumeration.
-    When a squared column norm is out of the normal float range, both are
-    taken of the basis scaled by 2**-e (_pow2_normalized), so the search and
-    its nodes do not depend on the scale; otherwise e = 0."""
-    m, e = reduced.matrix, 0
-    with np.errstate(over="ignore", under="ignore"):
-        col_norms2 = np.sum(np.abs(m) ** 2, axis=0)
-    if not all(_in_range(x) for x in col_norms2):
-        m, e = _pow2_normalized(m)
-        reduced = ComplexBasis._derived(m, reduced.ring)
-        col_norms2 = np.sum(np.abs(m) ** 2, axis=0)
-    return _enumeration_r(reduced), col_norms2, e
+    """(R, squared column norms, e) of a reduced basis for the enumeration,
+    both taken of the basis scaled by the power of two 2**-e that normalizes
+    it (_pow2_normalized), so the search and its nodes do not depend on the
+    scale and no square overflows or underflows."""
+    m, e = _pow2_normalized(reduced.matrix)
+    col_norms2 = np.sum(np.abs(m) ** 2, axis=0)
+    return _enumeration_r(ComplexBasis._derived(m, reduced.ring)), col_norms2, e
 
 
 def _norm(basis: ComplexBasis, coeff) -> float:
-    """||B c||, rescaled by a power of two when its square is out of the
-    normal float range, so it is inf or 0 only when it is out of range
-    itself."""
-    v = basis.matrix @ coeff_to_complex(coeff)
-    with np.errstate(over="ignore", under="ignore"):
-        norm = float(np.linalg.norm(v))
-        if not _in_range(norm * norm):
-            v, e = _pow2_normalized(v)
-            norm = _times_pow2(float(np.linalg.norm(v)), e)
-    return norm
+    """||B c||, taken of B c scaled by the power of two 2**-e that
+    normalizes it (_pow2_normalized) and scaled back by 2**e in Python
+    floats, so it is inf or 0 only when it is out of range itself."""
+    v, e = _pow2_normalized(basis.matrix @ coeff_to_complex(coeff))
+    return _times_pow2(float(np.linalg.norm(v)), e)
 
 
 def _symmetry_mode(ring: RingSpec, use_symmetry: bool) -> int:

@@ -124,8 +124,10 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
                 _sub_multiple(ua, ub, j, k, ca, cb, ring)
                 size_reductions += 1
                 events.append(f"size_reduction:{j}")
-        if delta * abs(R[j - 1][j - 1]) ** 2 > abs(R[j][j]) ** 2 + abs(R[j - 1][j]) ** 2:
-            ratio = (abs(R[j][j]) ** 2 + abs(R[j - 1][j]) ** 2) / abs(R[j - 1][j - 1]) ** 2
+        diag2 = abs(R[j - 1][j - 1]) * abs(R[j - 1][j - 1])
+        next2 = abs(R[j][j]) * abs(R[j][j]) + abs(R[j - 1][j]) * abs(R[j - 1][j])
+        if delta * diag2 > next2:
+            ratio = next2 / diag2
             pot_ratios.append(ratio)
             ua[j - 1], ua[j] = ua[j], ua[j - 1]
             ub[j - 1], ub[j] = ub[j], ub[j - 1]

@@ -330,6 +330,16 @@ class TestExperimentOps:
         with pytest.raises(ValueError, match="channels_per_point must be >= 1"):
             dof_slope(RING1, 2, "alll", [0, 40], channels_per_point=channels, seed=0)
 
+    @pytest.mark.parametrize("n, says", [(0, "n must be >= 1"), (65, "n must be at most 64")])
+    def test_dof_relay_count_validation(self, n, says, monkeypatch):
+        """n is refused before the first channel is drawn; a large n would
+        build an n x n Gram matrix per channel."""
+        drawn = []
+        monkeypatch.setattr(experiments, "random_channel", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=says):
+            dof_slope(RING1, n, "alll", [0, 40], channels_per_point=2, seed=0)
+        assert drawn == []
+
     def test_network_loop_rejects_no_relays(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
             cf_experiment(RING1, 0, [10], 2, ["alll"], 0)

@@ -319,6 +319,13 @@ class TestValidationAndJson:
         with pytest.raises(ValueError):
             ComplexBasis(m, RING1)
 
+    def test_column_major_matrix_accepted(self):
+        """A transposed or column-permuted complex array is column-major; the
+        finiteness check read it as float pairs and raised ValueError."""
+        m = np.array([[1.0, 2j], [3.0, 4.0]])
+        for cm in (m.T, m[:, [1, 0]]):
+            assert np.array_equal(ComplexBasis(cm, RING1).matrix, cm)
+
     def test_empty_ring_matrix_rejected(self):
         with pytest.raises(ValueError, match="square and non-empty"):
             RingMatrix.from_int_rows([], RING1)

@@ -17,10 +17,11 @@ packed columns must be repacked wider.
 
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lll_reference
@@ -201,6 +202,42 @@ def test_same_output_over_z(delta, shape, n, seed):
     rng = np.random.default_rng(seed)
     B = cn_basis(None, n, rng) if shape == "cn" else cf_shape_basis(None, n // 2, rng)
     assert_same_run(B, delta, None)
+
+
+def exact_basis(ring, n, rng):
+    """A full-rank basis with coordinates in [-3, 3]; integers over Z."""
+    while True:
+        m = rng.integers(-3, 4, size=(n, n)).astype(float)
+        if ring is not None:
+            m = m + ring.xi * rng.integers(-3, 4, size=(n, n))
+        if np.linalg.matrix_rank(m) == n:
+            return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([None] + [ring_new(d) for d in (1, 2, 3, 5, 7, 11)]),
+    st.sampled_from((cn_basis, exact_basis)),
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+    st.integers(-1000, 1000),
+)
+@example(None, cn_basis, 7, 7, -2)
+@example(ring_new(3), exact_basis, 5, 3, -2)
+def test_lll_is_scale_invariant(ring, make, n, seed, k):
+    """_lll(B * 2^k) is _lll(B) bit for bit: the same transform, counts,
+    steps, potential ratios and stall flag, with no overflow or underflow on
+    the way, wherever 2^k B is exact.  The examples gave other potential
+    ratios while the Lovasz test squared with x ** 2 (libm pow)."""
+    B = make(ring, n, np.random.default_rng(seed))
+    scaled = B * 2.0**k
+    assume(np.array_equal(scaled * 2.0**-k, B))
+    base = reduction._lll(B, 0.99, ring)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = reduction._lll(scaled, 0.99, ring)
+    assert got[:5] + got[6:] == base[:5] + base[6:]
+    assert [r.hex() for r in got[5]] == [r.hex() for r in base[5]]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from alglat.reduction import (
     reduction_epsilon,
 )
 from alglat.reduction import _gauss_batch, _r_positive, _trial_steps
-from alglat.rings import RingElem, quantize, ring_new
+from alglat.rings import RingElem, quantize, ring_new, units
 from alglat.svp import shortest_vector, successive_minima_2d
 from oracles import exact_norms_squared_loop, identity_matrix
 from test_lll_reference import cf_shape_basis, scrambled_rank16
@@ -844,6 +844,48 @@ def test_report_norms_at_extreme_scale():
         got, want = rep.bound_checks[name], base.bound_checks[name]
         assert got.lhs / got.rhs == pytest.approx(want.lhs / want.rhs, rel=1e-12)
     assert math.isinf(rep.as_dict()["norms_squared"][0])
+
+
+def test_reduce_near_float_max_warns_nothing():
+    """The first column's norm, about 2.1e308, is beyond the float range.
+    The LLL loop took the QR of the basis as given, and its phase fix
+    divided inf by inf (RuntimeWarning) before it rescaled."""
+    m = np.array([[1.5e308, 0], [1.5e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = alll_reduce(ComplexBasis(m, RING1))
+        assert (rep.norms, rep.swaps) == ([1e308, 1.5811388300841895e308], 1)
+        assert rep.bounds_ok()
+        rep.verify()
+        assert shortest_vector(ComplexBasis(m, RING1)).norm == 1e308
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(EUCLIDEAN_D),
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_bound_check_verdicts_are_invariant(d, n, seed):
+    """B, B D (D a diagonal of units), B P (P a column permutation) and Q B
+    (Q a random unitary) span the same lattice up to an isometry, so with
+    the same lambda1 each check has the same (passed, skipped) verdict."""
+    ring = ring_new(d)
+    rng = np.random.default_rng(seed)
+    m = random_basis(ring, n, rng).matrix
+    lambda1 = shortest_vector(ComplexBasis(m, ring)).norm
+    us = units(ring)
+    unit_diag = np.diag([us[i].embed() for i in rng.integers(len(us), size=n)])
+    q = np.linalg.qr(random_basis(ring, n, rng).matrix)[0]
+    verdicts = [
+        {
+            name: (c.passed, c.skipped)
+            for name, c in alll_reduce(ComplexBasis(b, ring), 0.99, lambda1).bound_checks.items()
+        }
+        for b in (m, m @ unit_diag, m[:, rng.permutation(n)], q @ m)
+    ]
+    assert len(verdicts[0]) == 4
+    assert all(v == verdicts[0] for v in verdicts)
 
 
 def test_bound_checks_run_on_first_read_only(monkeypatch):
