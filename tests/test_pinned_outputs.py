@@ -109,7 +109,7 @@ def test_golden_integer_outputs(tmp_path, d):
 REPORT_SHA256 = {
     "alll": {
         1: "b557e0b1a2fcd3baa11e97ff9e1a8011e389b4a1927a7b04557c017194879b9a",
-        3: "1a486d23d2e186c67d39e9fb427a99b562144e8a3addb7e79218df6fbea07874",
+        3: "c74c9f761226773cd0811cc8d70466dfd82e54922b38aaca03a74523d4e85e87",
         5: "904ad5692d0633203b3d2c9618fa14f4e6f76c1d3293eda9447ff4a397780913",
     },
     "gauss": {
