@@ -856,7 +856,8 @@ def _quality_checks(basis: ComplexBasis, report: ReductionReport, lambda1=None) 
         m, e = _pow2_normalized(basis.matrix)
         absdet = abs(np.linalg.det(m))
     rhs = eps ** (-(n - 1) / 4.0) * absdet ** (1.0 / n)
-    checks["first_vs_det"] = _mk_check("first_vs_det", first, _times_pow2(rhs, e))
+    # in Python floats: a bound beyond the float range reads inf silently
+    checks["first_vs_det"] = _mk_check("first_vs_det", first, _times_pow2(float(rhs), e))
     od = orthogonality_defect(report.reduced)
     rho2 = ring.covering_radius**2
     prod = 1.0

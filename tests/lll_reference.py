@@ -5,12 +5,14 @@ It rounds every Gram-Schmidt ratio on every pass, and holds R as rows
 reduction._lll holds columns.  Each step is written out here in that row
 layout, in the same IEEE operations as the library: the ratio and its
 rounding (_round_half_down over Z, _quantize_pair over a ring), the
-size-reduction update row by row, the Lovasz test, and at a swap the column
-exchange across every row, the rotation of rows j-1 and j as a*x + b*y with
-the entries of _rotation, and the phase fix, which multiplies both rows by
-conj(rii / |rii|) whatever rii is.  The start and each refactor take R from
-its own copy of the numpy QR helpers (_phase_normalize, _r_positive).
-Nothing under src/ imports it; tests/test_lll_reference.py checks that the
+size-reduction update row by row, the Lovasz test (squares taken as
+products), and at a swap the column exchange across every row, the
+rotation of rows j-1 and j as a*x + b*y with the entries of _rotation, and
+the phase fix, which multiplies both rows by conj(rii / |rii|) whatever
+rii is.  The start and each refactor take R from its own copy of the numpy
+QR helpers (_phase_normalize, _r_positive).  It runs on B as given, where
+the library loop first scales B by a power of two, so every comparison
+also checks that scaling.  Nothing under src/ imports it; tests/test_lll_reference.py checks that the
 library loop returns the same (ua, ub, swaps, size_reductions, events,
 potential_ratios, stalled).
 """

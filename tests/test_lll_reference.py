@@ -12,7 +12,8 @@ library loop returns its events as (kind, column) steps, which reports
 format on first read; they are compared formatted.  The library loop also
 holds each column of the transform packed into one int, where the reference
 updates lists with _sub_multiple; the tests at the end run it where those
-packed columns must be repacked wider.
+packed columns must be repacked wider.  A property checks that the library
+loop gives the same output, bit for bit, on B scaled by any power of two.
 """
 
 import math

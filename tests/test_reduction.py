@@ -846,18 +846,27 @@ def test_report_norms_at_extreme_scale():
     assert math.isinf(rep.as_dict()["norms_squared"][0])
 
 
-def test_reduce_near_float_max_warns_nothing():
-    """The first column's norm, about 2.1e308, is beyond the float range.
-    The LLL loop took the QR of the basis as given, and its phase fix
-    divided inf by inf (RuntimeWarning) before it rescaled."""
-    m = np.array([[1.5e308, 0], [1.5e308, 1e308]])
+@pytest.mark.parametrize(
+    "m, norms",
+    [
+        ([[1.5e308, 0], [1.5e308, 1e308]], [1e308, 1.5811388300841895e308]),
+        ([[1.5e308, -1e308], [1.5e308, 1e308]], [1.4142135623730951e308, math.inf]),
+    ],
+)
+def test_reduce_near_float_max_warns_nothing(m, norms):
+    """A column norm of about 2.1e308 is beyond the float range.  The LLL
+    loop took the QR of the basis as given, and its phase fix divided inf
+    by inf (RuntimeWarning) before it rescaled; the bound checks' det and
+    first_vs_det's bound of inf warned too.  A norm beyond the range reads
+    inf."""
+    basis = ComplexBasis(np.array(m), RING1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rep = alll_reduce(ComplexBasis(m, RING1))
-        assert (rep.norms, rep.swaps) == ([1e308, 1.5811388300841895e308], 1)
+        rep = alll_reduce(basis)
+        assert (rep.norms, rep.swaps) == (norms, 1)
         assert rep.bounds_ok()
         rep.verify()
-        assert shortest_vector(ComplexBasis(m, RING1)).norm == 1e308
+        assert shortest_vector(basis).norm == norms[0]
 
 
 @settings(max_examples=40, deadline=None)
