@@ -22,10 +22,13 @@ array U of their embeddings (_rates); computation_rate is the stack of one.
 RelayDesign builds its RingElem vectors and its RingMatrix on first read.
 
 One elimination over F_p (_eliminate_mod_p) gives the rank and determinant
-of a matrix given as rows of (a, b) pairs; rank_mod_p maps its RingMatrix
-entries to pairs first, and transmission_rate and the experiments score the
-designs' pairs directly.  The MAC rate floor and the per-vector rate
-that tests hold the designs to are in tests/oracles.py.
+of a matrix given as rows of (a, b) pairs; rank_mod_p reads its RingMatrix
+as pairs first, and transmission_rate and the experiments score the
+designs' pairs directly.  transmission_rate rates column l of all its
+candidates in one _rates pass per relay.  No rate reads 0.0 from an
+overflowed Gram matrix: Channel refuses a P ||h||^2 that overflows, and
+_rates a denominator that is not > 0.  The MAC rate floor and the per-vector
+rate that tests hold the designs to are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -86,6 +89,8 @@ class Channel:
             raise ValueError("channel has non-finite entries")
         if not (self.p > 0 and math.isfinite(self.p)):
             raise ValueError(f"SNR must be positive and finite, got {self.p}")
+        if not math.isfinite(self.p * float(np.vdot(h, h).real)):
+            raise ValueError("SNR times channel energy P ||h||^2 overflows a float")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
 
@@ -158,12 +163,12 @@ def _rates(ch: Channel, U: np.ndarray) -> list[float]:
 
     The stacked M^-1 @ U[..., None] and np.vecdot equal the per-vector
     a.conj() @ (M^-1 @ a) bit for bit; the 2-D M^-1 @ U.T and a transposed,
-    non-contiguous U do not.
+    non-contiguous U do not.  A denominator not > 0, NaN too, is refused.
     """
     dens = np.vecdot(U, (ch._gram_inv @ U[..., None])[..., 0]).real.tolist()
     rates = []
     for den in dens:
-        if den <= 0:
+        if not den > 0:
             raise ValueError(f"rate denominator must be positive, got {den}")
         rates.append(max(0.0, math.log2(1.0 / den)))
     return rates
@@ -333,7 +338,7 @@ def rank_mod_p(matrix: RingMatrix, morphism: FieldMorphism) -> int:
     """Rank of the entrywise-mapped matrix over F_p."""
     if matrix.ring != morphism.ring:
         raise ValueError("element from a different ring")
-    return _eliminate_mod_p([[(e.a, e.b) for e in row] for row in matrix.entries], morphism)[0]
+    return _eliminate_mod_p(matrix._pairs(), morphism)[0]
 
 
 def default_morphism(ring: RingSpec) -> FieldMorphism:
@@ -365,26 +370,29 @@ def _candidate_rows(designs) -> list:
 def transmission_rate(designs: list, morphism: FieldMorphism) -> NetworkDesign:
     """Pick the candidate coefficient matrix with the best min-over-relays rate.
 
-    Candidates (_candidate_rows) that are rank-deficient over F_p are
-    discarded; for unimodular candidates this never happens, and the
-    determinant-morphism commutation f(det A) = det f(A) is checked on the
-    chosen matrix.
+    Each relay l rates column l of every candidate in one _rates pass, equal
+    bit for bit to rating each column alone.  Candidates (_candidate_rows)
+    that are rank-deficient over F_p are discarded; for unimodular candidates
+    this never happens, and the determinant-morphism commutation
+    f(det A) = det f(A) is checked on the chosen matrix.
     """
     if not designs:
         raise ValueError("need at least one relay design")
     n = designs[0].channel.n
     if any(d.channel.n != n for d in designs):
         raise ValueError("relay designs have mismatched sizes")
-
     ring = designs[0].ring
+    if any(d.ring != ring for d in designs):
+        raise ValueError("relay designs over different rings")
     if morphism.ring != ring:
         raise ValueError("element from a different ring")
     rows = _candidate_rows(designs)
     candidates = [RingMatrix.from_int_rows(r, ring) for r in rows]
-    rates = [
-        min(computation_rate(designs[l].channel, cand.column(l)) for l in range(n))
-        for cand in candidates
+    relay_rates = [
+        _rates(designs[l].channel, _embed_pairs([[row[l] for row in r] for r in rows], ring.xi))
+        for l in range(n)
     ]
+    rates = [min(column) for column in zip(*relay_rates)]
     # (rank, det) over F_p of each candidate, from one elimination each
     field = [_eliminate_mod_p(r, morphism) for r in rows]
 

@@ -73,9 +73,7 @@ def _cmd_reduce(args) -> int:
     payload["algorithm"] = args.algorithm
     payload["ring"] = f"d={basis.ring.d}"
     payload["reduced_basis"] = json.loads(basis_to_json(report.reduced))
-    payload["transform"] = [
-        [[e.a, e.b] for e in row] for row in report.transform.entries
-    ]
+    payload["transform"] = report.transform._pairs()
     _json_dump(payload, args.out)
     if report.bounds_ok() and not report.warnings:
         return EXIT_OK

@@ -25,9 +25,9 @@ from .cf import (
     design_relays,
     random_channel,
 )
-from .lattices import ComplexBasis, RingMatrix, _independent, volume
+from .lattices import ComplexBasis, _independent, volume
 from .reduction import _gauss_batch
-from .rings import FieldMorphism, RingSpec, morphism_new
+from .rings import FieldMorphism, RingSpec, _pair_det, morphism_new
 from .svp import shortest_vector
 
 __all__ = [
@@ -286,7 +286,7 @@ def _rank_failures(rows, ring: RingSpec, morphism: FieldMorphism | None) -> tupl
     det runs only when F_p cannot tell."""
     if morphism is not None and _eliminate_mod_p(rows, morphism)[0] == len(rows):
         return False, False
-    if RingMatrix.from_int_rows(rows, ring).det().is_zero():
+    if _pair_det(rows, ring) == (0, 0):
         return True, True
     return False, morphism is not None
 

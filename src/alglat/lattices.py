@@ -5,9 +5,10 @@ basis matrix.  Embedding into R^(2n) stacks real parts over imaginary parts
 of each column of B and of xi*B, with xi read from the ring rather than
 from its type; coefficient vectors a + b*xi split into [a-block; b-block].
 Exact entries are decoded in closed form, without the quantizer.  RingMatrix
-holds an exact transform, with a fraction-free determinant and the
-unimodularity test on it.  Random unimodular matrices, the exact inverse and
-the Minkowski-bound check are test oracles, in tests/oracles.py.
+holds RingElem entries; its determinant and product run on their (a, b)
+pairs (rings._pair_det, rings._pair_matmul).  Random unimodular matrices,
+the exact inverse and the Minkowski-bound check are test oracles, in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import RingElem, RingSpec, parse_ring
+from .rings import RingElem, RingSpec, _pair_det, _pair_matmul, parse_ring
 
 __all__ = [
     "ComplexBasis",
@@ -236,26 +237,17 @@ class RingMatrix:
     ring: RingSpec
 
     def __post_init__(self):
-        n = len(self.entries)
-        if n == 0:
-            raise ValueError("ring matrix must be square and non-empty, got 0 rows")
-        rows = []
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("ring matrix must be square")
-            for e in row:
-                if e.ring != self.ring:
-                    raise ValueError("entry from a different ring")
-            rows.append(tuple(row))
-        object.__setattr__(self, "entries", tuple(rows))
+        rows = tuple(map(tuple, self.entries))
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise ValueError(f"ring matrix must be square and non-empty, got {len(rows)} rows")
+        if any(e.ring != self.ring for row in rows for e in row):
+            raise ValueError("entry from a different ring")
+        object.__setattr__(self, "entries", rows)
 
     @classmethod
     def from_int_rows(cls, rows, ring: RingSpec) -> "RingMatrix":
         """Build from rows of (a, b) integer pairs."""
-        return cls(
-            tuple(tuple(ring.elem(a, b) for (a, b) in row) for row in rows),
-            ring,
-        )
+        return cls(tuple(tuple(ring.elem(a, b) for a, b in row) for row in rows), ring)
 
     @property
     def n(self) -> int:
@@ -273,64 +265,32 @@ class RingMatrix:
 
     @classmethod
     def from_columns(cls, cols, ring: RingSpec) -> "RingMatrix":
-        n = len(cols)
-        return cls(
-            tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)), ring
-        )
+        if any(len(col) != len(cols) for col in cols):
+            raise ValueError("ring matrix must be square")
+        return cls(tuple(zip(*cols)), ring)
+
+    def _pairs(self) -> list:
+        """The entries as rows of (a, b) pairs, the exact kernel's input."""
+        return [[(e.a, e.b) for e in row] for row in self.entries]
 
     def __matmul__(self, other):
         if not isinstance(other, RingMatrix):
             return NotImplemented
         if other.ring != self.ring:
             raise ValueError("mixed rings")
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.ring.zero
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return RingMatrix(tuple(rows), self.ring)
+        x, y = (np.moveaxis(np.array(m._pairs(), dtype=object), 2, 0) for m in (self, other))
+        a, b = _pair_matmul(x, y, *self.ring.minpoly_coeffs)
+        rows = [list(zip(ra, rb)) for ra, rb in zip(a.tolist(), b.tolist())]
+        return RingMatrix.from_int_rows(rows, self.ring)
 
     def to_complex(self) -> np.ndarray:
-        return np.array(
-            [[e.embed() for e in row] for row in self.entries], dtype=complex
-        )
+        return np.array([[e.embed() for e in row] for row in self.entries], dtype=complex)
 
     def det(self) -> RingElem:
-        return _ring_det(self)
+        return self.ring.elem(*_pair_det(self._pairs(), self.ring))
 
     def is_unimodular(self) -> bool:
         return self.det().norm() == 1
-
-
-def _ring_det(m: RingMatrix) -> RingElem:
-    """Bareiss fraction-free elimination; all divisions are exact in the ring."""
-    n = m.n
-    ring = m.ring
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = ring.one
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not a[i][k].is_zero()), None
-            )
-            if pivot_row is None:
-                return ring.zero
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.divide_exact(prev)
-            a[i][k] = ring.zero
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ from .lattices import (
     _times_pow2,
     orthogonality_defect,
 )
-from .rings import RingSpec, _quantize_pairs, _quantizer, quantize  # noqa: F401  (perfbench traces and checks alglat.reduction.quantize)
+from .rings import RingSpec, _pair_matmul, _quantize_pairs, _quantizer, quantize  # noqa: F401  (perfbench traces and checks alglat.reduction.quantize)
 
 __all__ = [
     "BoundCheck",
@@ -201,7 +201,8 @@ class ReductionReport:
     warnings: list = field(default_factory=list)
     #: the exact unimodular transform, a RingMatrix built from coords
     transform: RingMatrix | None = _BuiltOnRead(
-        lambda rep: _coords_matrix(*rep.coords, rep.reduced.ring)
+        # row i of U holds (ua[j][i], ub[j][i]) for each column j
+        lambda rep: RingMatrix.from_int_rows(zip(*map(zip, *rep.coords)), rep.reduced.ring)
     )
     #: "size_reduction:j" and "swap:j" for each step of an LLL run in order
     #: ("size_reduction" and "swap" for Gauss)
@@ -365,13 +366,6 @@ def _embed_coords(ua, ub, xi) -> np.ndarray:
     return np.array([[ua[j][i] + ub[j][i] * xi for j in range(n)] for i in range(n)])
 
 
-def _coords_matrix(ua, ub, ring: RingSpec) -> RingMatrix:
-    n = len(ua)
-    return RingMatrix.from_int_rows(
-        [[(ua[j][i], ub[j][i]) for j in range(n)] for i in range(n)], ring
-    )
-
-
 def _exact_norms_squared(basis: ComplexBasis, ua, ub) -> list | None:
     """Column norms of basis @ U as exact integers when the input has exact
     ring entries: products of object arrays of Python ints, which do not
@@ -379,14 +373,10 @@ def _exact_norms_squared(basis: ComplexBasis, ua, ub) -> list | None:
     exact = basis._exact_pairs()
     if exact is None:
         return None
-    s, t = basis.ring.minpoly_coeffs
     p, q = basis.ring.norm_form
-    a1, b1 = np.moveaxis(np.array(exact, dtype=object), 2, 0)
-    a2, b2 = np.array(ua, dtype=object).T, np.array(ub, dtype=object).T
-    # (a1 + b1 xi)(a2 + b2 xi) = a1 a2 + t b1 b2 + (a1 b2 + b1 a2 + s b1 b2) xi
-    bb = b1 @ b2
-    a = a1 @ a2 + t * bb
-    b = a1 @ b2 + b1 @ a2 + s * bb
+    x = np.moveaxis(np.array(exact, dtype=object), 2, 0)
+    y = np.array(ua, dtype=object).T, np.array(ub, dtype=object).T
+    a, b = _pair_matmul(x, y, *basis.ring.minpoly_coeffs)
     return (a * a + p * a * b + q * b * b).sum(axis=0).tolist()
 
 

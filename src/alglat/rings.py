@@ -6,7 +6,9 @@ when -d = 1 (mod 4) ("type II").  A ring is its d: RingSpec decides the type
 once, and only xi, its minimal polynomial xi^2 = s*xi + t, the covering
 radius and the quantizer read it; every other ring rule follows from xi and
 (s, t).  Elements are integer pairs (a, b) meaning a + b*xi, so all ring
-arithmetic is exact (_pair_mul is their one product).  The module also
+arithmetic is exact: _pair_mul is their one product, _pair_matmul the one
+matrix product and _pair_det the one determinant.  The library builds a
+RingElem only where a public name returns one.  The module also
 holds the nearest-element quantizer (used by the reductions and quantize;
 exact basis entries are decoded in closed form in lattices), the unit groups
 and the quotient maps Z[xi] -> F_p; the geometric covering-radius and
@@ -192,6 +194,46 @@ def _pair_mul(p, q, s: int, t: int) -> tuple:
     (a1, b1), (a2, b2) = p, q
     bb = b1 * b2
     return a1 * a2 + t * bb, a1 * b2 + b1 * a2 + s * bb
+
+
+def _pair_matmul(x, y, s: int, t: int) -> tuple:
+    """(A1 + xi*B1) @ (A2 + xi*B2) for x = (A1, B1), y = (A2, B2), object
+    arrays of Python ints, as an (A, B) pair; _pair_mul entrywise."""
+    (a1, b1), (a2, b2) = x, y
+    bb = b1 @ b2
+    return a1 @ a2 + t * bb, a1 @ b2 + b1 @ a2 + s * bb
+
+
+def _pair_det(rows, ring: RingSpec) -> tuple:
+    """Determinant of the square matrix with these rows of (a, b) pairs, as
+    an (a, b) pair, by Bareiss elimination (Math. Comp. 22, 1968).  Its
+    divisions by the previous pivot are exact: a product with the pivot's
+    conjugate ca + cb*xi, then integer division by its norm."""
+    s, t = ring.minpoly_coeffs
+    p, q = ring.norm_form
+    m = [list(row) for row in rows]
+    n, sign, ca, cb, norm = len(m), 1, 1, 0, 1
+    for k in range(n - 1):
+        if m[k][k] == (0, 0):
+            i = next((i for i in range(k + 1, n) if m[i][k] != (0, 0)), None)
+            if i is None:
+                return 0, 0
+            m[k], m[i], sign = m[i], m[k], -sign
+        head = m[k]
+        pa, pb = head[k]
+        for row in m[k + 1 :]:
+            xa, xb = row[k]
+            for j in range(k + 1, n):
+                (ya, yb), (za, zb) = row[j], head[j]
+                # row[j] * pivot - row[k] * head[j], then times ca + cb*xi
+                bb = yb * pb - xb * zb
+                a = ya * pa - xa * za + t * bb
+                b = ya * pb + yb * pa - xa * zb - xb * za + s * bb
+                bb = b * cb
+                row[j] = (a * ca + t * bb) // norm, (a * cb + b * ca + s * bb) // norm
+        ca, cb, norm = pa + s * pb, -pb, pa * pa + p * pa * pb + q * pb * pb
+    a, b = m[-1][-1]
+    return (a, b) if sign == 1 else (-a, -b)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .lattices import (
     embed,
 )
 from .reduction import ReductionReport, _quiet, _r_positive, _square, alll_reduce
-from .rings import RingSpec, _pair_mul, units
+from .rings import RingSpec, _pair_det, _pair_mul, units
 
 __all__ = [
     "SvpResult",
@@ -323,13 +323,9 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
         raise EnumerationBudgetError(max_nodes, nodes, _times_pow2(math.sqrt(radius2), e))
     # stable sort: of equal norms, the first listed is shortest_vector's
     # choice.  U is unimodular, so independence is tested before applying it.
-    s, t = ring.minpoly_coeffs
     coeffs = (_level_pairs(x) for _, x in sorted(points, key=lambda p: p[0]))
     first = next(coeffs, None)
-    second = next(
-        (c for c in coeffs if _pair_mul(first[0], c[1], s, t) != _pair_mul(first[1], c[0], s, t)),
-        None,
-    )
+    second = next((c for c in coeffs if _pair_det((first, c), ring) != (0, 0)), None)
     if second is None:
         raise RuntimeError("no independent second minimum found; basis may be degenerate")
     c1, c2 = (_elems(ring, _map_back(rep, c)) for c in (first, second))

@@ -2,12 +2,12 @@
 
 Each is an independent construction that tests compare library results
 against (the geometric covering radius, the ring rules and the embedding
-by their closed forms in the ring's type, the adjugate inverse, the exact
-entries by nearest-point search, the exact norms as a loop, Minkowski's
-bounds, the MAC rate floor, the computation rate one vector at a time, the
-trial generators as numpy spawns them) or a generator of test inputs
-(random unimodular matrices).  Nothing under src/ imports this module.
-"""
+by their closed forms in the ring's type, the RingElem determinant and
+product, the adjugate inverse, the exact entries by nearest-point search,
+the exact norms as a loop, Minkowski's bounds, the MAC rate floor, the
+computation rate one vector at a time, the trial generators as numpy spawns
+them) or a generator of test inputs (random unimodular matrices and CN(0,1)
+bases).  Nothing under src/ imports this module."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 from alglat.cf import Channel
 from alglat.lattices import _EXACT_TOL, ComplexBasis, RingMatrix
 from alglat.reduction import reduction_epsilon
-from alglat.rings import RingKind, RingSpec, _quantize_pair, quantize, units
+from alglat.rings import RingElem, RingKind, RingSpec, _quantize_pair, quantize, units
 
 #: Hermite's constants for real lattices of dimension 2, 4, 6, 8.  Only the
 #: dimension-4 value is forced by the quality bounds here; the others are the
@@ -35,6 +35,12 @@ HERMITE_CONSTANTS = {
 def hermite_constant_2n(n: int) -> float | None:
     """gamma_{2n} for complex rank n, or None when outside the table."""
     return HERMITE_CONSTANTS.get(2 * n)
+
+
+def random_basis(ring: RingSpec, n: int, rng) -> ComplexBasis:
+    """A basis with i.i.d. CN(0,1) entries."""
+    m = math.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return ComplexBasis(m, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +132,49 @@ def identity_matrix(n: int, ring: RingSpec) -> RingMatrix:
         tuple(tuple(ring.elem(1 if i == j else 0) for j in range(n)) for i in range(n)),
         ring,
     )
+
+
+def ring_det_reference(m: RingMatrix) -> RingElem:
+    """Bareiss fraction-free elimination on RingElem entries; all divisions
+    are exact in the ring.  The library's determinant before it ran on
+    (a, b) pairs (rings._pair_det), kept as its independent reference."""
+    n = m.n
+    ring = m.ring
+    a = [list(row) for row in m.entries]
+    sign = 1
+    prev = ring.one
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            pivot_row = next(
+                (i for i in range(k + 1, n) if not a[i][k].is_zero()), None
+            )
+            if pivot_row is None:
+                return ring.zero
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = num.divide_exact(prev)
+            a[i][k] = ring.zero
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def matmul_reference(x: RingMatrix, y: RingMatrix) -> RingMatrix:
+    """x @ y as a triple loop of RingElem products and sums."""
+    n = x.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = x.ring.zero
+            for k in range(n):
+                acc = acc + x.entries[i][k] * y.entries[k][j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return RingMatrix(tuple(rows), x.ring)
 
 
 def minor(m: RingMatrix, drop_row: int, drop_col: int) -> RingMatrix:

@@ -33,7 +33,7 @@ from alglat.reduction import (
 )
 from alglat.rings import quantize, ring_new
 from alglat.svp import shortest_vector, successive_minima_2d
-from oracles import covering_radius_geometric
+from oracles import covering_radius_geometric, random_basis
 
 EUCLIDEAN_D = (1, 2, 3, 7, 11)
 DELTA = 0.99
@@ -41,11 +41,6 @@ DELTA = 0.99
 RING1 = ring_new(1)
 RING3 = ring_new(3)
 RING5 = ring_new(5)
-
-
-def random_basis(ring, n, rng):
-    m = math.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return ComplexBasis(m, ring)
 
 
 def eisenstein_golden_basis():

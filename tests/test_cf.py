@@ -47,6 +47,7 @@ from alglat.svp import shortest_vector
 from oracles import (
     identity_matrix,
     mac_rate_floor,
+    random_basis,
     random_unimodular,
     rate_reference,
     trial_rng_reference,
@@ -73,6 +74,13 @@ class TestChannelAndBasis:
         B = cf_basis(ch, RING1)
         np.testing.assert_allclose(B.matrix.conj().T @ B.matrix, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(B.matrix, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("h, p", (([1e200, 1], 1e200), ([1e155, 1e155], 1.0)))
+    def test_overflowing_energy_rejected(self, h, p):
+        """P ||h||^2 beyond the float range overflowed the Gram matrix, and
+        every computation rate read 0.0."""
+        with pytest.raises(ValueError, match="overflows a float"):
+            Channel(h, p)
 
     def test_scalar_case(self):
         ch = Channel(np.array([1.0 + 0j]), 3.0)
@@ -111,6 +119,14 @@ class TestComputationRate:
         ch = Channel(np.array([1.0 + 0j]), 3.0)
         with pytest.raises(ValueError):
             computation_rate(ch, (RING1.zero,))
+
+    def test_nan_denominator_rejected(self):
+        """A NaN denominator passed the den <= 0 test, and max(0.0, NaN)
+        read as rate 0.0."""
+        ch = Channel(np.array([1.0, 1.0]), 3.0)
+        ch.__dict__["_gram_inv"] = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match="must be positive, got nan"):
+            computation_rate(ch, (RING1.one, RING1.zero))
 
     def test_rate_matches_basis_length(self):
         """log2+(1/a^H M^-1 a) equals -log2 ||B a||^2 through the basis."""
@@ -206,7 +222,7 @@ class TestFiniteField:
                     ],
                     ring,
                 )
-                assert mor.apply(A.det()) == cf._eliminate_mod_p(pair_rows(A), mor)[1]
+                assert mor.apply(A.det()) == cf._eliminate_mod_p(A._pairs(), mor)[1]
 
     def test_default_morphisms(self):
         assert default_morphism(RING1).p == 5
@@ -296,6 +312,13 @@ class TestTransmissionRate:
     def test_no_designs_rejected(self):
         with pytest.raises(ValueError, match="at least one relay design"):
             transmission_rate([], default_morphism(RING1))
+
+    def test_designs_over_different_rings_rejected(self):
+        """Every design's pairs were read in the first design's ring: a
+        d = 1 design with a d = 3 one gave rate 0.9377."""
+        designs = [design_relay(H1, RING1, "alll"), design_relay(H2, RING3, "alll")]
+        with pytest.raises(ValueError, match="relay designs over different rings"):
+            transmission_rate(designs, default_morphism(RING1))
 
     def test_morphism_from_another_ring_rejected(self):
         designs = [design_relay(H1, RING1, "alll"), design_relay(H2, RING1, "alll")]
@@ -616,11 +639,6 @@ class TestBestSingleAlias:
         assert by_name["best_single"] == by_name["svp"]
 
 
-def pair_rows(A):
-    """The entries of a RingMatrix as rows of (a, b) pairs."""
-    return tuple(tuple((e.a, e.b) for e in row) for row in A.entries)
-
-
 @st.composite
 def ring_matrices(draw):
     ring = ring_new(draw(st.sampled_from((1, 3))))
@@ -642,14 +660,32 @@ def test_rank_failures_rule(A, with_morphism):
         expected = (det_zero, det_zero or rank_mod_p(A, mor) < A.n)
     else:
         mor, expected = None, (det_zero, det_zero)
-    assert _rank_failures(pair_rows(A), A.ring, mor) == expected
+    assert _rank_failures(A._pairs(), A.ring, mor) == expected
+
+
+def test_exact_layer_makes_no_ring_element_arithmetic(monkeypatch):
+    """verify() on an n = 8 report, transmission_rate and _rank_failures
+    run the exact kernel on (a, b) pairs: no RingElem product or exact
+    division."""
+    rep = alll_reduce(random_basis(RING1, 8, np.random.default_rng(4)))
+    designs = [design_relay(H1, RING1, "alll"), design_relay(H2, RING1, "alll")]
+    calls = []
+    for name in ("__mul__", "__rmul__", "divide_exact"):
+        method = getattr(RingElem, name)
+        monkeypatch.setattr(RingElem, name, lambda *a, f=method: calls.append(1) or f(*a))
+    rep.verify()
+    assert transmission_rate(designs, default_morphism(RING1)).det_commutes
+    stack = RingMatrix.from_columns([A1_PAPER.column(0), A2_PAPER.column(0)], RING1)._pairs()
+    assert _rank_failures(stack, RING1, default_morphism(RING1)) == (False, True)
+    assert _rank_failures(A1_PAPER._pairs(), RING1, None) == (False, False)
+    assert calls == []
 
 
 @settings(max_examples=300, deadline=None)
 @given(ring_matrices())
 def test_field_elimination_properties(A):
     mor = default_morphism(A.ring)
-    det = cf._eliminate_mod_p(pair_rows(A), mor)[1]
+    det = cf._eliminate_mod_p(A._pairs(), mor)[1]
     rank = rank_mod_p(A, mor)
     assert det == mor.apply(A.det())
     assert (rank == A.n) == (det != 0)

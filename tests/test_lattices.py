@@ -29,20 +29,18 @@ from oracles import (
     exact_pairs_reference,
     identity_matrix,
     inverse_unimodular,
+    matmul_reference,
     minkowski_check,
     minor,
+    random_basis,
     random_unimodular,
+    ring_det_reference,
 )
 from test_rings import SAMPLE_D
 
 RING1 = ring_new(1)
 RING2 = ring_new(2)
 RING3 = ring_new(3)
-
-
-def random_basis(ring, n, rng):
-    m = math.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return ComplexBasis(m, ring)
 
 
 def random_elem_vector(ring, n, rng, lo=-5, hi=6):
@@ -249,6 +247,14 @@ class TestUnimodular:
         M = RingMatrix.from_int_rows([row, row, [(1, 0), (0, 0), (0, 1)]], ring)
         assert M.det().is_zero()
 
+    def test_from_columns_refuses_non_square(self):
+        """Two columns of length 3 became a 2x2 matrix; columns of length
+        1 raised IndexError."""
+        for length in (3, 1):
+            col = (RING1.one,) * length
+            with pytest.raises(ValueError, match="must be square"):
+                RingMatrix.from_columns([col, col], RING1)
+
     def test_inverse_unimodular(self):
         rng = np.random.default_rng(3)
         for d in (1, 3):
@@ -368,6 +374,39 @@ class TestValidationAndJson:
         assert (E[0, 0].a, E[0, 0].b) == (4, 1)
         B2 = ComplexBasis(B.matrix + 0.01, RING3)
         assert B2.exact_entries() is None
+
+
+@st.composite
+def ring_matrix_pairs(draw):
+    """Two n x n matrices over one ring, n = 1..6.  The first is drawn
+    as is, with a zero leading pivot, or singular: one row a ring multiple
+    of another (for n = 1, the zero entry)."""
+    ring = ring_new(draw(st.sampled_from((1, 2, 3, 5, 6, 7, 11, 15))))
+    n = draw(st.integers(1, 6))
+    coord = st.integers(-4, 4)
+    rows = st.lists(st.lists(st.tuples(coord, coord), min_size=n, max_size=n), min_size=n, max_size=n)
+    x, y = draw(rows), draw(rows)
+    shape = draw(st.sampled_from(("drawn", "zero_pivot", "singular")))
+    if shape == "zero_pivot" or (shape == "singular" and n == 1):
+        x[0][0] = (0, 0)
+    elif shape == "singular":
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = ring.elem(*draw(st.tuples(coord, coord)))
+        x[i] = [(p.a, p.b) for p in (c * ring.elem(*e) for e in x[j])]
+    return RingMatrix.from_int_rows(x, ring), RingMatrix.from_int_rows(y, ring), shape
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_matrix_pairs())
+def test_det_and_product_equal_the_ring_element_oracles(case):
+    """The pair Bareiss and the pair product give the RingElem Bareiss's
+    determinant and the RingElem triple loop's product."""
+    x, y, shape = case
+    det = x.det()
+    assert det == ring_det_reference(x)
+    if shape == "singular":
+        assert det.is_zero()
+    assert x @ y == matmul_reference(x, y)
 
 
 @pytest.mark.parametrize("k", (-1000, -500, 500, 1000))

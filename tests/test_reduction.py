@@ -25,7 +25,7 @@ from alglat.reduction import (
 from alglat.reduction import _gauss_batch, _r_positive, _trial_steps
 from alglat.rings import RingElem, quantize, ring_new, units
 from alglat.svp import shortest_vector, successive_minima_2d
-from oracles import exact_norms_squared_loop, identity_matrix
+from oracles import exact_norms_squared_loop, identity_matrix, random_basis
 from test_lll_reference import cf_shape_basis, scrambled_rank16
 
 RING1 = ring_new(1)
@@ -42,11 +42,6 @@ def eisenstein_golden_basis():
 def noneuclidean_golden_basis():
     xi = RING5.xi
     return np.array([2 + 3 * xi, 2 + xi]), np.array([8 + xi, 2 + 0 * xi])
-
-
-def random_basis(ring, n, rng):
-    m = math.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return ComplexBasis(m, ring)
 
 
 def assert_transform_valid(basis, report):

@@ -15,16 +15,11 @@ from alglat.svp import (
     shortest_vector,
     successive_minima_2d,
 )
-from oracles import minkowski_check
+from oracles import minkowski_check, random_basis
 
 RING1 = ring_new(1)
 RING3 = ring_new(3)
 RING5 = ring_new(5)
-
-
-def random_basis(ring, n, rng):
-    m = math.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return ComplexBasis(m, ring)
 
 
 @functools.cache
