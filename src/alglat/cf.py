@@ -8,12 +8,16 @@ vectors are high-rate coefficients and lattice reduction designs whole
 unimodular coefficient matrices at once.  Unimodularity guarantees the mapped
 matrix is invertible over the finite field used by the code space.
 
-The strategies of one relay share their per-channel work (design_relays):
-the Gram matrix I + P h h^H and its inverse, the channel basis, and one ALLL
-reduction per distinct delta.  The svp design enumerates from the ALLL
-reduction at 0.99, whatever delta the alll design uses.  The channel basis
-is validated in closed form: its condition number is sqrt(1 + P ||h||^2)
-for n >= 2 and 1 for n = 1, so no SVD runs.
+Every rate denominator is ||B a||^2 on the one B each Channel builds in
+closed form (Channel._basis, the inverse Cholesky factor of the rank-one
+update I + P h h^H).  No entry of B cancels, so the denominator's relative
+error grows only as about eps sqrt(P ||h||^2), and no matrix is factored or
+inverted.  The strategies of one relay share their per-channel work
+(design_relays): that basis and one ALLL reduction per distinct delta.  The
+svp design enumerates from the ALLL reduction at 0.99, whatever delta the
+alll design uses.  The channel basis is validated in closed form: its
+condition number is sqrt(1 + P ||h||^2) for n >= 2 and 1 for n = 1, so no
+SVD runs.
 
 The designs run on the reductions' integer coordinates.  Each candidate
 coefficient vector is a tuple of (a, b) pairs, and a design's candidates
@@ -26,8 +30,8 @@ of a matrix given as rows of (a, b) pairs; rank_mod_p reads its RingMatrix
 as pairs first, and transmission_rate and the experiments score the
 designs' pairs directly.  transmission_rate rates column l of all its
 candidates in one _rates pass per relay.  No rate reads 0.0 from an
-overflowed Gram matrix: Channel refuses a P ||h||^2 that overflows, and
-_rates a denominator that is not > 0.  The MAC rate floor and the per-vector
+overflow: Channel refuses a P ||h||^2 that overflows, and _rates a
+denominator that is not > 0.  The MAC rate floor and the per-vector
 rate that tests hold the designs to are in tests/oracles.py.
 """
 
@@ -102,21 +106,20 @@ class Channel:
     def n(self) -> int:
         return self.h.shape[0]
 
-    def gram(self) -> np.ndarray:
-        """I + P h h^H, built once per channel and returned read-only."""
-        return self._gram
-
     @cached_property
-    def _gram(self) -> np.ndarray:
-        h = self.h[:, None]
-        g = np.eye(self.n) + self.p * (h @ h.conj().T)
-        g.setflags(write=False)
-        return g
-
-    @cached_property
-    def _gram_inv(self) -> np.ndarray:
-        """(I + P h h^H)^-1, the matrix of every rate denominator (_rates)."""
-        return np.linalg.inv(self._gram)
+    def _basis(self) -> np.ndarray:
+        """The inverse Cholesky factor B = L^-1 of M = I + P h h^H, so that
+        B^H B = M^-1, in closed form (Gill, Golub, Murray & Saunders, Math.
+        Comp. 1974).  With v = sqrt(P) h, beta_0 = 1, beta_i = beta_{i-1} +
+        |v_i|^2 and s_i = sqrt(beta_i): B_ii = s_{i-1} / s_i and B_ij =
+        -v_i conj(v_j) / (s_{i-1} s_i) for j < i.  Every entry comes from
+        sums of non-negative terms, so none cancels.  Built once, read-only."""
+        v = math.sqrt(self.p) * self.h
+        s = np.sqrt(np.cumsum(np.concatenate(([1.0], v.real * v.real + v.imag * v.imag))))
+        B = np.tril(-np.outer(v, v.conj()) / (s[:-1] * s[1:])[:, None], -1)
+        np.fill_diagonal(B, s[:-1] / s[1:])
+        B.setflags(write=False)
+        return B
 
 
 def random_channel(n: int, p_linear: float, rng) -> Channel:
@@ -137,18 +140,16 @@ def _basis_condition(ch: Channel) -> float:
 def cf_basis(ch: Channel, ring: RingSpec) -> ComplexBasis:
     """Basis B with B^H B = (I + P h h^H)^-1, so ||B a||^2 is the rate denominator.
 
-    B is validated by its closed-form condition number (_basis_condition)
-    against MAX_CONDITION, the limit ComplexBasis applies, and built with
-    ComplexBasis._derived, which checks only that its entries are finite.
+    B is the channel's closed-form Channel._basis, validated by its
+    closed-form condition number (_basis_condition) against MAX_CONDITION,
+    the limit ComplexBasis applies, and wrapped with ComplexBasis._derived,
+    which checks only that its entries are finite.
     """
     if ch.n == 0:
         raise ValueError("basis must be square and non-empty, got shape (0, 0)")
-    M = ch.gram()
-    L = np.linalg.cholesky(M)
-    B = np.linalg.inv(L)  # lower triangular inverse; B^H B = M^-1
     if not _basis_condition(ch) <= MAX_CONDITION:
         raise ValueError("basis columns are numerically dependent")
-    return ComplexBasis._derived(B, ring)
+    return ComplexBasis._derived(ch._basis, ring)
 
 
 def _embed_pairs(vectors, xi: complex) -> np.ndarray:
@@ -158,14 +159,15 @@ def _embed_pairs(vectors, xi: complex) -> np.ndarray:
 
 
 def _rates(ch: Channel, U: np.ndarray) -> list[float]:
-    """log2+(1 / u^H M^-1 u) for each row u of a C-contiguous (k, n) complex
-    array U, on the cached M^-1, in one stacked pass.
+    """log2+(1 / ||B u||^2) for each row u of a C-contiguous (k, n) complex
+    array U, on the cached channel basis B, in one stacked pass.
 
-    The stacked M^-1 @ U[..., None] and np.vecdot equal the per-vector
-    a.conj() @ (M^-1 @ a) bit for bit; the 2-D M^-1 @ U.T and a transposed,
+    The stacked B @ U[..., None] and np.vecdot equal the per-vector
+    y = B @ a, y.conj() @ y bit for bit; the 2-D B @ U.T and a transposed,
     non-contiguous U do not.  A denominator not > 0, NaN too, is refused.
     """
-    dens = np.vecdot(U, (ch._gram_inv @ U[..., None])[..., 0]).real.tolist()
+    y = (ch._basis @ U[..., None])[..., 0]
+    dens = np.vecdot(y, y).real.tolist()
     rates = []
     for den in dens:
         if not den > 0:
@@ -246,8 +248,8 @@ def design_relays(
 ) -> dict[str, RelayDesign]:
     """Design one relay for each requested strategy, keyed by strategy name.
 
-    The strategies share the channel's cached Gram inverse, the
-    validated basis from cf_basis and one alll_reduce per distinct delta.
+    The strategies share the channel's cached basis, validated by cf_basis,
+    and one alll_reduce per distinct delta.
     alll / rlll return every transform column sorted by descending rate (for
     alll the columns form a unimodular ring matrix, reduced at delta); svp
     and its alias best_single return the single highest-rate coefficient,

@@ -42,6 +42,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +152,9 @@ class RingSpec:
     # -- element constructors ---------------------------------------------
 
     def elem(self, a: int, b: int = 0) -> "RingElem":
-        return RingElem(int(a), int(b), self)
+        """a + b*xi.  The coordinates must be integers (anything
+        operator.index accepts, numpy integers too); others raise TypeError."""
+        return RingElem(int(operator.index(a)), int(operator.index(b)), self)
 
     @property
     def zero(self) -> "RingElem":

@@ -5,7 +5,8 @@ against (the geometric covering radius, the ring rules and the embedding
 by their closed forms in the ring's type, the RingElem determinant and
 product, the adjugate inverse, the exact entries by nearest-point search,
 the exact norms as a loop, Minkowski's bounds, the MAC rate floor, the
-computation rate one vector at a time, the trial generators as numpy spawns
+computation rate one vector at a time, the rate denominator in exact
+rationals, the trial generators as numpy spawns
 them) or a generator of test inputs (random unimodular matrices and CN(0,1)
 bases).  Nothing under src/ imports this module."""
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
@@ -321,11 +323,33 @@ def mac_rate_floor(ring: RingSpec, ch: Channel, delta: float = 0.99) -> float:
 
 
 def rate_reference(ch: Channel, a: np.ndarray) -> float:
-    """log2+(1 / a^H M^-1 a) of a complex vector a on the cached M^-1."""
-    den = float(np.real(a.conj() @ (ch._gram_inv @ a)))
+    """log2+(1 / ||B a||^2) of one complex vector a on the channel's basis B."""
+    y = ch._basis @ a
+    den = float(np.real(y.conj() @ y))
     if den <= 0:
         raise ValueError(f"rate denominator must be positive, got {den}")
     return max(0.0, math.log2(1.0 / den))
+
+
+def rate_denominator_exact(h, p: float, a) -> Fraction:
+    """(||a||^2 + P sum_{i<j} |h_i a_j - h_j a_i|^2) / (1 + P ||h||^2), the
+    rate denominator a^H (I + P h h^H)^-1 a by Sherman-Morrison and the
+    Lagrange identity, in exact rationals: each float of h, p and the complex
+    vector a is taken as the rational it is."""
+    hs = [(Fraction(z.real), Fraction(z.imag)) for z in map(complex, h)]
+    As = [(Fraction(z.real), Fraction(z.imag)) for z in map(complex, a)]
+    P = Fraction(p)
+    cross = Fraction(0)
+    for i in range(len(hs)):
+        for j in range(i + 1, len(hs)):
+            (hr, hi), (ar, ai) = hs[i], As[j]
+            (gr, gi), (br, bi) = hs[j], As[i]
+            re = hr * ar - hi * ai - (gr * br - gi * bi)
+            im = hr * ai + hi * ar - (gr * bi + gi * br)
+            cross += re * re + im * im
+    a2 = sum(x * x + y * y for x, y in As)
+    h2 = sum(x * x + y * y for x, y in hs)
+    return (a2 + P * cross) / (1 + P * h2)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from oracles import (
     mac_rate_floor,
     random_basis,
     random_unimodular,
+    rate_denominator_exact,
     rate_reference,
     trial_rng_reference,
 )
@@ -60,6 +61,12 @@ H1 = Channel.from_db([-0.4001 + 1.0937j, -0.9278 + 1.8151j], 25.0)
 H2 = Channel.from_db([-0.3779 + 0.2307j, -1.5736 - 0.3939j], 25.0)
 A1_PAPER = RingMatrix.from_int_rows([[(2, 2), (-1, 0)], [(3, 4), (-2, 0)]], RING1)
 A2_PAPER = RingMatrix.from_int_rows([[(-1, 1), (1, 0)], [(-5, 0), (3, 3)]], RING1)
+
+
+def gram(ch: Channel) -> np.ndarray:
+    """M = I + P h h^H, built inline: its LAPACK inverse and Cholesky factor
+    are the tests' independent reference for the closed-form channel basis."""
+    return np.eye(ch.n) + ch.p * np.outer(ch.h, ch.h.conj())
 
 
 class TestChannelAndBasis:
@@ -93,7 +100,7 @@ class TestChannelAndBasis:
             n = int(rng.integers(1, 6))
             ch = random_channel(n, db_to_linear(rng.uniform(0, 35)), rng)
             B = cf_basis(ch, RING1)
-            Minv = np.linalg.inv(ch.gram())
+            Minv = np.linalg.inv(gram(ch))
             np.testing.assert_allclose(
                 B.matrix.conj().T @ B.matrix, Minv, rtol=1e-8, atol=1e-10
             )
@@ -124,7 +131,7 @@ class TestComputationRate:
         """A NaN denominator passed the den <= 0 test, and max(0.0, NaN)
         read as rate 0.0."""
         ch = Channel(np.array([1.0, 1.0]), 3.0)
-        ch.__dict__["_gram_inv"] = np.full((2, 2), np.nan)
+        ch.__dict__["_basis"] = np.full((2, 2), np.nan)
         with pytest.raises(ValueError, match="must be positive, got nan"):
             computation_rate(ch, (RING1.one, RING1.zero))
 
@@ -356,12 +363,17 @@ class TestExperimentOps:
     @pytest.mark.parametrize("n, says", [(0, "n must be >= 1"), (65, "n must be at most 64")])
     def test_dof_relay_count_validation(self, n, says, monkeypatch):
         """n is refused before the first channel is drawn; a large n would
-        build an n x n Gram matrix per channel."""
+        build an n x n channel basis per channel."""
         drawn = []
         monkeypatch.setattr(experiments, "random_channel", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match=says):
             dof_slope(RING1, n, "alll", [0, 40], channels_per_point=2, seed=0)
         assert drawn == []
+
+    def test_experiment_refuses_a_non_integral_modulus(self):
+        """modulus=(1.5, 2) was truncated to 1 + 2*xi."""
+        with pytest.raises(TypeError):
+            cf_experiment(RING1, 2, [10], 2, ["alll"], 0, modulus=(1.5, 2))
 
     def test_network_loop_rejects_no_relays(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
@@ -815,22 +827,102 @@ class TestDesignRelays:
 )
 def test_stacked_rates_equal_the_reference(d, n, snr_db, seed):
     """Every candidate of every design gets, from the one stacked pass, the
-    rate the per-vector a^H M^-1 a gives it, bit for bit."""
+    rate the per-vector ||B a||^2 gives it, bit for bit."""
     ch = random_channel(n, db_to_linear(snr_db), np.random.default_rng(seed))
     for s, design in design_relays(ch, ring_new(d), STRATEGIES).items():
         want = [rate_reference(ch, coeff_to_complex(v)) for v in design.vectors]
         assert [r.hex() for r in design.rates] == [r.hex() for r in want], s
 
 
+def exact_rate(ch: Channel, a: np.ndarray) -> float:
+    """log2+(1 / den) of the exact denominator, from its integer numerator
+    and denominator."""
+    den = rate_denominator_exact(ch.h, ch.p, a)
+    return max(0.0, math.log2(den.denominator) - math.log2(den.numerator))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((1, 2, 3, 7)),
+    st.integers(1, 8),
+    st.floats(0.0, 300.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_rates_match_the_exact_oracle(d, n, snr_db, seed):
+    """Rates of random nonzero coefficient vectors, and of every design
+    candidate wherever cf_basis accepts the channel, lie within
+    8 n 2^-52 sqrt(1 + P ||h||^2) / ln 2 + 1e-12 bits of the rate of the
+    exact rational denominator, up to 300 dB.  The LAPACK inverse lost it:
+    a relative error of 0.53 at 150 dB, and no rate at 200 dB."""
+    ring = ring_new(d)
+    rng = np.random.default_rng(seed)
+    ch = random_channel(n, db_to_linear(snr_db), rng)
+    tol = 8 * n * 2.0**-52 * math.sqrt(1.0 + ch.p * float(np.vdot(ch.h, ch.h).real)) / math.log(2)
+    tol += 1e-12
+    vectors = []
+    while len(vectors) < 4:
+        v = tuple(ring.elem(*rng.integers(-5, 6, size=2)) for _ in range(n))
+        if any(not e.is_zero() for e in v):
+            vectors.append((v, computation_rate(ch, v)))
+    try:
+        designs = design_relays(ch, ring, STRATEGIES)
+    except ValueError as exc:
+        assert "numerically dependent" in str(exc)
+        designs = {}
+    for design in designs.values():
+        vectors += zip(design.vectors, design.rates)
+    for v, rate in vectors:
+        assert abs(rate - exact_rate(ch, coeff_to_complex(v))) <= tol, (v, rate)
+
+
+class TestHighSnr:
+    """The closed-form basis designs and rates at every SNR below the
+    MAX_CONDITION guard.  With the LAPACK Cholesky and inverses, 90 of 200
+    designs failed at 160 dB and 171 at 200 dB."""
+
+    def test_overflow_scale_channel_rates_one_bit(self):
+        """P ||h||^2 = 2e303: the exact denominator is (1 + 1e303) / (1 +
+        2e303), so a = (1, 0) rates 1 bit; the LAPACK inverse gave 954 bits."""
+        ch = Channel([1e150, 1e150], 1e3)
+        assert computation_rate(ch, (RING1.one, RING1.zero)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("snr_db", (160.0, 180.0, 200.0))
+    @pytest.mark.parametrize("n", (2, 4))
+    def test_designs_succeed(self, n, snr_db):
+        rng = np.random.default_rng([n, int(snr_db)])
+        for _ in range(100):
+            ch = random_channel(n, db_to_linear(snr_db), rng)
+            designs = design_relays(ch, RING1, STRATEGIES)
+            assert designs["alll"].matrix.is_unimodular()
+            assert all(math.isfinite(r) for d in designs.values() for r in d.rates)
+
+    def test_only_the_documented_refusal_at_250_db(self):
+        refused = 0
+        for n in (2, 4):
+            rng = np.random.default_rng([n, 250])
+            for _ in range(100):
+                ch = random_channel(n, db_to_linear(250.0), rng)
+                try:
+                    design_relays(ch, RING1, STRATEGIES)
+                except ValueError as exc:
+                    assert "numerically dependent" in str(exc)
+                    refused += 1
+        assert refused > 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8), st.floats(0.0, 60.0), st.integers(0, 2**32 - 1))
 def test_closed_form_basis_condition(n, snr_db, seed):
     """cf_basis validates B by cond(B) = sqrt(1 + P ||h||^2) (1 for n = 1),
-    which agrees with the SVD condition number of B = L^-1."""
+    which agrees with the SVD condition number of B.  B is the inverse of
+    the Cholesky factor L of M: LAPACK's L^-1 agrees with it to within its
+    own error, about eps cond(M), up to 60 dB."""
     ch = random_channel(n, db_to_linear(snr_db), np.random.default_rng(seed))
-    B = np.linalg.inv(np.linalg.cholesky(ch.gram()))
+    B = cf_basis(ch, RING1).matrix
     assert cf._basis_condition(ch) == pytest.approx(np.linalg.cond(B), rel=1e-9)
-    assert np.array_equal(cf_basis(ch, RING1).matrix, B)
+    M = gram(ch)
+    reference = np.linalg.inv(np.linalg.cholesky(M))
+    np.testing.assert_allclose(B, reference, rtol=0, atol=1e-14 * M.trace().real)
 
 
 class TestBasisRefusal:
@@ -847,7 +939,7 @@ class TestBasisRefusal:
     def test_refused_where_cholesky_succeeds(self):
         # M is diagonal here, so its Cholesky factor is exact
         ch = Channel(np.array([1.0, 0.0]), 1e30)
-        B = np.linalg.inv(np.linalg.cholesky(ch.gram()))
+        B = np.linalg.inv(np.linalg.cholesky(gram(ch)))
         for build in (lambda: cf_basis(ch, RING1), lambda: ComplexBasis(B, RING1)):
             with pytest.raises(ValueError, match="numerically dependent"):
                 build()

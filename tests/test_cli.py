@@ -221,6 +221,21 @@ class TestCli:
         res = json.loads(out.read_text())
         assert res["rates"][0] == pytest.approx(5.5085, abs=1e-3)
 
+    @pytest.mark.parametrize("strategy", ("alll", "rlll", "svp"))
+    def test_cf_rate_at_200_db(self, tmp_path, strategy):
+        """The LAPACK Cholesky of I + P h h^H failed here ("Matrix is not
+        positive definite")."""
+        ch = tmp_path / "ch.json"
+        ch.write_text(json.dumps({"h": [[-0.4001, 1.0937], [-0.9278, 1.8151]]}))
+        out = tmp_path / "rate.json"
+        code = main([
+            "cf-rate", "--channel", str(ch), "--ring", "gaussian",
+            "--snr-db", "200", "--strategy", strategy, "--out", str(out),
+        ])
+        assert code == 0
+        rates = json.loads(out.read_text())["rates"]
+        assert rates and all(math.isfinite(r) for r in rates)
+
     def test_cf_experiment_deterministic_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -255,6 +255,11 @@ class TestUnimodular:
             with pytest.raises(ValueError, match="must be square"):
                 RingMatrix.from_columns([col, col], RING1)
 
+    def test_from_int_rows_refuses_non_integral_coordinates(self):
+        """[[(1.5, 0)]] was read as [[1]], of determinant 1."""
+        with pytest.raises(TypeError):
+            RingMatrix.from_int_rows([[(1.5, 0)]], RING1)
+
     def test_inverse_unimodular(self):
         rng = np.random.default_rng(3)
         for d in (1, 3):

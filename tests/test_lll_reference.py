@@ -150,8 +150,11 @@ def test_refactor_voids_every_skip_over_z(monkeypatch):
 
 def test_same_output_when_stalled():
     """Two embedded columns of equal norm: at delta = 1 the loop ends by the
-    stall rule."""
-    B = embed(cf_basis(Channel.from_db([0.1 + 0.1j], 20), ring_new(3)))
+    stall rule.  The entry is the channel basis of h = 0.1 + 0.1j at 20 dB
+    as LAPACK's inverse Cholesky factor gave it; the closed form gives one
+    ulp more, and then nothing stalls."""
+    entry = float.fromhex("0x1.279a74590331cp-1")
+    B = embed(ComplexBasis(np.array([[entry]], dtype=complex), ring_new(3)))
     assert assert_same_run(B, 1.0, None)[6]
 
 

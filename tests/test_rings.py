@@ -145,6 +145,15 @@ class TestArithmetic:
         sq = ring.elem(0, 1) * ring.elem(0, 1)
         assert (sq.a, sq.b) == (-1, 0)
 
+    def test_elem_refuses_non_integral_coordinates(self):
+        """elem(1.5, 2.7) was truncated to 1 + 2*xi."""
+        ring = ring_new(1)
+        for a, b in ((1.5, 2.7), (1, 2.0), (np.float64(1.0), 0), ("1", 0)):
+            with pytest.raises(TypeError):
+                ring.elem(a, b)
+        e = ring.elem(np.int64(-3), np.int32(2))
+        assert (e.a, e.b) == (-3, 2) and type(e.a) is int and type(e.b) is int
+
     @pytest.mark.parametrize("d", SAMPLE_D)
     def test_norm_multiplicative(self, d):
         ring = ring_new(d)
