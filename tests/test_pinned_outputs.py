@@ -70,6 +70,14 @@ def golden_basis(d):
     return ComplexBasis(np.array(m), ring)
 
 
+def pin_rng(*words) -> np.random.Generator:
+    """default_rng of the seed list words.  numpy's SeedSequence drops
+    trailing zero words, so a list ending in 0 would draw the stream of the
+    shorter list: no pin seed ends in one."""
+    assert words[-1] != 0, words
+    return np.random.default_rng(list(words))
+
+
 def run_cli(tmp_path, argv):
     out = tmp_path / "out"
     main(argv + ["--out", str(out)])
@@ -128,7 +136,8 @@ def pin_bases(d, n, count):
     """(float CN(0,1) basis, exact basis with coordinates in [-3, 3]) pairs."""
     xi = ring_new(d).xi
     for k in range(count):
-        rng = np.random.default_rng([d, n, k])
+        # the recorded reports drew k = 0 as [d, n]: the same stream
+        rng = pin_rng(d, n, k) if k else pin_rng(d, n)
         z = np.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         while True:
             m = rng.integers(-3, 4, size=(n, n)) + xi * rng.integers(-3, 4, size=(n, n))
@@ -179,17 +188,17 @@ def test_gauss_reports(d):
 # compute-and-forward designs and experiment rows
 
 CF_ROWS_SHA256 = {
-    (1, 4): "da18cf22ad0c1b9ab9de376680273d40834bf0e46eb57b47b87d90d25e288519",
+    (1, 4): "50b3babcd7459ad87f2e93240caed62def8723389bcd3902961169e09db510da",
     (5, 3): "6f39411fcbf915390b231688471ae882b5362c1dd4c21a221048220b45b57e56",
 }
 
 DESIGN_SHA256 = {
-    (1, 0.6): "4bccea971c0af65689912f322955f0b5c23236f18087a87f5910a27224f887cf",
-    (1, 0.99): "57e8fd34ae3b35b1fd2cca9de19f4820474acca62dd45cfae34af6c086eebbcd",
-    (3, 0.6): "d54f3759beedfc939ff14b18b04da3315b160bedbb06e78be650bb1f7659b06a",
-    (3, 0.99): "895a0059d3fbc331149b87ec4861c3732df74506a56a6659e900b64802ae7562",
-    (5, 0.6): "0a11c10c454a06ceb4cc4b5d390ae7bbbde7a7ddc9273317a405b248901a7e99",
-    (5, 0.99): "0883aa7b160ffb340092aa51784ba5c1649f8ed017355d3661810fbc11ce5a45",
+    (1, 0.6): "4c302e19fec92bb190515663b242b8f11f188ecfd9d5277ad5320e94d95f876b",
+    (1, 0.99): "26dd40d0f1c0045c376688d5388a1a653c2bcea94b41fa7f359670ac8ed532bd",
+    (3, 0.6): "3b66eaa52f319d8d9f5a7797d6cccb641bba5fd0df09fc97f317d250a65895cd",
+    (3, 0.99): "4d66c6f39a4323d0c721e5ef584461311026b5be56421e6c526cf39e95999202",
+    (5, 0.6): "6f0a957b0a01ab1900a3e698f7466068f7b5fd1ce89a3828aa62fdb9bc1b0414",
+    (5, 0.99): "08b3794d46179531cb695bb52c75fa41d80049d4b6e26b1d5438c43c6e7b1f06",
 }
 
 
@@ -217,18 +226,27 @@ def design_digest(design) -> str:
     return "\n".join(fields)
 
 
+#: last seed word of each pin family that draws channels: the families draw
+#: distinct channels, and no seed list ends in a zero word
+DESIGN_FAMILY, REAL_LLL_FAMILY = 1, 2
+
+
+def design_channels(d):
+    """The channels of the relay-design pin over d: rank 1 to 4 at 0 to 50 dB."""
+    for n in (1, 2, 3, 4):
+        for k in range(6):
+            yield random_channel(n, db_to_linear(10.0 * k), pin_rng(d, n, k, DESIGN_FAMILY))
+
+
 @pytest.mark.parametrize("d, delta", sorted(DESIGN_SHA256))
 def test_relay_designs(d, delta):
     """design_relay for every strategy on channels of rank 1 to 4; the svp
     design does not depend on delta."""
     ring = ring_new(d)
     h = hashlib.sha256()
-    for n in (1, 2, 3, 4):
-        for k in range(6):
-            rng = np.random.default_rng([d, n, k])
-            ch = random_channel(n, db_to_linear(10.0 * (k % 6)), rng)
-            for s in STRATEGIES:
-                h.update(design_digest(design_relay(ch, ring, s, delta)).encode())
+    for ch in design_channels(d):
+        for s in STRATEGIES:
+            h.update(design_digest(design_relay(ch, ring, s, delta)).encode())
     assert h.hexdigest() == DESIGN_SHA256[(d, delta)]
 
 
@@ -236,13 +254,22 @@ def test_relay_designs(d, delta):
 # real LLL on embedded bases
 
 REAL_LLL_SHA256 = {
-    1: "7ace99a2873812edc1db02e2a0e6420d30f06c3621dd42907dd2a8f71f180a0a",
-    2: "b9dd213cf2f73b4614d0c5d5ad08bf9a6f06aa212733dd9fc459a18269d4e563",
-    3: "834747918da63708745b5b25fd2b3a910406e75602c556ea215416702c52d177",
-    5: "5e8a2360755bc07a4377c6dfa067d2cf1aaffdbb22a785513e71a814e89ee219",
-    7: "d9a6f17731672d5544ebeae60401fea580c7935f8478f8fc72cee0efb51a4408",
+    1: "6e1c17e6d5cff4d4abb0dfa7f5af773255203e97e0599c9fd16983550727a855",
+    2: "93aa3eb75128867dfee36b518b42cfc67dbafe701891229f91507e5c6627418b",
+    3: "3dbbedf74347b170f757a1b8a2f6b054f538f3850e16df814bba0429677c098c",
+    5: "6b2892ce028070828033064cb81bdeec28c24b73eb60b3b8087032ae0483f581",
+    7: "c1b0399e703660e2778c37208f94fdef031e6520596a0c254da0b36685339069",
     "golden": "d3e77dbc289f63f2e3713379f8e9ced5bc4906961b44dabad18abec80126df5d",
 }
+
+
+def real_lll_channels(d):
+    """The channels of the real-LLL pin over d: rank 1 to 4 at SNR 10^0 ..
+    10^5, three each."""
+    for n in (1, 2, 3, 4):
+        for p in range(6):
+            for k in range(3):
+                yield random_channel(n, 10.0**p, pin_rng(d, n, p, k, REAL_LLL_FAMILY))
 
 
 def real_lll_digest(matrix, delta) -> str:
@@ -261,14 +288,24 @@ def test_real_lll_transforms(case):
                 h.update(real_lll_digest(embed(golden_basis(d)), delta).encode())
     else:
         ring = ring_new(case)
-        for n in (1, 2, 3, 4):
-            for p in range(6):
-                for k in range(3):
-                    rng = np.random.default_rng([case, n, p, k])
-                    matrix = embed(cf_basis(random_channel(n, 10.0**p, rng), ring))
-                    for delta in (0.6, 0.75, 0.99):
-                        h.update(real_lll_digest(matrix, delta).encode())
+        for ch in real_lll_channels(case):
+            matrix = embed(cf_basis(ch, ring))
+            for delta in (0.6, 0.75, 0.99):
+                h.update(real_lll_digest(matrix, delta).encode())
     assert h.hexdigest() == REAL_LLL_SHA256[case]
+
+
+def test_channel_pins_draw_distinct_channels():
+    """No channel of the relay-design pin repeats one of the real-LLL pin,
+    nor any other of either pin.  With seeds [d, n, k] and [d, n, p, k],
+    each real-LLL draw with k = 0 repeated the design channel with k = p."""
+    seen = [
+        ch.h.tobytes()
+        for d in sorted({d for d, _ in DESIGN_SHA256})
+        for ch in design_channels(d)
+    ]
+    seen += [ch.h.tobytes() for d in REAL_LLL_SHA256 if d != "golden" for ch in real_lll_channels(d)]
+    assert len(seen) == len(set(seen)) == 3 * 24 + 5 * 72
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +374,13 @@ RANK_FAILURE_REPR = {
 #: repr of dof_slope for three relays on the grid (0, 20, 40) dB, 20 channels
 #: per point, seed 9
 DOF_SLOPE_REPR = {
-    (1, "alll"): "0.35234225061976976",
-    (1, "svp"): "0.3523049859011477",
-    (1, "rlll"): "0.3523049859011477",
-    (3, "alll"): "0.34623737135731436",
-    (3, "svp"): "0.34623737135731664",
-    (3, "rlll"): "0.346237371357323",
-    (5, "alll"): "0.1536254044277758",
+    (1, "alll"): "0.35234225061976326",
+    (1, "svp"): "0.3523049859011413",
+    (1, "rlll"): "0.3523049859011413",
+    (3, "alll"): "0.3462373713573189",
+    (3, "svp"): "0.346237371357319",
+    (3, "rlll"): "0.3462373713573192",
+    (5, "alll"): "0.15362540442777983",
 }
 
 
