@@ -8,16 +8,13 @@ vectors are high-rate coefficients and lattice reduction designs whole
 unimodular coefficient matrices at once.  Unimodularity guarantees the mapped
 matrix is invertible over the finite field used by the code space.
 
-Every rate denominator is ||B a||^2 on the one B each Channel builds in
-closed form (Channel._basis, the inverse Cholesky factor of the rank-one
-update I + P h h^H).  No entry of B cancels, so the denominator's relative
-error grows only as about eps sqrt(P ||h||^2), and no matrix is factored or
-inverted.  The strategies of one relay share their per-channel work
-(design_relays): that basis and one ALLL reduction per distinct delta.  The
-svp design enumerates from the ALLL reduction at 0.99, whatever delta the
-alll design uses.  The channel basis is validated in closed form: its
-condition number is sqrt(1 + P ||h||^2) for n >= 2 and 1 for n = 1, so no
-SVD runs.
+The channel basis B is the inverse Cholesky factor of the rank-one update
+I + P h h^H in closed form (Channel._basis): no entry cancels, and every
+rate denominator is ||B a||^2.  The strategies of one relay share B and one
+ALLL reduction per distinct delta (design_relays).  The svp design
+enumerates from the ALLL reduction at 0.99, whatever delta the alll design
+uses.  cf_basis validates B in closed form: its condition number is
+sqrt(1 + P ||h||^2) for n >= 2 and 1 for n = 1, so no SVD runs.
 
 The designs run on the reductions' integer coordinates.  Each candidate
 coefficient vector is a tuple of (a, b) pairs, and a design's candidates
@@ -108,12 +105,10 @@ class Channel:
 
     @cached_property
     def _basis(self) -> np.ndarray:
-        """The inverse Cholesky factor B = L^-1 of M = I + P h h^H, so that
-        B^H B = M^-1, in closed form (Gill, Golub, Murray & Saunders, Math.
-        Comp. 1974).  With v = sqrt(P) h, beta_0 = 1, beta_i = beta_{i-1} +
-        |v_i|^2 and s_i = sqrt(beta_i): B_ii = s_{i-1} / s_i and B_ij =
-        -v_i conj(v_j) / (s_{i-1} s_i) for j < i.  Every entry comes from
-        sums of non-negative terms, so none cancels.  Built once, read-only."""
+        """B = L^-1 for the Cholesky factor L of M = I + P h h^H, read-only, in
+        closed form (Gill, Golub, Murray & Saunders, Math. Comp. 1974): with
+        v = sqrt(P) h and s_i = sqrt(1 + sum_{k<=i} |v_k|^2), B_ii = s_{i-1}
+        / s_i and B_ij = -v_i conj(v_j) / (s_{i-1} s_i) for j < i."""
         v = math.sqrt(self.p) * self.h
         s = np.sqrt(np.cumsum(np.concatenate(([1.0], v.real * v.real + v.imag * v.imag))))
         B = np.tril(-np.outer(v, v.conj()) / (s[:-1] * s[1:])[:, None], -1)
@@ -140,10 +135,9 @@ def _basis_condition(ch: Channel) -> float:
 def cf_basis(ch: Channel, ring: RingSpec) -> ComplexBasis:
     """Basis B with B^H B = (I + P h h^H)^-1, so ||B a||^2 is the rate denominator.
 
-    B is the channel's closed-form Channel._basis, validated by its
-    closed-form condition number (_basis_condition) against MAX_CONDITION,
-    the limit ComplexBasis applies, and wrapped with ComplexBasis._derived,
-    which checks only that its entries are finite.
+    B is Channel._basis, validated by its closed-form condition number
+    (_basis_condition) against MAX_CONDITION, the limit ComplexBasis applies;
+    ComplexBasis._derived checks only that its entries are finite.
     """
     if ch.n == 0:
         raise ValueError("basis must be square and non-empty, got shape (0, 0)")

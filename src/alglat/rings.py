@@ -152,8 +152,7 @@ class RingSpec:
     # -- element constructors ---------------------------------------------
 
     def elem(self, a: int, b: int = 0) -> "RingElem":
-        """a + b*xi.  The coordinates must be integers (anything
-        operator.index accepts, numpy integers too); others raise TypeError."""
+        """a + b*xi; a coordinate operator.index refuses raises TypeError."""
         return RingElem(int(operator.index(a)), int(operator.index(b)), self)
 
     @property
