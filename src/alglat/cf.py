@@ -9,18 +9,26 @@ unimodular coefficient matrices at once.  Unimodularity guarantees the mapped
 matrix is invertible over the finite field used by the code space.
 
 The channel basis B is the inverse Cholesky factor of the rank-one update
-I + P h h^H in closed form (Channel._basis): no entry cancels, and every
-rate denominator is ||B a||^2.  The strategies of one relay share B and one
-ALLL reduction per distinct delta (design_relays).  The svp design
-enumerates from the ALLL reduction at 0.99, whatever delta the alll design
-uses.  cf_basis validates B in closed form: its condition number is
+I + P h h^H in closed form (_bases, and Channel._basis, its stack of one):
+no entry cancels, and every rate denominator is ||B a||^2.  The strategies
+of one relay share B and one ALLL reduction per distinct delta.  The svp
+design enumerates from the ALLL reduction at 0.99, whatever delta the alll
+design uses.  cf_basis validates B in closed form: its condition number is
 sqrt(1 + P ||h||^2) for n >= 2 and 1 for n = 1, so no SVD runs.
 
+The relays of one network trial are designed as one stack (_design_stack;
+design_relays is its stack of one): their bases, the QR frames of their
+real-LLL embeddings and of their enumerations, and one rate pass each run
+once on the (N, n, n) stack; only the ALLL reductions, the real-LLL loops
+and the searches run per relay.  Each step gives every relay the bits it
+gets alone.
+
 The designs run on the reductions' integer coordinates.  Each candidate
-coefficient vector is a tuple of (a, b) pairs, and a design's candidates
-get their rates in one stacked pass over the C-contiguous (k, n) complex
-array U of their embeddings (_rates); computation_rate is the stack of one.
-RelayDesign builds its RingElem vectors and its RingMatrix on first read.
+coefficient vector is a tuple of (a, b) pairs, and every candidate of a
+stack gets its rate in one stacked pass over the C-contiguous (k, n)
+complex array U of their embeddings, each row on its own relay's basis
+(_rates); computation_rate is the stack of one.  RelayDesign builds its
+RingElem vectors and its RingMatrix on first read.
 
 One elimination over F_p (_eliminate_mod_p) gives the rank and determinant
 of a matrix given as rows of (a, b) pairs; rank_mod_p reads its RingMatrix
@@ -40,10 +48,24 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattices import MAX_CONDITION, ComplexBasis, RingMatrix, coeff_to_complex, embed
-from .reduction import _lll_z, _quiet, alll_reduce
+from .lattices import MAX_CONDITION, ComplexBasis, RingMatrix, _embed, coeff_to_complex
+from .reduction import (
+    _check_alll_delta,
+    _check_z_delta,
+    _lll_frame,
+    _lll_loop,
+    _quiet,
+    alll_reduce,
+)
 from .rings import FieldMorphism, RingSpec, morphism_new
-from .svp import PREPROCESS_DELTA, _elems, _svp
+from .svp import (
+    DEFAULT_NODE_BUDGET,
+    PREPROCESS_DELTA,
+    _check_rank,
+    _elems,
+    _enumeration_frame,
+    _search,
+)
 
 __all__ = [
     "Channel",
@@ -105,16 +127,28 @@ class Channel:
 
     @cached_property
     def _basis(self) -> np.ndarray:
-        """B = L^-1 for the Cholesky factor L of M = I + P h h^H, read-only, in
-        closed form (Gill, Golub, Murray & Saunders, Math. Comp. 1974): with
-        v = sqrt(P) h and s_i = sqrt(1 + sum_{k<=i} |v_k|^2), B_ii = s_{i-1}
-        / s_i and B_ij = -v_i conj(v_j) / (s_{i-1} s_i) for j < i."""
-        v = math.sqrt(self.p) * self.h
-        s = np.sqrt(np.cumsum(np.concatenate(([1.0], v.real * v.real + v.imag * v.imag))))
-        B = np.tril(-np.outer(v, v.conj()) / (s[:-1] * s[1:])[:, None], -1)
-        np.fill_diagonal(B, s[:-1] / s[1:])
-        B.setflags(write=False)
-        return B
+        """B = L^-1 for the Cholesky factor L of M = I + P h h^H, read-only:
+        _bases on the stack of this one channel."""
+        return _bases(self.h[None], np.array([self.p]))[0]
+
+
+def _bases(H: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The channel bases of an (N, n) stack H of channel vectors with SNRs
+    P, as a read-only (N, n, n) stack, in closed form (Gill, Golub, Murray
+    & Saunders, Math. Comp. 1974): for each channel, with v = sqrt(P) h and
+    s_i = sqrt(1 + sum_{k<=i} |v_k|^2), B_ii = s_{i-1} / s_i and B_ij =
+    -v_i conj(v_j) / (s_{i-1} s_i) for j < i.  Every step is elementwise
+    along the last axes, so each basis of a stack has the bits it has
+    alone (Channel._basis, the stack of one)."""
+    v = np.sqrt(P)[:, None] * H
+    ones = np.ones((len(H), 1))
+    s = np.sqrt(np.cumsum(np.concatenate((ones, v.real * v.real + v.imag * v.imag), axis=1), axis=1))
+    outer = v[:, :, None] * v.conj()[:, None, :]
+    B = np.tril(-outer / (s[:, :-1] * s[:, 1:])[:, :, None], -1)
+    diag = np.arange(H.shape[1])
+    B[:, diag, diag] = s[:, :-1] / s[:, 1:]
+    B.setflags(write=False)
+    return B
 
 
 def random_channel(n: int, p_linear: float, rng) -> Channel:
@@ -132,17 +166,24 @@ def _basis_condition(ch: Channel) -> float:
     return math.sqrt(1.0 + ch.p * float(np.vdot(ch.h, ch.h).real))
 
 
-def cf_basis(ch: Channel, ring: RingSpec) -> ComplexBasis:
-    """Basis B with B^H B = (I + P h h^H)^-1, so ||B a||^2 is the rate denominator.
-
-    B is Channel._basis, validated by its closed-form condition number
-    (_basis_condition) against MAX_CONDITION, the limit ComplexBasis applies;
-    ComplexBasis._derived checks only that its entries are finite.
-    """
+def _check_basis(ch: Channel) -> None:
+    """Refuse a channel whose basis cf_basis refuses: an empty one, or one
+    whose closed-form condition number (_basis_condition) exceeds
+    MAX_CONDITION, the limit ComplexBasis applies."""
     if ch.n == 0:
         raise ValueError("basis must be square and non-empty, got shape (0, 0)")
     if not _basis_condition(ch) <= MAX_CONDITION:
         raise ValueError("basis columns are numerically dependent")
+
+
+def cf_basis(ch: Channel, ring: RingSpec) -> ComplexBasis:
+    """Basis B with B^H B = (I + P h h^H)^-1, so ||B a||^2 is the rate denominator.
+
+    B is Channel._basis, validated by its closed-form condition number
+    (_check_basis); ComplexBasis._derived checks only that its entries are
+    finite.
+    """
+    _check_basis(ch)
     return ComplexBasis._derived(ch._basis, ring)
 
 
@@ -152,30 +193,35 @@ def _embed_pairs(vectors, xi: complex) -> np.ndarray:
     return np.array([[complex(a) + b * xi for a, b in v] for v in vectors], dtype=complex)
 
 
-def _rates(ch: Channel, U: np.ndarray) -> list[float]:
-    """log2+(1 / ||B u||^2) for each row u of a C-contiguous (k, n) complex
-    array U, on the cached channel basis B, in one stacked pass.
+def _rates(B: np.ndarray, U: np.ndarray) -> tuple:
+    """(log2+(1 / ||B u||^2) for each row u of a C-contiguous (k, n) complex
+    array U, the images y = B u as a (k, n) array) in one stacked pass.  B
+    is one channel basis, or a (k, n, n) stack holding the basis of each
+    row's channel.
 
     The stacked B @ U[..., None] and np.vecdot equal the per-vector
-    y = B @ a, y.conj() @ y bit for bit; the 2-D B @ U.T and a transposed,
-    non-contiguous U do not.  A denominator not > 0, NaN too, is refused.
+    y = B @ a, y.conj() @ y bit for bit, whether B is one basis or a
+    stack; the 2-D B @ U.T and a transposed, non-contiguous U do not.  A
+    denominator not > 0, NaN too, is refused.
     """
-    y = (ch._basis @ U[..., None])[..., 0]
+    y = (B @ U[..., None])[..., 0]
     dens = np.vecdot(y, y).real.tolist()
     rates = []
     for den in dens:
         if not den > 0:
             raise ValueError(f"rate denominator must be positive, got {den}")
         rates.append(max(0.0, math.log2(1.0 / den)))
-    return rates
+    return rates, y
 
 
 def computation_rate(ch: Channel, coeff) -> float:
     """log2+(1 / a^H (I + P h h^H)^-1 a) in bits, for a ring coefficient vector."""
     a = coeff_to_complex(coeff)
+    if len(a) != ch.n:
+        raise ValueError(f"coefficient vector has length {len(a)}, channel has {ch.n}")
     if not np.any(a):
         raise ValueError("coefficient vector must be nonzero")
-    return _rates(ch, a[None])[0]
+    return _rates(ch._basis, a[None])[0][0]
 
 
 def _rows(cols) -> tuple:
@@ -234,60 +280,128 @@ class NetworkDesign:
     det_commutes: bool
 
 
+def _strategy_names(strategies) -> tuple:
+    """The requested strategy names as a tuple, each one in STRATEGIES.  A
+    bare string is refused: iterating it would read one name per letter."""
+    if isinstance(strategies, str):
+        raise TypeError(f"strategies must be a collection of names, not the string {strategies!r}")
+    names = tuple(strategies)
+    for s in names:
+        if s not in STRATEGIES:
+            raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
+    return names
+
+
+def _design_stack(channels, ring: RingSpec, strategies, delta: float = 0.99) -> list:
+    """design_relays for every channel of a list of channels of one size, as
+    one stack: one {strategy: RelayDesign} dict per channel, each equal bit
+    for bit to what design_relays gives that channel alone.
+
+    Every refusal comes before any reduction runs: the names, each
+    channel's closed-form guard (_check_basis), then each strategy's delta
+    range, or the enumeration rank for svp.  Then the steps run in this
+    order, each numpy step once on the (N, n, n) stack:
+
+    - the channel bases (_bases), each cached on its channel;
+    - per basis, one alll_reduce per distinct delta (delta for alll,
+      PREPROCESS_DELTA for svp), under _quiet(): the ALLL work stays a
+      public reduction with its report, which tracers of the library read;
+    - for rlll, the LLL frame of the bases' embeddings (_lll_frame), then
+      one LLL loop over Z per basis; column j of the transform is
+      [x_a; x_b] in the embed layout;
+    - for svp, the enumeration frames of the bases reduced at
+      PREPROCESS_DELTA (_enumeration_frame), then one search per basis with
+      the default node budget (_search);
+    - one _rates pass over every candidate of every channel and strategy,
+      each row rated on its own channel's basis, whose images y give each
+      design's first_norm, the norm of its best candidate's image.
+    """
+    names = _strategy_names(strategies)
+    for ch in channels:
+        _check_basis(ch)
+    kinds = tuple(dict.fromkeys(STRATEGY_ALIASES.get(s, s) for s in names))
+    if not channels or not kinds:
+        return [{} for _ in channels]
+    n = channels[0].n
+    for c in kinds:
+        if c == "alll":
+            _check_alll_delta(ring, delta)
+        elif c == "rlll":
+            _check_z_delta(delta)
+        else:
+            _check_rank(n)
+    xi = ring.xi
+    Bs = _bases(np.stack([ch.h for ch in channels]), np.array([ch.p for ch in channels]))
+    for ch, B in zip(channels, Bs):
+        ch.__dict__.setdefault("_basis", B)
+    # per channel: {kind: (candidates as tuples of (a, b) pairs, swaps)}
+    parts = [{} for _ in channels]
+
+    # per channel: {delta: its ALLL report}
+    deltas = dict.fromkeys(delta if c == "alll" else PREPROCESS_DELTA for c in kinds if c != "rlll")
+    with _quiet():
+        reps = [{dl: alll_reduce(ComplexBasis._derived(B, ring), dl) for dl in deltas} for B in Bs]
+    if "alll" in kinds:
+        for part, rep in zip(parts, reps):
+            part["alll"] = [tuple(zip(a, b)) for a, b in zip(*rep[delta].coords)], rep[delta].swaps
+    if "rlll" in kinds:
+        En, Cs = _lll_frame(_embed(Bs, xi))
+        for part, E, C in zip(parts, En, Cs):
+            ua, _, swaps, *_ = _lll_loop(E, C, delta, None)
+            part["rlll"] = [tuple(zip(col[:n], col[n:])) for col in ua], swaps
+    if "svp" in kinds:
+        svp_reps = [rep[PREPROCESS_DELTA] for rep in reps]
+        frames = [None] * len(channels)
+        if n > 1:
+            reduced = np.stack([rep.reduced.matrix for rep in svp_reps])
+            frames = zip(*_enumeration_frame(reduced, xi))
+        for part, frame, rep in zip(parts, frames, svp_reps):
+            part["svp"] = [_search(frame, rep.coords, ring, True, DEFAULT_NODE_BUDGET)[0]], 0
+
+    rows, owner = [], []
+    for i, part in enumerate(parts):
+        for cands, _ in part.values():
+            rows += cands
+            owner += [i] * len(cands)
+    rates, y = _rates(Bs[owner], _embed_pairs(rows, xi))
+    out, at = [], 0
+    for ch, part in zip(channels, parts):
+        # per kind: (pairs, rates, swaps, first_norm), sorted by descending rate
+        sorted_parts = {}
+        for c, (cands, swaps) in part.items():
+            k = len(cands)
+            r = rates[at : at + k]
+            order = sorted(range(k), key=lambda i: -r[i])
+            first_norm = float(np.linalg.norm(y[at + order[0]]))
+            sorted_parts[c] = [cands[i] for i in order], [r[i] for i in order], swaps, first_norm
+            at += k
+        designs = {}
+        for s in names:
+            pairs, r, swaps, first_norm = sorted_parts[STRATEGY_ALIASES.get(s, s)]
+            designs[s] = RelayDesign(ch, ring, s, list(pairs), list(r), swaps, first_norm)
+        out.append(designs)
+    return out
+
+
 def design_relays(
     ch: Channel,
     ring: RingSpec,
     strategies,
     delta: float = 0.99,
 ) -> dict[str, RelayDesign]:
-    """Design one relay for each requested strategy, keyed by strategy name.
+    """Design one relay for each requested strategy, keyed by strategy name:
+    _design_stack on the stack of this one channel.
 
-    The strategies share the channel's cached basis, validated by cf_basis,
-    and one alll_reduce per distinct delta.
+    The strategies share the channel's cached basis, validated as cf_basis
+    validates it, and one ALLL reduction per distinct delta.
     alll / rlll return every transform column sorted by descending rate (for
     alll the columns form a unimodular ring matrix, reduced at delta); svp
     and its alias best_single return the single highest-rate coefficient,
     enumerated from the ALLL reduction at 0.99 whatever delta is, as in
-    shortest_vector.
+    shortest_vector.  The reductions run under _quiet(), so no
+    NonEuclideanRingWarning reaches the caller.
     """
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
-    basis = cf_basis(ch, ring)
-    n = ch.n
-    reductions = {}
-
-    def reduced_at(dl: float):
-        if dl not in reductions:
-            with _quiet():
-                reductions[dl] = alll_reduce(basis, delta=dl)
-        return reductions[dl]
-
-    # per canonical strategy: (pairs, rates, swaps, first_norm), sorted by
-    # descending rate
-    parts = {}
-    for c in dict.fromkeys(STRATEGY_ALIASES.get(s, s) for s in strategies):
-        swaps = 0
-        if c == "alll":
-            rep = reduced_at(delta)
-            cands = [tuple(zip(a, b)) for a, b in zip(*rep.coords)]
-            swaps = rep.swaps
-        elif c == "rlll":
-            # column j of the transform is [x_a; x_b] in the embed layout
-            _, ua, swaps = _lll_z(embed(basis), delta)
-            cands = [tuple(zip(col[:n], col[n:])) for col in ua]
-        else:  # svp: the single best equation
-            cands = [_svp(reduced_at(PREPROCESS_DELTA))[0]]
-        U = _embed_pairs(cands, ring.xi)
-        rates = _rates(ch, U)
-        order = sorted(range(len(cands)), key=lambda i: -rates[i])
-        first_norm = float(np.linalg.norm(basis.matrix @ U[order[0]]))
-        parts[c] = [cands[i] for i in order], [rates[i] for i in order], swaps, first_norm
-    designs = {}
-    for s in strategies:
-        pairs, rates, swaps, first_norm = parts[STRATEGY_ALIASES.get(s, s)]
-        designs[s] = RelayDesign(ch, ring, s, list(pairs), list(rates), swaps, first_norm)
-    return designs
+    return _design_stack([ch], ring, strategies, delta)[0]
 
 
 def design_relay(
@@ -385,7 +499,10 @@ def transmission_rate(designs: list, morphism: FieldMorphism) -> NetworkDesign:
     rows = _candidate_rows(designs)
     candidates = [RingMatrix.from_int_rows(r, ring) for r in rows]
     relay_rates = [
-        _rates(designs[l].channel, _embed_pairs([[row[l] for row in r] for r in rows], ring.xi))
+        _rates(
+            designs[l].channel._basis,
+            _embed_pairs([[row[l] for row in r] for r in rows], ring.xi),
+        )[0]
         for l in range(n)
     ]
     rates = [min(column) for column in zip(*relay_rates)]

@@ -18,11 +18,12 @@ import numpy as np
 
 from .cf import (
     _candidate_rows,
+    _design_stack,
     _eliminate_mod_p,
+    _strategy_names,
     db_to_linear,
     default_morphism,
     design_relay,
-    design_relays,
     random_channel,
 )
 from .lattices import ComplexBasis, _independent, volume
@@ -295,9 +296,9 @@ def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) 
     """The network-trial loop: an _Acc per (strategy, point index).
 
     Each trial draws one n-relay network and replays its channels for every
-    strategy, so the comparison is paired; design_relays designs each relay
-    once for all strategies, and each distinct candidate matrix is scored
-    once, on its rows of (a, b) pairs.
+    strategy, so the comparison is paired; _design_stack designs the trial's
+    n relays once for all strategies, as one stack, and each distinct
+    candidate matrix is scored once, on its rows of (a, b) pairs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -307,6 +308,7 @@ def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) 
         raise ValueError(f"n must be at most {_MAX_RELAYS}, got {n}")
     if not p_linear_list:
         raise ValueError("need at least one SNR point")
+    strategies = _strategy_names(strategies)
     if not strategies:
         raise ValueError("need at least one strategy")
     if len(set(strategies)) < len(strategies):
@@ -316,7 +318,7 @@ def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) 
     acc = {(s, pi): _Acc([], [], []) for s in strategies for pi in range(len(p_linear_list))}
     for pi, _, rng in _trials(seed, len(p_linear_list), trials):
         chans = [random_channel(n, p_linear_list[pi], rng) for _ in range(n)]
-        relays = [design_relays(ch, ring, strategies) for ch in chans]
+        relays = _design_stack(chans, ring, strategies)
         scored = {}
         for s in strategies:
             designs = [r[s] for r in relays]

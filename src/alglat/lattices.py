@@ -152,14 +152,20 @@ def embed(basis: ComplexBasis) -> np.ndarray:
     x = x_a + xi*x_b: for any ring vector x,
     stack(B x) = embed(B) @ [x_a; x_b].
     """
-    B = basis.matrix
+    return _embed(basis.matrix, basis.ring.xi)
+
+
+def _embed(B: np.ndarray, xi: complex) -> np.ndarray:
+    """embed of each n x n matrix of a complex (..., n, n) stack B over the
+    ring of xi: elementwise real arithmetic, so each matrix of a stack gets
+    the bits it gets alone."""
     re, im = B.real, B.imag
-    xr, xs = basis.ring.xi.real, basis.ring.xi.imag
+    xr, xs = xi.real, xi.imag
     # a zero xr term is left out: adding it would turn some -0.0 into 0.0,
     # and the sign of a zero pivot steers the Householder steps of a QR
-    top = np.hstack([re, xr * re - xs * im if xr else -xs * im])
-    bot = np.hstack([im, xr * im + xs * re if xr else xs * re])
-    return np.vstack([top, bot])
+    top = np.concatenate([re, xr * re - xs * im if xr else -xs * im], axis=-1)
+    bot = np.concatenate([im, xr * im + xs * re if xr else xs * re], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
 
 
 def volume(basis: ComplexBasis) -> float:
@@ -185,8 +191,14 @@ def _times_pow2(x, k: int):
 
 def _pow2_normalized(m: np.ndarray) -> tuple:
     """(m * 2**-e, e), with e the exponent that puts the largest entry
-    magnitude of m in [0.5, 1).  Scaling by a power of two commutes with
+    magnitude of m in [0.5, 1).  On an (N, r, c) stack each matrix gets its
+    own e, returned as a list of N ints, and is scaled in the same two
+    exact steps as _times_pow2.  Scaling by a power of two commutes with
     IEEE arithmetic away from overflow and underflow."""
+    if m.ndim > 2:
+        e = [math.frexp(x)[1] for x in np.abs(m).max(axis=(-2, -1)).tolist()]
+        f = np.array([(2.0 ** (-k // 2), 2.0 ** (-k - -k // 2)) for k in e])
+        return m * f[:, 0, None, None] * f[:, 1, None, None], e
     e = math.frexp(float(np.max(np.abs(m))))[1]
     return _times_pow2(m, -e), e
 

@@ -539,10 +539,14 @@ def _phase_normalize(R: np.ndarray, rows) -> None:
 
 
 def _r_positive(B: np.ndarray) -> np.ndarray:
-    """R factor of the QR decomposition of a real or complex matrix, with a
-    real-positive diagonal."""
+    """R factor of the QR decomposition of a real or complex matrix, or of
+    each matrix of an (N, m, m) stack in one np.linalg.qr call, with a
+    real-positive diagonal.  The stacked QR gives each matrix the bits it
+    gets alone, and _phase_normalize runs over each matrix in turn."""
     R = np.linalg.qr(B, mode="r")
-    _phase_normalize(R, range(B.shape[0]))
+    rows = range(R.shape[-1])
+    for Ri in R[None] if R.ndim == 2 else R:
+        _phase_normalize(Ri, rows)
     return R
 
 
@@ -574,8 +578,35 @@ def decoding_radius_bound(ring: RingSpec, n: int, k: int, lambda1: float, eps: f
 # The LLL loop, over a ring or over Z
 
 
+def _lll_frame(B: np.ndarray) -> tuple:
+    """The start of _lll for each matrix of an (N, m, m) stack B: (B with
+    each matrix normalized by _pow2_normalized, and per matrix the columns
+    of R, R.T.tolist() of its positive-diagonal QR), with one np.linalg.qr
+    call for the stack.
+
+    Raises ValueError when the diagonal of some R is zero or spans more
+    than MAX_CONDITION (a lower bound on the condition number of its
+    matrix).
+    """
+    B = _pow2_normalized(B)[0]
+    R = _r_positive(B)
+    for diag in np.abs(np.diagonal(R, axis1=-2, axis2=-1)).tolist():
+        if not 0.0 < max(diag) <= min(diag) * MAX_CONDITION:
+            raise ValueError("basis columns are numerically dependent")
+    return B, R.transpose(0, 2, 1).tolist()
+
+
 def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
-    """LLL-reduce the columns of B over ring, or over Z when ring is None.
+    """LLL-reduce the columns of B over ring, or over Z when ring is None:
+    the frame of B[None] (_lll_frame), then the loop (_lll_loop)."""
+    (B,), (C,) = _lll_frame(B[None])
+    return _lll_loop(B, C, delta, ring)
+
+
+def _lll_loop(B: np.ndarray, C: list, delta: float, ring: RingSpec | None):
+    """The LLL loop on the columns C of R (which it updates in place) of the
+    normalized basis B, as _lll_frame gives them: LLL-reduce the columns of
+    B over ring, or over Z when ring is None.
 
     Size reduction rounds each Gram-Schmidt ratio to the nearest ring
     element (the nearest integer over Z, ties toward the smaller one); a
@@ -624,9 +655,6 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     at any power-of-two scale (only a subnormal entry of B may lose low
     bits), and no square of R overflows or underflows.
 
-    Raises ValueError when the diagonal of R is zero or spans more than
-    MAX_CONDITION (a lower bound on the condition number of B).
-
     Returns (ua, ub, swaps, size_reductions, steps, potential_ratios,
     stalled), with ua and ub lists of columns of Python ints as in
     _sub_multiple (ub stays zero over Z), and steps the ("size_reduction"
@@ -638,13 +666,6 @@ def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
     zero = 0.0 if real else 0j
     quant = None if real else _quantizer(ring)
     s, t = (0, 0) if real else ring.minpoly_coeffs
-    B = _pow2_normalized(B)[0]
-    R = _r_positive(B)
-    diag = np.abs(np.diagonal(R))
-    low, high = diag.min(), diag.max()
-    if not 0.0 < high <= low * MAX_CONDITION:
-        raise ValueError("basis columns are numerically dependent")
-    C = R.T.tolist()
     w = _PACK_WIDTH
     limit = 1 << (w - 1)
     PA = [1 << (w * i) for i in range(n)]
@@ -774,17 +795,10 @@ def alll_reduce(
     """
     t0 = time.perf_counter()
     ring = basis.ring
-    rho2 = ring.covering_radius**2
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    _check_alll_delta(ring, delta)
     warns: list[str] = []
-    if ring.euclidean:
-        if delta <= rho2:
-            raise ValueError(
-                f"delta={delta} <= rho^2={rho2:.4f} for d={ring.d}: the swap "
-                "potential argument needs delta > rho^2"
-            )
-    else:
+    if not ring.euclidean:
+        rho2 = ring.covering_radius**2
         _warn_non_euclidean(
             warns,
             f"ring d={ring.d} is not norm-Euclidean (rho^2={rho2:.3f} >= 1); "
@@ -811,6 +825,19 @@ def alll_reduce(
         _input=basis,
         _lambda1=lambda1,
     )
+
+
+def _check_alll_delta(ring: RingSpec, delta: float) -> None:
+    """Refuse a delta that alll_reduce cannot run at: outside (0, 1], or at
+    most rho^2 on a Euclidean ring."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    rho2 = ring.covering_radius**2
+    if ring.euclidean and delta <= rho2:
+        raise ValueError(
+            f"delta={delta} <= rho^2={rho2:.4f} for d={ring.d}: the swap "
+            "potential argument needs delta > rho^2"
+        )
 
 
 def reduction_epsilon(ring: RingSpec, delta: float) -> float:
@@ -877,12 +904,17 @@ def _mk_check(name: str, lhs: float, rhs: float, tol: float = 1e-9) -> BoundChec
 # real LLL on embedded bases: the LLL loop over Z
 
 
+def _check_z_delta(delta: float) -> None:
+    """Refuse a delta outside (0.25, 1], where LLL over Z does not run."""
+    if not 0.25 < delta <= 1.0:
+        raise ValueError(f"delta must be in (0.25, 1], got {delta}")
+
+
 def _lll_z(matrix, delta: float) -> tuple:
     """_lll over Z on a real square matrix: (B, ua, swaps), with B the matrix
     as a float array and column j of the integer transform ua[j], a list of
     Python ints.  real_lll and the rlll relay design both run it."""
-    if not 0.25 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0.25, 1], got {delta}")
+    _check_z_delta(delta)
     B = np.array(matrix, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1] or B.size == 0:
         raise ValueError(f"basis must be square and non-empty, got shape {B.shape}")

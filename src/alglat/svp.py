@@ -27,10 +27,10 @@ import numpy as np
 
 from .lattices import (
     ComplexBasis,
+    _embed,
     _pow2_normalized,
     _times_pow2,
     coeff_to_complex,
-    embed,
 )
 from .reduction import ReductionReport, _quiet, _r_positive, _square, alll_reduce
 from .rings import RingSpec, _pair_det, _pair_mul, units
@@ -179,21 +179,25 @@ def _enum_shortest(R, best2, mode, budget, x_init, collect):
             advance(i)
 
 
-def _enumeration_r(basis: ComplexBasis) -> np.ndarray:
-    """R factor of the embedding with the two real columns of each ring
+def _enumeration_r(B: np.ndarray, xi: complex) -> np.ndarray:
+    """R factor of the embedding of each matrix of a complex (..., n, n)
+    stack B over the ring of xi, with the two real columns of each ring
     coordinate adjacent: embed's columns in the order [0, n, 1, n+1, ...]."""
-    pair_order = np.arange(2 * basis.n).reshape(2, basis.n).T.ravel()
-    return _r_positive(embed(basis)[:, pair_order])
+    n = B.shape[-1]
+    pair_order = np.arange(2 * n).reshape(2, n).T.ravel()
+    return _r_positive(_embed(B, xi)[..., pair_order])
 
 
-def _enumeration_frame(reduced: ComplexBasis) -> tuple:
-    """(R, squared column norms, e) of a reduced basis for the enumeration,
-    both taken of the basis scaled by the power of two 2**-e that normalizes
-    it (_pow2_normalized), so the search and its nodes do not depend on the
-    scale and no square overflows or underflows."""
-    m, e = _pow2_normalized(reduced.matrix)
-    col_norms2 = np.sum(np.abs(m) ** 2, axis=0)
-    return _enumeration_r(ComplexBasis._derived(m, reduced.ring)), col_norms2, e
+def _enumeration_frame(reduced: np.ndarray, xi: complex) -> tuple:
+    """(R, squared column norms, e) of each matrix of an (N, n, n) stack of
+    reduced bases over the ring of xi, for the enumeration: two stacks of
+    N and a list of N ints.  R and the norms are taken of each basis scaled by
+    the power of two 2**-e that normalizes it (_pow2_normalized), so the
+    search and its nodes do not depend on the scale and no square
+    overflows or underflows."""
+    m, e = _pow2_normalized(reduced)
+    col_norms2 = np.sum(np.abs(m) ** 2, axis=-2)
+    return _enumeration_r(m, xi), col_norms2, e
 
 
 def _norm(basis: ComplexBasis, coeff) -> float:
@@ -224,17 +228,16 @@ def _in_canonical_sector(a: int, b: int, n_units: int) -> bool:
     return True if n_units == 2 else a >= 1
 
 
-def _map_back(rep: ReductionReport, c: list) -> tuple:
+def _map_back(coords, ring: RingSpec, c: list) -> tuple:
     """The coefficient U @ c in the original basis's coordinates, scaled by
     the unit that puts its first nonzero entry in the canonical sector.
 
-    U is the reduction's transform, read as its integer coordinates
-    rep.coords, and c a list of (a, b) pairs; the result is a tuple of
-    (a, b) pairs too.
+    U is a reduction's transform, given as its integer coordinates
+    coords = (ua, ub) (ReductionReport.coords), and c a list of (a, b)
+    pairs; the result is a tuple of (a, b) pairs too.
     """
-    ring = rep.reduced.ring
     s, t = ring.minpoly_coeffs
-    ua, ub = rep.coords
+    ua, ub = coords
     v = []
     for i in range(len(ua)):
         a = b = 0
@@ -257,18 +260,23 @@ def _elems(ring: RingSpec, pairs) -> tuple:
     return tuple(ring.elem(a, b) for a, b in pairs)
 
 
-def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAULT_NODE_BUDGET):
-    """Shortest nonzero vector from the PREPROCESS_DELTA ALLL report of a
-    basis: (unit-canonical coefficient in that basis's coordinates as a
-    tuple of (a, b) pairs, enumerated nodes)."""
-    reduced = rep.reduced
-    ring = reduced.ring
-    n = reduced.n
+def _check_rank(n: int) -> None:
+    """Refuse a rank the enumeration does not run at."""
     if n > MAX_RANK:
         raise ValueError(f"rank {n} exceeds the enumeration limit of {MAX_RANK}")
+
+
+def _search(frame, coords, ring: RingSpec, use_symmetry: bool, max_nodes: int) -> tuple:
+    """The shortest nonzero vector of one reduced basis from its enumeration
+    frame (R, squared column norms, e), one entry of _enumeration_frame's
+    stacks, or None at rank 1: (unit-canonical coefficient in the
+    coordinates of the basis before reduction, through the reduction's
+    integer coordinates coords, as a tuple of (a, b) pairs, enumerated
+    nodes)."""
     xbest, nodes = [1, 0], 0
-    if n > 1:
-        R, col_norms2, e = _enumeration_frame(reduced)
+    if frame is not None:
+        R, col_norms2, e = frame
+        n = len(col_norms2)
         jmin = int(np.argmin(col_norms2))
         x_init = [0] * (2 * n)
         x_init[2 * jmin] = 1
@@ -278,7 +286,21 @@ def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAU
         status, xbest, reached2, nodes, _ = _enum_shortest(R, best2, mode, max_nodes, x_init, False)
         if status == 1:
             raise EnumerationBudgetError(max_nodes, nodes, _times_pow2(math.sqrt(reached2), e))
-    return _map_back(rep, _level_pairs(xbest)), int(nodes)
+    return _map_back(coords, ring, _level_pairs(xbest)), int(nodes)
+
+
+def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAULT_NODE_BUDGET):
+    """Shortest nonzero vector from the PREPROCESS_DELTA ALLL report of a
+    basis: (unit-canonical coefficient in that basis's coordinates as a
+    tuple of (a, b) pairs, enumerated nodes), from _search on the
+    enumeration frame of the reduced basis as a stack of one."""
+    reduced = rep.reduced
+    ring = reduced.ring
+    _check_rank(reduced.n)
+    frame = None
+    if reduced.n > 1:
+        frame = [f[0] for f in _enumeration_frame(reduced.matrix[None], ring.xi)]
+    return _search(frame, rep.coords, ring, use_symmetry, max_nodes)
 
 
 def shortest_vector(
@@ -314,7 +336,7 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
     ring = basis.ring
     with _quiet():
         rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
-    R, col_norms2, e = _enumeration_frame(rep.reduced)
+    R, col_norms2, e = (f[0] for f in _enumeration_frame(rep.reduced.matrix[None], ring.xi))
     radius2 = float(max(col_norms2))
     status, _, _, nodes, points = _enum_shortest(
         R, radius2 * (1 + 1e-9), _symmetry_mode(ring, True), max_nodes, [0] * 4, True
@@ -328,5 +350,5 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
     second = next((c for c in coeffs if _pair_det((first, c), ring) != (0, 0)), None)
     if second is None:
         raise RuntimeError("no independent second minimum found; basis may be degenerate")
-    c1, c2 = (_elems(ring, _map_back(rep, c)) for c in (first, second))
+    c1, c2 = (_elems(ring, _map_back(rep.coords, ring, c)) for c in (first, second))
     return _norm(basis, c1), _norm(basis, c2), (c1, c2)

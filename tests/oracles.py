@@ -6,7 +6,7 @@ by their closed forms in the ring's type, the RingElem determinant and
 product, the adjugate inverse, the exact entries by nearest-point search,
 the exact norms as a loop, Minkowski's bounds, the MAC rate floor, the
 computation rate one vector at a time, the rate denominator in exact
-rationals, the trial generators as numpy spawns
+rationals, one relay's design alone, the trial generators as numpy spawns
 them) or a generator of test inputs (random unimodular matrices and CN(0,1)
 bases).  Nothing under src/ imports this module."""
 
@@ -18,9 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from alglat.cf import Channel
-from alglat.lattices import _EXACT_TOL, ComplexBasis, RingMatrix
-from alglat.reduction import reduction_epsilon
+from alglat.cf import STRATEGY_ALIASES, Channel, _embed_pairs, _rates, cf_basis
+from alglat.lattices import _EXACT_TOL, ComplexBasis, RingMatrix, embed
+from alglat.reduction import _lll_z, _quiet, alll_reduce, reduction_epsilon
+from alglat.svp import PREPROCESS_DELTA, _svp
 from alglat.rings import RingElem, RingKind, RingSpec, _quantize_pair, quantize, units
 
 #: Hermite's constants for real lattices of dimension 2, 4, 6, 8.  Only the
@@ -329,6 +330,48 @@ def rate_reference(ch: Channel, a: np.ndarray) -> float:
     if den <= 0:
         raise ValueError(f"rate denominator must be positive, got {den}")
     return max(0.0, math.log2(1.0 / den))
+
+
+def design_relays_reference(ch: Channel, ring: RingSpec, strategies, delta: float = 0.99) -> dict:
+    """One relay designed alone, strategy by strategy, as design_relays did
+    before a trial's relays were designed as one stack: {strategy: (pairs,
+    rates, swaps, first_norm)}, sorted by descending rate.
+
+    It reduces cf_basis(ch, ring) with one alll_reduce per distinct delta
+    (PREPROCESS_DELTA for svp), runs real LLL on its 2-D embedding
+    (_lll_z) and the enumeration on the ALLL report (_svp), rates each
+    strategy's candidates in a _rates pass of their own on the channel's
+    basis, and takes first_norm as ||B a|| of the best candidate, a 2-D
+    matrix-vector product.
+    """
+    basis = cf_basis(ch, ring)
+    n = ch.n
+    reductions = {}
+
+    def reduced_at(dl: float):
+        if dl not in reductions:
+            with _quiet():
+                reductions[dl] = alll_reduce(basis, delta=dl)
+        return reductions[dl]
+
+    parts = {}
+    for c in dict.fromkeys(STRATEGY_ALIASES.get(s, s) for s in strategies):
+        swaps = 0
+        if c == "alll":
+            rep = reduced_at(delta)
+            cands = [tuple(zip(a, b)) for a, b in zip(*rep.coords)]
+            swaps = rep.swaps
+        elif c == "rlll":
+            _, ua, swaps = _lll_z(embed(basis), delta)
+            cands = [tuple(zip(col[:n], col[n:])) for col in ua]
+        else:
+            cands = [_svp(reduced_at(PREPROCESS_DELTA))[0]]
+        U = _embed_pairs(cands, ring.xi)
+        rates = _rates(ch._basis, U)[0]
+        order = sorted(range(len(cands)), key=lambda i: -rates[i])
+        first_norm = float(np.linalg.norm(basis.matrix @ U[order[0]]))
+        parts[c] = [cands[i] for i in order], [rates[i] for i in order], swaps, first_norm
+    return {s: parts[STRATEGY_ALIASES.get(s, s)] for s in strategies}
 
 
 def rate_denominator_exact(h, p: float, a) -> Fraction:

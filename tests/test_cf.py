@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alglat import cf, experiments, lattices
+import oracles
+from alglat import cf, experiments, lattices, reduction, svp
 from alglat.cf import (
     STRATEGIES,
     Channel,
@@ -989,3 +990,227 @@ class TestLazyExactObjects:
             [(2, -2), (4, -3)], [(-2, -2), (-3, -4)], [(-1, 0), (-2, 0)], [(0, 1), (0, 2)]
         ]
         assert rep.events == ["size_reduction:1", "swap:1"] * 3
+
+
+# ---------------------------------------------------------------------------
+# a trial's relays designed as one stack
+
+
+def _design_fields(design) -> tuple:
+    """A design's pairs, rate bits, swaps and first_norm bits."""
+    return (
+        design.pairs,
+        [r.hex() for r in design.rates],
+        design.swaps,
+        design.first_norm.hex(),
+    )
+
+
+def _reference_fields(part) -> tuple:
+    pairs, rates, swaps, first_norm = part
+    return pairs, [r.hex() for r in rates], swaps, first_norm.hex()
+
+
+@st.composite
+def stack_cases(draw):
+    """A ring, a stack of 1-4 channels of one size, a delta the ring's
+    alll and rlll designs accept, and a non-empty strategy list.  Over
+    d = 5 the SNR stays at most 50 dB: above it one svp design can
+    enumerate for seconds (ROADMAP known defect 5)."""
+    ring = ring_new(draw(st.sampled_from((1, 2, 3, 5, 7, 11))))
+    n = draw(st.integers(1, 5))
+    snr_db = draw(st.floats(0.0, 50.0 if ring.d == 5 else 100.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = [random_channel(n, db_to_linear(snr_db), rng) for _ in range(draw(st.integers(1, 4)))]
+    low = max(0.25, ring.covering_radius**2 if ring.euclidean else 0.0)
+    delta = draw(st.sampled_from((0.99, 1.0)) | st.floats(low, 1.0, exclude_min=True))
+    strategies = draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=4, unique=True))
+    return ring, channels, delta, strategies
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack_cases())
+def test_design_stack_equals_each_relay_alone(case):
+    """Every channel of a stack gets, in pairs, rate bits, swaps and
+    first_norm bits, what the per-relay reference design gives it alone."""
+    ring, channels, delta, strategies = case
+    stacked = cf._design_stack(channels, ring, strategies, delta)
+    assert len(stacked) == len(channels)
+    for ch, designs in zip(channels, stacked):
+        alone = Channel(ch.h, ch.p)  # its own basis cache
+        want = oracles.design_relays_reference(alone, ring, strategies, delta)
+        assert list(designs) == list(want)
+        for s, design in designs.items():
+            assert design.channel is ch and design.strategy == s
+            assert _design_fields(design) == _reference_fields(want[s]), s
+
+
+def test_design_stack_fills_each_basis_cache():
+    channels = [random_channel(3, db_to_linear(30.0), np.random.default_rng(k)) for k in (1, 2)]
+    cf._design_stack(channels, RING1, ("rlll",))
+    for ch in channels:
+        B = ch.__dict__["_basis"]
+        assert not B.flags.writeable
+        assert B.tobytes() == Channel(ch.h, ch.p)._basis.tobytes()
+
+
+class TestStackBitFacts:
+    """The facts that let a stack give each relay its bits alone.  They hold
+    on the BLAS kernel they were measured on; pytest -m pins re-runs them
+    under another."""
+
+    pytestmark = pytest.mark.pins
+
+    @pytest.mark.parametrize("kind", (float, complex))
+    def test_stacked_r_positive(self, kind):
+        rng = np.random.default_rng(41 if kind is float else 42)
+        for m in range(1, 17):
+            B = rng.standard_normal((5, m, m))
+            if kind is complex:
+                B = B + 1j * rng.standard_normal((5, m, m))
+            R = reduction._r_positive(B)
+            for Bi, Ri in zip(B, R):
+                assert Ri.tobytes() == reduction._r_positive(Bi).tobytes(), m
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stacked_bases(self, n):
+        rng = np.random.default_rng([n, 43])
+        for snr_db in (0.0, 20.0, 60.0, 100.0, 160.0, 240.0, 300.0):
+            channels = [random_channel(n, db_to_linear(snr_db), rng) for _ in range(6)]
+            H = np.stack([ch.h for ch in channels])
+            P = np.array([ch.p for ch in channels])
+            for ch, B in zip(channels, cf._bases(H, P)):
+                assert B.tobytes() == ch._basis.tobytes(), snr_db
+
+    @pytest.mark.parametrize("d", (1, 3, 5))
+    def test_owner_rate_pass(self, d):
+        """One pass over the candidates of every relay, each row on its
+        relay's basis (B[owner]), equals each relay's own pass."""
+        ring = ring_new(d)
+        rng = np.random.default_rng([d, 44])
+        for n in (1, 2, 4, 8):
+            channels = [random_channel(n, db_to_linear(40.0), rng) for _ in range(4)]
+            Us = [_embed_pairs_of(ring, nonzero_coords(rng, n)) for _ in channels]
+            Bs = np.stack([ch._basis for ch in channels])
+            owner = [i for i, U in enumerate(Us) for _ in U]
+            rates, y = cf._rates(Bs[owner], np.concatenate(Us))
+            at = 0
+            for ch, U in zip(channels, Us):
+                alone, y_alone = cf._rates(ch._basis, U)
+                k = len(U)
+                assert [r.hex() for r in rates[at : at + k]] == [r.hex() for r in alone]
+                assert y[at : at + k].tobytes() == y_alone.tobytes()
+                for row, u in zip(y[at : at + k], U):
+                    assert np.linalg.norm(row).hex() == np.linalg.norm(ch._basis @ u).hex()
+                at += k
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 5, 7))
+    def test_stacked_frames(self, d):
+        """The LLL frame and the enumeration frame of a stack, and the
+        embedding of a stack, give each basis its bits alone."""
+        ring = ring_new(d)
+        rng = np.random.default_rng([d, 45])
+        for n in range(1, 9):
+            B = random_basis_stack(rng, 4, n)
+            Bn, C = reduction._lll_frame(B)
+            R, norms2, e = svp._enumeration_frame(B, ring.xi)
+            for i, Bi in enumerate(B):
+                (Bn1,), (C1,) = reduction._lll_frame(Bi[None])
+                assert Bn[i].tobytes() == Bn1.tobytes() and C[i] == C1
+                R1, norms1, (e1,) = svp._enumeration_frame(Bi[None], ring.xi)
+                assert R[i].tobytes() == R1[0].tobytes()
+                assert norms2[i].tobytes() == norms1[0].tobytes() and e[i] == e1
+                assert lattices._embed(B, ring.xi)[i].tobytes() == embed(
+                    ComplexBasis._derived(Bi, ring)
+                ).tobytes()
+
+
+def nonzero_coords(rng, n: int) -> np.ndarray:
+    """A (k, n, 2) integer array of 1-8 nonzero vectors of (a, b) pairs."""
+    coords = rng.integers(-4, 5, (int(rng.integers(1, 9)), n, 2))
+    coords[:, 0, 0] = rng.integers(1, 5, len(coords))
+    return coords
+
+
+def _embed_pairs_of(ring, coords) -> np.ndarray:
+    """The (k, n) complex array of a (k, n, 2) integer array of (a, b) pairs."""
+    return cf._embed_pairs([[(int(a), int(b)) for a, b in v] for v in coords], ring.xi)
+
+
+def random_basis_stack(rng, count: int, n: int) -> np.ndarray:
+    """A (count, n, n) stack of CN(0,1) matrices, scaled apart by powers of
+    two so each matrix of the stack normalizes by its own exponent."""
+    B = math.sqrt(0.5) * (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+    return B * np.ldexp(1.0, rng.integers(-40, 40, count))[:, None, None]
+
+
+class TestStackRefusals:
+    """Each refusal keeps its message on the stack path, and comes before
+    any reduction runs."""
+
+    @staticmethod
+    def count_qr(monkeypatch) -> list:
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        return calls
+
+    def test_guard_refuses_a_later_relay(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        good = random_channel(3, db_to_linear(30.0), rng)
+        bad = random_channel(3, db_to_linear(250.0), rng)
+        assert cf._basis_condition(bad) > MAX_CONDITION
+        calls = self.count_qr(monkeypatch)
+        for channels in ([good, bad], [good, good, bad]):
+            with pytest.raises(ValueError, match="basis columns are numerically dependent"):
+                cf._design_stack(channels, RING1, STRATEGIES)
+        assert calls == []
+
+    def test_delta_at_most_rho2_on_a_euclidean_ring(self, monkeypatch):
+        ring = ring_new(2)
+        channels = [random_channel(2, db_to_linear(20.0), np.random.default_rng(k)) for k in (1, 2)]
+        calls = self.count_qr(monkeypatch)
+        with pytest.raises(ValueError, match=r"delta=0\.7 <= rho\^2=0\.7500 for d=2"):
+            cf._design_stack(channels, ring, ("rlll", "alll"), 0.7)
+        assert calls == []
+        assert sorted(cf._design_stack(channels, ring, ("rlll", "svp"), 0.7)[1]) == ["rlll", "svp"]
+
+    @pytest.mark.parametrize("delta", (0.25, 0.2, 1.5))
+    def test_rlll_delta_range(self, monkeypatch, delta):
+        channels = [random_channel(2, db_to_linear(20.0), np.random.default_rng(k)) for k in (3, 4)]
+        calls = self.count_qr(monkeypatch)
+        with pytest.raises(ValueError, match=r"delta must be in \(0\.25, 1\]"):
+            cf._design_stack(channels, RING1, ("rlll",), delta)
+        with pytest.raises(ValueError, match=r"delta must be in \(0\.25, 1\]"):
+            design_relays(channels[0], RING1, ("rlll",), delta)
+        assert calls == []
+
+    @pytest.mark.parametrize("strategy", ("svp", "best_single"))
+    def test_rank_limit_before_any_reduction(self, monkeypatch, strategy):
+        """Relay 0's ALLL and real LLL ran before the rank was refused."""
+        ch = random_channel(9, db_to_linear(20.0), np.random.default_rng(5))
+        calls = self.count_qr(monkeypatch)
+        with pytest.raises(ValueError, match="rank 9 exceeds the enumeration limit of 8"):
+            design_relays(ch, RING1, ("alll", "rlll", strategy))
+        assert calls == []
+        with pytest.raises(ValueError, match="enumeration limit"):
+            cf._design_stack([ch, ch], RING1, (strategy,))
+        assert calls == []
+
+
+class TestUnclearErrors:
+    def test_strategies_as_one_string_refused(self):
+        """A bare string was read one letter at a time: "unknown strategy
+        'a'" from design_relays and "each strategy may appear only once"
+        from cf_experiment."""
+        with pytest.raises(TypeError, match="not the string 'alll'"):
+            design_relays(H1, RING1, "alll")
+        with pytest.raises(TypeError, match="not the string 'alll'"):
+            cf_experiment(RING1, 2, [10.0], 2, "alll", 0)
+
+    @pytest.mark.parametrize("k", (1, 3))
+    def test_coefficient_of_the_wrong_length_refused(self, k):
+        """numpy's matmul core-dimension error was all a caller saw."""
+        coeff = (RING1.one,) * k
+        with pytest.raises(ValueError, match=f"coefficient vector has length {k}, channel has 2"):
+            computation_rate(H1, coeff)

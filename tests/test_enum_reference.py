@@ -45,7 +45,7 @@ def enumeration_input(ring, n, rng):
     jmin = int(np.argmin(col_norms2))
     x_init = np.zeros(2 * n, dtype=np.int64)
     x_init[2 * jmin] = 1
-    return svp._enumeration_r(rep.reduced), float(col_norms2[jmin]), x_init
+    return svp._enumeration_r(rep.reduced.matrix, ring.xi), float(col_norms2[jmin]), x_init
 
 
 def assert_same_enumeration(R, best2, mode, budget, x_init, collect):

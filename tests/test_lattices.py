@@ -132,7 +132,7 @@ def test_embed_reads_xi_as_the_closed_forms_did(d):
             assert embed(B).tobytes() == want.tobytes()
             T = real_lll(embed(B))[1]
             assert np.array_equal(T, real_lll(want)[1])
-            assert np.array_equal(_enumeration_r(B), _r_positive(want[:, pair_order(B.n)]))
+            assert np.array_equal(_enumeration_r(B.matrix, B.ring.xi), _r_positive(want[:, pair_order(B.n)]))
 
 
 class TestVolumeAndDefect:
