@@ -64,6 +64,7 @@ from .svp import (
     _check_rank,
     _elems,
     _enumeration_frame,
+    _map_back,
     _search,
 )
 
@@ -356,7 +357,8 @@ def _design_stack(channels, ring: RingSpec, strategies, delta: float = 0.99) -> 
             reduced = np.stack([rep.reduced.matrix for rep in svp_reps])
             frames = zip(*_enumeration_frame(reduced, xi))
         for part, frame, rep in zip(parts, frames, svp_reps):
-            part["svp"] = [_search(frame, rep.coords, ring, True, DEFAULT_NODE_BUDGET)[0]], 0
+            pairs, _ = _search(frame, ring, True, DEFAULT_NODE_BUDGET)
+            part["svp"] = [_map_back(rep.coords, ring, pairs)], 0
 
     rows, owner = [], []
     for i, part in enumerate(parts):

@@ -174,7 +174,10 @@ def _cmd_cf_experiment(args) -> int:
 def _cmd_rank_failure(args) -> int:
     ring = parse_ring(args.ring)
     if args.modulus:
-        a, b = (int(x) for x in args.modulus.split(","))
+        try:
+            a, b = (int(x) for x in args.modulus.split(","))
+        except ValueError:
+            raise ValueError(f"--modulus takes two integers as 'a,b', not {args.modulus!r}") from None
         morphism = morphism_new(ring, ring.elem(a, b))
     else:
         from .cf import default_morphism

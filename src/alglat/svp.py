@@ -6,16 +6,16 @@ of each ring coefficient kept adjacent, so the enumeration can exploit the
 unit group: only one representative per orbit under multiplication by units
 is visited (a quarter of the points for the Gaussian integers, a sixth for
 the Eisenstein integers, half elsewhere).  One Schnorr-Euchner zig-zag
-kernel serves both the shortest-vector search and the collection of every
-point within a fixed radius.
+search serves every enumeration: the shortest vector, and the rank-2
+second minimum as the shortest vector ring-independent of the first.
 
 The kernel runs on Python lists of floats and ints (R.tolist()): each of its
 steps is one IEEE product, sum or division, or a floor, which Python rounds
 exactly as numpy scalars do, at about a quarter of their cost per node.  The
 winning levels map back to the original basis's coordinates through the
 reduction's integer transform coordinates on (a, b) pairs; shortest_vector
-builds the RingElem coefficient once, at the edge, and the CF designs keep
-the pairs.
+and successive_minima_2d build the RingElem coefficients once, at the edge,
+and the CF designs keep the pairs.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class EnumerationBudgetError(RuntimeError):
     """An enumeration visited more than its budget of nodes.
 
     budget is the max_nodes the caller set; nodes is the count visited when
-    the search stopped (budget + 1); partial_radius is the shortest norm
-    found by then (the fixed radius of a collecting search).
+    the search stopped (budget + 1); partial_radius is the radius the
+    stopping search had shrunk to by then.
     """
 
     def __init__(self, budget: int, nodes: int, partial_radius: float):
@@ -77,7 +77,7 @@ class SvpResult:
         return _square(self.norm)
 
 
-def _enum_shortest(R, best2, mode, budget, x_init, collect):
+def _enum_shortest(R, best2, mode, budget, x_init, accept=None):
     """Depth-first Schnorr-Euchner enumeration of the shortest nonzero vector.
 
     R: upper triangular with positive diagonal, m = 2 * (ring rank).
@@ -87,14 +87,13 @@ def _enum_shortest(R, best2, mode, budget, x_init, collect):
     decided so far is zero, the current pair is restricted to one canonical
     sector of the unit-group action.
 
-    With collect set, the radius stays at best2 and every nonzero point with
-    squared norm below it is recorded instead (one per unit orbit when
-    mode > 0), under the same pruning and node budget.
+    With accept given, a nonzero leaf x within the radius counts only if
+    accept(x) is true.  Each leaf that counts shrinks the radius to its
+    squared norm, so of equal norms the first visited stays.
 
-    Returns (status, best_x, best_norm2, nodes, points); status 1 = budget
-    exceeded; points holds (squared norm, x) pairs in collect mode.  The
-    levels best_x and x are lists of Python ints; R may be a numpy array,
-    the kernel reads it as R.tolist().
+    Returns (status, best_x, best_norm2, nodes); status 1 = budget
+    exceeded.  The levels best_x and x are lists of Python ints; R may be a
+    numpy array, the kernel reads it as R.tolist().
     """
     m = len(R)
     R = R.tolist()
@@ -106,7 +105,6 @@ def _enum_shortest(R, best2, mode, budget, x_init, collect):
     constrained = [False] * m
     nzsuf = [0] * m  # nonzero count at levels > i
     nodes = 0
-    points = []
 
     def init_level(i):
         lo_active = False
@@ -146,18 +144,15 @@ def _enum_shortest(R, best2, mode, budget, x_init, collect):
     while True:
         nodes += 1
         if nodes > budget:
-            return 1, best_x, cur_best2, nodes, points
+            return 1, best_x, cur_best2, nodes
         Ri = R[i]
         y = Ri[i] * (x[i] - center[i])
         d = pdist[i] + y * y
         if d < cur_best2:
             if i == 0:
-                if nzsuf[0] + (1 if x[0] != 0 else 0) > 0:
-                    if collect:
-                        points.append((d, x.copy()))
-                    else:
-                        cur_best2 = d
-                        best_x[:] = x
+                if nzsuf[0] + (1 if x[0] != 0 else 0) > 0 and (accept is None or accept(x)):
+                    cur_best2 = d
+                    best_x[:] = x
                 advance(0)
             else:
                 nzsuf[i - 1] = nzsuf[i] + (1 if x[i] != 0 else 0)
@@ -175,7 +170,7 @@ def _enum_shortest(R, best2, mode, budget, x_init, collect):
             # further out: the level is done, as an unconstrained one is
             i += 1
             if i == m:
-                return 0, best_x, cur_best2, nodes, points
+                return 0, best_x, cur_best2, nodes
             advance(i)
 
 
@@ -266,41 +261,43 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"rank {n} exceeds the enumeration limit of {MAX_RANK}")
 
 
-def _search(frame, coords, ring: RingSpec, use_symmetry: bool, max_nodes: int) -> tuple:
-    """The shortest nonzero vector of one reduced basis from its enumeration
-    frame (R, squared column norms, e), one entry of _enumeration_frame's
-    stacks, or None at rank 1: (unit-canonical coefficient in the
-    coordinates of the basis before reduction, through the reduction's
-    integer coordinates coords, as a tuple of (a, b) pairs, enumerated
-    nodes)."""
-    xbest, nodes = [1, 0], 0
+def _search(frame, ring: RingSpec, use_symmetry: bool, max_nodes: int, accept=None) -> tuple:
+    """The shortest nonzero vector that accept counts (all if it is None)
+    of one reduced basis, from its enumeration frame (R, squared column
+    norms, e), one entry of _enumeration_frame's stacks, or None at rank 1:
+    (its reduced coordinates as a list of (a, b) pairs, enumerated nodes).
+    The radius starts just above the shortest reduced column that counts."""
+    x, nodes = [1, 0], 0
     if frame is not None:
         R, col_norms2, e = frame
-        n = len(col_norms2)
-        jmin = int(np.argmin(col_norms2))
-        x_init = [0] * (2 * n)
-        x_init[2 * jmin] = 1
-        best2 = float(col_norms2[jmin]) * (1.0 + 1e-9)
-
+        norms2 = col_norms2.tolist()
+        for j in sorted(range(len(norms2)), key=norms2.__getitem__):
+            x = [0] * len(R)
+            x[2 * j] = 1
+            if accept is None or accept(x):
+                break
+        best2 = norms2[j] * (1.0 + 1e-9)
         mode = _symmetry_mode(ring, use_symmetry)
-        status, xbest, reached2, nodes, _ = _enum_shortest(R, best2, mode, max_nodes, x_init, False)
+        status, x, reached2, nodes = _enum_shortest(R, best2, mode, max_nodes, x, accept)
         if status == 1:
             raise EnumerationBudgetError(max_nodes, nodes, _times_pow2(math.sqrt(reached2), e))
-    return _map_back(coords, ring, _level_pairs(xbest)), int(nodes)
+    return _level_pairs(x), int(nodes)
 
 
 def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAULT_NODE_BUDGET):
     """Shortest nonzero vector from the PREPROCESS_DELTA ALLL report of a
     basis: (unit-canonical coefficient in that basis's coordinates as a
     tuple of (a, b) pairs, enumerated nodes), from _search on the
-    enumeration frame of the reduced basis as a stack of one."""
+    enumeration frame of the reduced basis as a stack of one, mapped back
+    through the reduction's transform."""
     reduced = rep.reduced
     ring = reduced.ring
     _check_rank(reduced.n)
     frame = None
     if reduced.n > 1:
         frame = [f[0] for f in _enumeration_frame(reduced.matrix[None], ring.xi)]
-    return _search(frame, rep.coords, ring, use_symmetry, max_nodes)
+    pairs, nodes = _search(frame, ring, use_symmetry, max_nodes)
+    return _map_back(rep.coords, ring, pairs), nodes
 
 
 def shortest_vector(
@@ -325,30 +322,26 @@ def shortest_vector(
 def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDGET):
     """First two successive minima of a rank-2 lattice with witness vectors.
 
-    One ALLL reduction and one enumeration: every vector up to the longer
-    reduced basis vector (an upper bound for lambda2; a 1e-9 margin lists
-    both reduced vectors) is listed by norm; lambda1 is the first, and
-    lambda2 the first later one whose coefficient pair is ring-independent
-    of it.  The enumeration raises EnumerationBudgetError past max_nodes.
+    One ALLL reduction and two searches (_search) on its enumeration frame:
+    the first finds lambda1 as shortest_vector does, the second the shortest
+    vector ring-independent of that witness.  Of equal norms, the first
+    visited is the witness.  max_nodes bounds both searches together; past
+    it they raise EnumerationBudgetError.
     """
     if basis.n != 2:
         raise ValueError("successive_minima_2d needs a rank-2 basis")
     ring = basis.ring
     with _quiet():
         rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
-    R, col_norms2, e = (f[0] for f in _enumeration_frame(rep.reduced.matrix[None], ring.xi))
-    radius2 = float(max(col_norms2))
-    status, _, _, nodes, points = _enum_shortest(
-        R, radius2 * (1 + 1e-9), _symmetry_mode(ring, True), max_nodes, [0] * 4, True
-    )
-    if status == 1:
-        raise EnumerationBudgetError(max_nodes, nodes, _times_pow2(math.sqrt(radius2), e))
-    # stable sort: of equal norms, the first listed is shortest_vector's
-    # choice.  U is unimodular, so independence is tested before applying it.
-    coeffs = (_level_pairs(x) for _, x in sorted(points, key=lambda p: p[0]))
-    first = next(coeffs, None)
-    second = next((c for c in coeffs if _pair_det((first, c), ring) != (0, 0)), None)
-    if second is None:
-        raise RuntimeError("no independent second minimum found; basis may be degenerate")
+    frame = [f[0] for f in _enumeration_frame(rep.reduced.matrix[None], ring.xi)]
+    first, nodes = _search(frame, ring, True, max_nodes)
+
+    def independent(x):  # on reduced coordinates: U is unimodular
+        return _pair_det((first, _level_pairs(x)), ring) != (0, 0)
+
+    try:
+        second, _ = _search(frame, ring, True, max_nodes - nodes, independent)
+    except EnumerationBudgetError as err:
+        raise EnumerationBudgetError(max_nodes, max_nodes + 1, err.partial_radius) from None
     c1, c2 = (_elems(ring, _map_back(rep.coords, ring, c)) for c in (first, second))
     return _norm(basis, c1), _norm(basis, c2), (c1, c2)

@@ -3,7 +3,8 @@
 This is a verbatim copy of svp._enum_shortest from before the kernel moved
 to Python lists and ints.  Nothing under src/ imports it;
 tests/test_enum_reference.py checks that the library kernel returns the same
-status, best levels, best squared norm, node count and collected points.
+status, best levels, best squared norm and node count, and its collect mode
+lists the points of oracles.successive_minima_2d_reference.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ by their closed forms in the ring's type, the RingElem determinant and
 product, the adjugate inverse, the exact entries by nearest-point search,
 the exact norms as a loop, Minkowski's bounds, the MAC rate floor, the
 computation rate one vector at a time, the rate denominator in exact
-rationals, one relay's design alone, the trial generators as numpy spawns
-them) or a generator of test inputs (random unimodular matrices and CN(0,1)
-bases).  Nothing under src/ imports this module."""
+rationals, one relay's design alone, the rank-2 successive minima from a
+list of every point, the trial generators as numpy spawns them) or a
+generator of test inputs (random unimodular matrices and CN(0,1) bases).
+Nothing under src/ imports this module."""
 
 from __future__ import annotations
 
@@ -18,11 +19,23 @@ from fractions import Fraction
 
 import numpy as np
 
+import enum_reference
 from alglat.cf import STRATEGY_ALIASES, Channel, _embed_pairs, _rates, cf_basis
-from alglat.lattices import _EXACT_TOL, ComplexBasis, RingMatrix, embed
+from alglat.lattices import _EXACT_TOL, ComplexBasis, RingMatrix, _times_pow2, embed
 from alglat.reduction import _lll_z, _quiet, alll_reduce, reduction_epsilon
-from alglat.svp import PREPROCESS_DELTA, _svp
-from alglat.rings import RingElem, RingKind, RingSpec, _quantize_pair, quantize, units
+from alglat.svp import (
+    DEFAULT_NODE_BUDGET,
+    PREPROCESS_DELTA,
+    EnumerationBudgetError,
+    _elems,
+    _enumeration_frame,
+    _level_pairs,
+    _map_back,
+    _norm,
+    _svp,
+    _symmetry_mode,
+)
+from alglat.rings import RingElem, RingKind, RingSpec, _pair_det, _quantize_pair, quantize, units
 
 #: Hermite's constants for real lattices of dimension 2, 4, 6, 8.  Only the
 #: dimension-4 value is forced by the quality bounds here; the others are the
@@ -393,6 +406,36 @@ def rate_denominator_exact(h, p: float, a) -> Fraction:
     a2 = sum(x * x + y * y for x, y in As)
     h2 = sum(x * x + y * y for x, y in hs)
     return (a2 + P * cross) / (1 + P * h2)
+
+
+def successive_minima_2d_reference(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDGET):
+    """svp.successive_minima_2d as it was when it listed every point: one
+    ALLL reduction and one enumeration in the collect mode of
+    tests/enum_reference.py.  Every vector up to the longer reduced basis
+    vector (an upper bound for lambda2; a 1e-9 margin lists both reduced
+    vectors) is listed by norm; lambda1 is the first, and lambda2 the first
+    later one whose coefficient pair is ring-independent of it."""
+    if basis.n != 2:
+        raise ValueError("successive_minima_2d needs a rank-2 basis")
+    ring = basis.ring
+    with _quiet():
+        rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
+    R, col_norms2, e = (f[0] for f in _enumeration_frame(rep.reduced.matrix[None], ring.xi))
+    radius2 = float(max(col_norms2))
+    status, _, _, nodes, points = enum_reference._enum_shortest(
+        R, radius2 * (1 + 1e-9), _symmetry_mode(ring, True), max_nodes, np.zeros(4, np.int64), True
+    )
+    if status == 1:
+        raise EnumerationBudgetError(max_nodes, nodes, _times_pow2(math.sqrt(radius2), e))
+    # stable sort: of equal norms, the first listed is shortest_vector's
+    # choice.  U is unimodular, so independence is tested before applying it.
+    coeffs = (_level_pairs(x) for _, x in sorted(points, key=lambda p: p[0]))
+    first = next(coeffs, None)
+    second = next((c for c in coeffs if _pair_det((first, c), ring) != (0, 0)), None)
+    if second is None:
+        raise RuntimeError("no independent second minimum found; basis may be degenerate")
+    c1, c2 = (_elems(ring, _map_back(rep.coords, ring, c)) for c in (first, second))
+    return _norm(basis, c1), _norm(basis, c2), (c1, c2)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,10 @@ class TestChannelAndBasis:
         with pytest.raises(ValueError):
             Channel(np.array([np.inf + 0j]), 1.0)
 
+    def test_two_dimensional_channel_rejected(self):
+        with pytest.raises(ValueError, match="channel must be a vector"):
+            Channel(np.ones((2, 2), dtype=complex), 1.0)
+
     def test_zero_channel_gives_identity_gram(self):
         ch = Channel(np.zeros(2, dtype=complex), 10.0)
         B = cf_basis(ch, RING1)
@@ -755,6 +759,13 @@ class TestDesignRelays:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy 'bkz'"):
             design_relays(H1, RING1, ("alll", "bkz"))
+
+    def test_empty_channel_rejected(self):
+        with pytest.raises(ValueError, match="basis must be square and non-empty"):
+            design_relays(Channel([], 1.0), RING1, ("alll",))
+
+    def test_no_strategies_give_no_designs(self):
+        assert design_relays(H1, RING1, ()) == {}
 
     @pytest.mark.parametrize("delta, calls", [(0.99, 1), (0.6, 2)])
     def test_one_reduction_per_delta(self, monkeypatch, delta, calls):

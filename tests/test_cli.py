@@ -314,6 +314,10 @@ class TestCli:
              "malformed config"),
             ("cf-experiment", "--config", json.dumps(CONFIG).replace('"seed": 1', '"seed": 1e400'), [],
              "malformed config"),
+            ("cf-rate", "--channel", {"h": []}, ["--ring", "d=1", "--snr-db", "10"],
+             "basis must be square and non-empty"),
+            ("reduce", "--basis", {"ring": "d=1", "n": 0, "columns": []}, [],
+             "basis must be square and non-empty"),
         ],
         ids=["basis-bare-number", "basis-string-pair", "channel-not-a-list", "snr-overflow",
              "config-null-n", "config-strategies-string", "config-strategies-nested",
@@ -321,7 +325,7 @@ class TestCli:
              "config-strategies-repeated", "config-strategies-empty", "config-snr-empty",
              "config-out-number", "config-out-list", "basis-n-1e400", "basis-entry-10**400",
              "basis-short-pair", "channel-entry-10**400", "channel-dict", "config-n-1e400",
-             "config-seed-1e400"],
+             "config-seed-1e400", "channel-empty", "basis-n-0"],
     )
     def test_malformed_input_is_an_error(self, tmp_path, capsys, command, flag, content, extra, says):
         """Malformed files and values end in 'error: ...' and exit 1, not a
@@ -366,6 +370,19 @@ class TestCli:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: delta must be in")
+
+    @pytest.mark.parametrize("modulus", ("2,1,3", "2", "x,1"))
+    def test_rank_failure_malformed_modulus(self, capsys, modulus):
+        """A modulus that is not two integers printed Python's unpacking or
+        int() message, such as "too many values to unpack (expected 2)"."""
+        code = main([
+            "rank-failure", "--ring", "gaussian", "--n", "2", "--snr-db", "25",
+            "--trials", "2", "--seed", "4", "--modulus", modulus,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --modulus takes two integers as 'a,b', not {modulus!r}"
+        ]
 
     def test_rank_failure_no_relays(self, capsys):
         code = main([

@@ -337,9 +337,22 @@ class TestValidationAndJson:
         for cm in (m.T, m[:, [1, 0]]):
             assert np.array_equal(ComplexBasis(cm, RING1).matrix, cm)
 
+    @pytest.mark.parametrize("shape", ((2, 3), (0, 0), (2,)))
+    def test_non_square_or_empty_basis_rejected(self, shape):
+        with pytest.raises(ValueError, match="basis must be square and non-empty"):
+            ComplexBasis(np.ones(shape, dtype=complex), RING1)
+
     def test_empty_ring_matrix_rejected(self):
         with pytest.raises(ValueError, match="square and non-empty"):
             RingMatrix.from_int_rows([], RING1)
+
+    def test_ring_matrix_entry_from_another_ring_rejected(self):
+        with pytest.raises(ValueError, match="entry from a different ring"):
+            RingMatrix(((RING1.one, RING1.zero), (RING3.zero, RING1.one)), RING1)
+
+    def test_ring_matrix_product_across_rings_rejected(self):
+        with pytest.raises(ValueError, match="mixed rings"):
+            identity_matrix(2, RING1) @ identity_matrix(2, RING3)
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(1)

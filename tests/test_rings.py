@@ -658,6 +658,15 @@ class TestMorphism:
             fu = mor.apply(u)
             assert math.gcd(fu, p) == 1  # maps to an invertible element
 
+    def test_apply_refuses_an_element_of_another_ring(self):
+        mor = morphism_new(ring_new(1), ring_new(1).elem(2, 1))
+        with pytest.raises(ValueError, match="element from a different ring"):
+            mor.apply(ring_new(3).one)
+
+    def test_modulus_from_another_ring_rejected(self):
+        with pytest.raises(ValueError, match="modulus from a different ring"):
+            morphism_new(ring_new(1), ring_new(3).elem(2, 1))
+
     def test_composite_norm_rejected(self):
         ring = ring_new(1)
         with pytest.raises(ValueError):

@@ -197,7 +197,9 @@ class TestSuccessiveMinima:
 
     def test_one_reduction_one_enumeration(self, monkeypatch):
         """The oracle runs neither Gauss nor shortest_vector, so acceptance
-        criterion 3 compares Gauss with an independent computation."""
+        criterion 3 compares Gauss with an independent computation.  It
+        reaches the kernel only through _search: one search for lambda1,
+        one for lambda2."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the minima oracle must not call this")
@@ -206,7 +208,7 @@ class TestSuccessiveMinima:
         monkeypatch.setattr(reduction, "_gauss_batch", forbidden)
         monkeypatch.setattr(svp, "shortest_vector", forbidden)
         calls = []
-        for name in ("alll_reduce", "_enum_shortest"):
+        for name in ("alll_reduce", "_search", "_enum_shortest"):
             def counted(*args, _f=getattr(svp, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _f(*args, **kwargs)
@@ -215,11 +217,11 @@ class TestSuccessiveMinima:
         w = RING3.xi
         B = ComplexBasis(np.array([[4 + w, 1 + 4 * w], [-1 + 5 * w, 1 + 2 * w]]), RING3)
         l1, l2, _ = successive_minima_2d(B)
-        assert calls == ["alll_reduce", "_enum_shortest"]
+        assert calls == ["alll_reduce"] + ["_search", "_enum_shortest"] * 2
         assert (l1**2, l2**2) == (pytest.approx(16.0), pytest.approx(28.0))
 
-        # the first radius always holds lambda2: CN(0,1), exact and nearly
-        # dependent bases, non-Euclidean rings included
+        # the same calls on CN(0,1), exact and nearly dependent bases,
+        # non-Euclidean rings included
         rng = np.random.default_rng(16)
         for d in (1, 2, 3, 5, 6, 15):
             ring = ring_new(d)
@@ -238,7 +240,7 @@ class TestSuccessiveMinima:
                         B = ComplexBasis(np.column_stack([b1, b2]), ring)
                     calls.clear()
                     l1, l2, (v1, v2) = successive_minima_2d(B)
-                    assert calls == ["alll_reduce", "_enum_shortest"], (d, kind)
+                    assert calls == ["alll_reduce"] + ["_search", "_enum_shortest"] * 2, (d, kind)
                     assert l1 <= l2 + 1e-12
                     assert not (v1[0] * v2[1] - v1[1] * v2[0]).is_zero()
 
