@@ -17,10 +17,12 @@ design uses.  cf_basis validates B in closed form: its condition number is
 sqrt(1 + P ||h||^2) for n >= 2 and 1 for n = 1, so no SVD runs.
 
 The relays of one network trial are designed as one stack (_design_stack;
-design_relays is its stack of one): their bases, the QR frames of their
-real-LLL embeddings and of their enumerations, and one rate pass each run
-once on the (N, n, n) stack; only the ALLL reductions, the real-LLL loops
-and the searches run per relay.  Each step gives every relay the bits it
+design_relays is its stack of one): their bases and one rate pass run once
+on the (N, n, n) stack, the rlll design is one call of the LLL over Z
+(reduction._lll) on the stack of their embeddings, and the svp design one
+call of the enumeration (svp._svp) on the list of their ALLL reports; each
+of those searches owns its frame, its rank-1 rule and its map back.  Only
+the ALLL reductions run per relay.  Each step gives every relay the bits it
 gets alone.
 
 The designs run on the reductions' integer coordinates.  Each candidate
@@ -49,24 +51,9 @@ from functools import cached_property
 import numpy as np
 
 from .lattices import MAX_CONDITION, ComplexBasis, RingMatrix, _embed, coeff_to_complex
-from .reduction import (
-    _check_alll_delta,
-    _check_z_delta,
-    _lll_frame,
-    _lll_loop,
-    _quiet,
-    alll_reduce,
-)
+from .reduction import _check_alll_delta, _check_z_delta, _lll, _quiet, alll_reduce
 from .rings import FieldMorphism, RingSpec, morphism_new
-from .svp import (
-    DEFAULT_NODE_BUDGET,
-    PREPROCESS_DELTA,
-    _check_rank,
-    _elems,
-    _enumeration_frame,
-    _map_back,
-    _search,
-)
+from .svp import PREPROCESS_DELTA, _check_rank, _elems, _svp
 
 __all__ = [
     "Channel",
@@ -307,12 +294,10 @@ def _design_stack(channels, ring: RingSpec, strategies, delta: float = 0.99) -> 
     - per basis, one alll_reduce per distinct delta (delta for alll,
       PREPROCESS_DELTA for svp), under _quiet(): the ALLL work stays a
       public reduction with its report, which tracers of the library read;
-    - for rlll, the LLL frame of the bases' embeddings (_lll_frame), then
-      one LLL loop over Z per basis; column j of the transform is
-      [x_a; x_b] in the embed layout;
-    - for svp, the enumeration frames of the bases reduced at
-      PREPROCESS_DELTA (_enumeration_frame), then one search per basis with
-      the default node budget (_search);
+    - for rlll, LLL over Z on the stack of the bases' embeddings (_lll);
+      column j of each transform is [x_a; x_b] in the embed layout;
+    - for svp, the enumeration on the stack of ALLL reports at
+      PREPROCESS_DELTA, with the default node budget (_svp);
     - one _rates pass over every candidate of every channel and strategy,
       each row rated on its own channel's basis, whose images y give each
       design's first_norm, the norm of its best candidate's image.
@@ -346,19 +331,11 @@ def _design_stack(channels, ring: RingSpec, strategies, delta: float = 0.99) -> 
         for part, rep in zip(parts, reps):
             part["alll"] = [tuple(zip(a, b)) for a, b in zip(*rep[delta].coords)], rep[delta].swaps
     if "rlll" in kinds:
-        En, Cs = _lll_frame(_embed(Bs, xi))
-        for part, E, C in zip(parts, En, Cs):
-            ua, _, swaps, *_ = _lll_loop(E, C, delta, None)
+        for part, (ua, _, swaps, *_) in zip(parts, _lll(_embed(Bs, xi), delta, None)):
             part["rlll"] = [tuple(zip(col[:n], col[n:])) for col in ua], swaps
     if "svp" in kinds:
-        svp_reps = [rep[PREPROCESS_DELTA] for rep in reps]
-        frames = [None] * len(channels)
-        if n > 1:
-            reduced = np.stack([rep.reduced.matrix for rep in svp_reps])
-            frames = zip(*_enumeration_frame(reduced, xi))
-        for part, frame, rep in zip(parts, frames, svp_reps):
-            pairs, _ = _search(frame, ring, True, DEFAULT_NODE_BUDGET)
-            part["svp"] = [_map_back(rep.coords, ring, pairs)], 0
+        for part, (pairs, _) in zip(parts, _svp([rep[PREPROCESS_DELTA] for rep in reps])):
+            part["svp"] = [pairs], 0
 
     rows, owner = [], []
     for i, part in enumerate(parts):

@@ -18,7 +18,7 @@ from .cf import STRATEGIES, Channel, design_relay
 from .lattices import ComplexBasis, _complex_pair, basis_from_json, basis_to_json, embed
 from .reduction import _quiet, alll_reduce, gauss_reduce, real_lll
 from .rings import morphism_new, parse_ring
-from .svp import shortest_vector
+from .svp import EnumerationBudgetError, shortest_vector
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -127,11 +127,12 @@ def _cmd_cf_rate(args) -> int:
 
 def _config_list(cfg: dict, key: str, kinds: tuple) -> list:
     """cfg[key], which must be a JSON list of kinds: a string would iterate
-    as characters."""
+    as characters, and a JSON boolean (a Python bool is an int) is none of
+    them."""
     value = cfg[key]
-    if not (isinstance(value, list) and all(isinstance(v, kinds) for v in value)):
+    if not isinstance(value, list) or any(type(v) is bool or not isinstance(v, kinds) for v in value):
         names = " or ".join(k.__name__ for k in kinds)
-        raise ValueError(f"config {key!r} must be a list of {names}, got {value!r}")
+        raise TypeError(f"{key!r} must be a list of {names}, got {value!r}")
     return value
 
 
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -322,9 +322,10 @@ def basis_to_json(basis: ComplexBasis) -> str:
 
 def _complex_pair(pair) -> complex:
     """complex(re, im) of a JSON [re, im] pair.  Raises TypeError for
-    anything else, and OverflowError for an integer beyond the float range;
-    the file parsers report both as malformed."""
-    if not (isinstance(pair, list) and len(pair) == 2):
+    anything else, a JSON boolean (a Python bool is an int) included, and
+    OverflowError for an integer beyond the float range; the file parsers
+    report both as malformed."""
+    if not (isinstance(pair, list) and len(pair) == 2) or any(type(v) is bool for v in pair):
         raise TypeError(f"expected an [re, im] pair, got {pair!r:.40}")
     return complex(*pair)
 

@@ -11,11 +11,14 @@ restored after each column swap by a 2x2 unitary rotation (the matrix form
 of a quaternion), and it is recomputed from the input basis and the exact
 transform every REFACTOR_EVERY swaps.
 
-There is one LLL loop, _lll.  alll_reduce runs it over the basis's ring;
-real_lll runs it over Z (covering radius 1/2), where the nearest ring element
+There is one LLL loop, and one entry to it, _lll, which reduces a stack of
+matrices: one QR frame for the stack, then the loop on each matrix.
+alll_reduce runs it on a stack of one over the basis's ring; real_lll on a
+stack of one over Z (covering radius 1/2), where the nearest ring element
 is the nearest integer, xi is 0, R stays real and the rotation is a Givens
-rotation.  real_lll returns matrix @ T, the rule alll_reduce follows too:
-the reduced basis is the input times the exact transform.
+rotation; and the rlll relay design on the stack of a trial's embeddings.
+real_lll returns matrix @ T, the rule alll_reduce follows too: the reduced
+basis is the input times the exact transform.
 
 The loop skips a Gram-Schmidt ratio R[k, j] / R[k, k] that rounded to 0 when
 neither row k nor column j of R has been written since; it would read the
@@ -596,11 +599,12 @@ def _lll_frame(B: np.ndarray) -> tuple:
     return B, R.transpose(0, 2, 1).tolist()
 
 
-def _lll(B: np.ndarray, delta: float, ring: RingSpec | None):
-    """LLL-reduce the columns of B over ring, or over Z when ring is None:
-    the frame of B[None] (_lll_frame), then the loop (_lll_loop)."""
-    (B,), (C,) = _lll_frame(B[None])
-    return _lll_loop(B, C, delta, ring)
+def _lll(B: np.ndarray, delta: float, ring: RingSpec | None) -> list:
+    """LLL-reduce the columns of each matrix of an (N, m, m) stack B over
+    ring, or over Z when ring is None: the frame of the stack (_lll_frame),
+    then the loop (_lll_loop) on each matrix.  Returns the loop's output
+    tuple for each matrix, which is what that matrix gets alone."""
+    return [_lll_loop(Bi, C, delta, ring) for Bi, C in zip(*_lll_frame(B))]
 
 
 def _lll_loop(B: np.ndarray, C: list, delta: float, ring: RingSpec | None):
@@ -806,7 +810,7 @@ def alll_reduce(
         )
 
     B = np.array(basis.matrix, dtype=complex)
-    ua, ub, swaps, size_reductions, steps, pot_ratios, stalled = _lll(B, delta, ring)
+    ua, ub, swaps, size_reductions, steps, pot_ratios, stalled = _lll(B[None], delta, ring)[0]
     if stalled:
         warns.append("terminated after repeated swaps with no potential progress")
 
@@ -910,29 +914,20 @@ def _check_z_delta(delta: float) -> None:
         raise ValueError(f"delta must be in (0.25, 1], got {delta}")
 
 
-def _lll_z(matrix, delta: float) -> tuple:
-    """_lll over Z on a real square matrix: (B, ua, swaps), with B the matrix
-    as a float array and column j of the integer transform ua[j], a list of
-    Python ints.  real_lll and the rlll relay design both run it."""
-    _check_z_delta(delta)
-    B = np.array(matrix, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1] or B.size == 0:
-        raise ValueError(f"basis must be square and non-empty, got shape {B.shape}")
-    ua, _, swaps, *_ = _lll(_finite(B), delta, None)
-    return B, ua, swaps
-
-
 def real_lll(matrix: np.ndarray, delta: float = 0.99):
     """LLL-reduce the columns of a real matrix; returns (reduced, T, swaps).
 
     T is the integer unimodular transform as an object array of Python ints,
-    and reduced = matrix @ T (computed in floats).  This is _lll over Z
-    (_lll_z).  At delta < 1 every swap cuts the potential by at least delta;
-    at delta = 1 the loop ends by the same stall rule as alll_reduce.  A
-    non-finite or numerically dependent matrix raises ValueError, as in
+    and reduced = matrix @ T (computed in floats).  This is _lll over Z on a
+    stack of one.  At delta < 1 every swap cuts the potential by at least
+    delta; at delta = 1 the loop ends by the same stall rule as alll_reduce.
+    A non-finite or numerically dependent matrix raises ValueError, as in
     ComplexBasis.
     """
-    B, ua, swaps = _lll_z(matrix, delta)
-    m = B.shape[0]
-    T = np.array([[ua[j][i] for j in range(m)] for i in range(m)], dtype=object)
+    _check_z_delta(delta)
+    B = np.array(matrix, dtype=float)
+    if B.ndim != 2 or B.shape[0] != B.shape[1] or B.size == 0:
+        raise ValueError(f"basis must be square and non-empty, got shape {B.shape}")
+    ua, _, swaps, *_ = _lll(_finite(B)[None], delta, None)[0]
+    T = np.array(list(zip(*ua)), dtype=object)  # row i holds entry i of each column
     return B @ T.astype(float), T, swaps

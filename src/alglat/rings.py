@@ -97,6 +97,9 @@ class RingSpec:
     d: int
 
     def __post_init__(self):
+        # a float would build a ring of a truncated or non-integral d, and a
+        # bool would print as d=True
+        object.__setattr__(self, "d", int(operator.index(self.d)))
         if self.d < 1:
             raise ValueError(f"d must be a positive integer, got {self.d}")
         if not _is_squarefree(self.d):
@@ -171,9 +174,10 @@ class RingSpec:
 
 
 def ring_new(d: int) -> RingSpec:
-    """Build the ring of integers of Q(sqrt(-d)); RingSpec rejects d < 1,
-    non-square-free d and d above its supported limit."""
-    return RingSpec(int(d))
+    """Build the ring of integers of Q(sqrt(-d)); RingSpec rejects a d that
+    operator.index refuses (a float), d < 1, non-square-free d and d above
+    its supported limit."""
+    return RingSpec(d)
 
 
 def parse_ring(text: str) -> RingSpec:

@@ -7,7 +7,15 @@ unit group: only one representative per orbit under multiplication by units
 is visited (a quarter of the points for the Gaussian integers, a sixth for
 the Eisenstein integers, half elsewhere).  One Schnorr-Euchner zig-zag
 search serves every enumeration: the shortest vector, and the rank-2
-second minimum as the shortest vector ring-independent of the first.
+second minimum as the shortest vector ring-independent of the first, a
+search that skips the zero top pair when the first minimum's top pair is
+zero.
+
+The shortest vector has one entry, _svp, which takes a list of ALLL
+reports of one ring and rank: one enumeration frame for the stack of their
+reduced bases (none at rank 1), then one search per report.
+shortest_vector calls it on a list of one, and the CF svp design on the
+reports of a trial's relays.
 
 The kernel runs on Python lists of floats and ints (R.tolist()): each of its
 steps is one IEEE product, sum or division, or a floor, which Python rounds
@@ -32,7 +40,7 @@ from .lattices import (
     _times_pow2,
     coeff_to_complex,
 )
-from .reduction import ReductionReport, _quiet, _r_positive, _square, alll_reduce
+from .reduction import _quiet, _r_positive, _square, alll_reduce
 from .rings import RingSpec, _pair_det, _pair_mul, units
 
 __all__ = [
@@ -77,7 +85,7 @@ class SvpResult:
         return _square(self.norm)
 
 
-def _enum_shortest(R, best2, mode, budget, x_init, accept=None):
+def _enum_shortest(R, best2, mode, budget, x_init, accept=None, nonzero_top=False):
     """Depth-first Schnorr-Euchner enumeration of the shortest nonzero vector.
 
     R: upper triangular with positive diagonal, m = 2 * (ring rank).
@@ -89,7 +97,10 @@ def _enum_shortest(R, best2, mode, budget, x_init, accept=None):
 
     With accept given, a nonzero leaf x within the radius counts only if
     accept(x) is true.  Each leaf that counts shrinks the radius to its
-    squared norm, so of equal norms the first visited stays.
+    squared norm, so of equal norms the first visited stays.  With
+    nonzero_top (mode > 0 only), the top pair is never zero: level m-2
+    starts at 1 where level m-1 is 0, which drops only the subtree of a
+    zero top pair and visits the rest in the same order.
 
     Returns (status, best_x, best_norm2, nodes); status 1 = budget
     exceeded.  The levels best_x and x are lists of Python ints; R may be a
@@ -105,6 +116,7 @@ def _enum_shortest(R, best2, mode, budget, x_init, accept=None):
     constrained = [False] * m
     nzsuf = [0] * m  # nonzero count at levels > i
     nodes = 0
+    top_lo = 1 if nonzero_top else 0
 
     def init_level(i):
         lo_active = False
@@ -119,7 +131,7 @@ def _enum_shortest(R, best2, mode, budget, x_init, accept=None):
                 if pair_suffix_zero:
                     if x[i + 1] == 0:
                         lo_active = True
-                        lo = 0
+                        lo = top_lo if i == m - 2 else 0
                     elif mode == 2:
                         lo_active = True
                         lo = 1
@@ -261,12 +273,16 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"rank {n} exceeds the enumeration limit of {MAX_RANK}")
 
 
-def _search(frame, ring: RingSpec, use_symmetry: bool, max_nodes: int, accept=None) -> tuple:
+def _search(
+    frame, ring: RingSpec, use_symmetry: bool, max_nodes: int, accept=None, nonzero_top=False
+) -> tuple:
     """The shortest nonzero vector that accept counts (all if it is None)
     of one reduced basis, from its enumeration frame (R, squared column
     norms, e), one entry of _enumeration_frame's stacks, or None at rank 1:
     (its reduced coordinates as a list of (a, b) pairs, enumerated nodes).
-    The radius starts just above the shortest reduced column that counts."""
+    With nonzero_top (and use_symmetry), only vectors whose top reduced
+    pair is nonzero count (_enum_shortest).  The radius starts just above
+    the shortest reduced column that counts."""
     x, nodes = [1, 0], 0
     if frame is not None:
         R, col_norms2, e = frame
@@ -274,30 +290,35 @@ def _search(frame, ring: RingSpec, use_symmetry: bool, max_nodes: int, accept=No
         for j in sorted(range(len(norms2)), key=norms2.__getitem__):
             x = [0] * len(R)
             x[2 * j] = 1
-            if accept is None or accept(x):
+            if (accept is None or accept(x)) and (x[-2] or not nonzero_top):
                 break
         best2 = norms2[j] * (1.0 + 1e-9)
         mode = _symmetry_mode(ring, use_symmetry)
-        status, x, reached2, nodes = _enum_shortest(R, best2, mode, max_nodes, x, accept)
+        status, x, reached2, nodes = _enum_shortest(R, best2, mode, max_nodes, x, accept, nonzero_top)
         if status == 1:
             raise EnumerationBudgetError(max_nodes, nodes, _times_pow2(math.sqrt(reached2), e))
     return _level_pairs(x), int(nodes)
 
 
-def _svp(rep: ReductionReport, use_symmetry: bool = True, max_nodes: int = DEFAULT_NODE_BUDGET):
-    """Shortest nonzero vector from the PREPROCESS_DELTA ALLL report of a
-    basis: (unit-canonical coefficient in that basis's coordinates as a
-    tuple of (a, b) pairs, enumerated nodes), from _search on the
-    enumeration frame of the reduced basis as a stack of one, mapped back
-    through the reduction's transform."""
-    reduced = rep.reduced
+def _svp(reps: list, use_symmetry: bool = True, max_nodes: int = DEFAULT_NODE_BUDGET) -> list:
+    """Shortest nonzero vector of each basis from its PREPROCESS_DELTA ALLL
+    report, for a list of reports of one ring and rank: per report, (the
+    unit-canonical coefficient in that basis's coordinates as a tuple of
+    (a, b) pairs, enumerated nodes).  One enumeration frame serves the
+    stack of reduced bases (none at rank 1), then _search runs on each
+    basis and its result is mapped back through that reduction's
+    transform.  Each report gets what it gets alone."""
+    reduced = reps[0].reduced
     ring = reduced.ring
     _check_rank(reduced.n)
-    frame = None
+    frames = [None] * len(reps)
     if reduced.n > 1:
-        frame = [f[0] for f in _enumeration_frame(reduced.matrix[None], ring.xi)]
-    pairs, nodes = _search(frame, ring, use_symmetry, max_nodes)
-    return _map_back(rep.coords, ring, pairs), nodes
+        frames = zip(*_enumeration_frame(np.stack([rep.reduced.matrix for rep in reps]), ring.xi))
+    out = []
+    for rep, frame in zip(reps, frames):
+        pairs, nodes = _search(frame, ring, use_symmetry, max_nodes)
+        out.append((_map_back(rep.coords, ring, pairs), nodes))
+    return out
 
 
 def shortest_vector(
@@ -314,7 +335,7 @@ def shortest_vector(
     """
     with _quiet():
         rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
-    pairs, nodes = _svp(rep, use_symmetry, max_nodes)
+    ((pairs, nodes),) = _svp([rep], use_symmetry, max_nodes)
     coeff = _elems(basis.ring, pairs)
     return SvpResult(coeff, _norm(basis, coeff), nodes)
 
@@ -324,9 +345,13 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
 
     One ALLL reduction and two searches (_search) on its enumeration frame:
     the first finds lambda1 as shortest_vector does, the second the shortest
-    vector ring-independent of that witness.  Of equal norms, the first
-    visited is the witness.  max_nodes bounds both searches together; past
-    it they raise EnumerationBudgetError.
+    vector ring-independent of that witness.  In reduced coordinates, a
+    witness (c, 0) makes a point independent exactly when its top pair is
+    nonzero (det = c * x2), so that search only skips the zero top pair
+    (nonzero_top) and tests no leaf; a witness with a nonzero top pair has
+    each leaf tested.  Of equal norms, the first visited is the witness.
+    max_nodes bounds both searches together; past it they raise
+    EnumerationBudgetError.
     """
     if basis.n != 2:
         raise ValueError("successive_minima_2d needs a rank-2 basis")
@@ -339,8 +364,10 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
     def independent(x):  # on reduced coordinates: U is unimodular
         return _pair_det((first, _level_pairs(x)), ring) != (0, 0)
 
+    top_zero = first[-1] == (0, 0)
+    accept = None if top_zero else independent
     try:
-        second, _ = _search(frame, ring, True, max_nodes - nodes, independent)
+        second, _ = _search(frame, ring, True, max_nodes - nodes, accept, top_zero)
     except EnumerationBudgetError as err:
         raise EnumerationBudgetError(max_nodes, max_nodes + 1, err.partial_radius) from None
     c1, c2 = (_elems(ring, _map_back(rep.coords, ring, c)) for c in (first, second))

@@ -22,7 +22,7 @@ import numpy as np
 import enum_reference
 from alglat.cf import STRATEGY_ALIASES, Channel, _embed_pairs, _rates, cf_basis
 from alglat.lattices import _EXACT_TOL, ComplexBasis, RingMatrix, _times_pow2, embed
-from alglat.reduction import _lll_z, _quiet, alll_reduce, reduction_epsilon
+from alglat.reduction import _quiet, alll_reduce, real_lll, reduction_epsilon
 from alglat.svp import (
     DEFAULT_NODE_BUDGET,
     PREPROCESS_DELTA,
@@ -352,10 +352,10 @@ def design_relays_reference(ch: Channel, ring: RingSpec, strategies, delta: floa
 
     It reduces cf_basis(ch, ring) with one alll_reduce per distinct delta
     (PREPROCESS_DELTA for svp), runs real LLL on its 2-D embedding
-    (_lll_z) and the enumeration on the ALLL report (_svp), rates each
-    strategy's candidates in a _rates pass of their own on the channel's
-    basis, and takes first_norm as ||B a|| of the best candidate, a 2-D
-    matrix-vector product.
+    (real_lll) and the enumeration on the ALLL report (_svp on a list of
+    one), rates each strategy's candidates in a _rates pass of their own on
+    the channel's basis, and takes first_norm as ||B a|| of the best
+    candidate, a 2-D matrix-vector product.
     """
     basis = cf_basis(ch, ring)
     n = ch.n
@@ -375,10 +375,10 @@ def design_relays_reference(ch: Channel, ring: RingSpec, strategies, delta: floa
             cands = [tuple(zip(a, b)) for a, b in zip(*rep.coords)]
             swaps = rep.swaps
         elif c == "rlll":
-            _, ua, swaps = _lll_z(embed(basis), delta)
-            cands = [tuple(zip(col[:n], col[n:])) for col in ua]
+            _, T, swaps = real_lll(embed(basis), delta)
+            cands = [tuple(zip(col[:n], col[n:])) for col in T.T.tolist()]
         else:
-            cands = [_svp(reduced_at(PREPROCESS_DELTA))[0]]
+            cands = [_svp([reduced_at(PREPROCESS_DELTA)])[0][0]]
         U = _embed_pairs(cands, ring.xi)
         rates = _rates(ch._basis, U)[0]
         order = sorted(range(len(cands)), key=lambda i: -rates[i])

@@ -1136,6 +1136,45 @@ class TestStackBitFacts:
                 ).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((None, 1, 2, 3, 5, 7)),
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_lll_stack_equals_each_matrix_alone(d, n, count, seed):
+    """reduction._lll on an (N, m, m) stack gives each matrix the outputs
+    (transform, counts, steps, potential-ratio bits, stall flag) of its
+    stack of one: over Z on the embeddings of a stack (the rlll design's
+    input), and over each ring on the stack itself."""
+    ring = ring_new(1 if d is None else d)
+    B = random_basis_stack(np.random.default_rng(seed), count, n)
+    if d is None:
+        ring, B = None, lattices._embed(B, ring.xi)
+    stacked = reduction._lll(B, 0.99, ring)
+    assert len(stacked) == count
+    for Bi, got in zip(B, stacked):
+        (alone,) = reduction._lll(Bi[None], 0.99, ring)
+        assert got == alone
+        assert [r.hex() for r in got[5]] == [r.hex() for r in alone[5]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2, 3, 5, 7)), st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_svp_stack_equals_each_report_alone(d, n, count, seed):
+    """svp._svp on a list of ALLL reports of one ring and rank gives each
+    report the coefficient pairs and node count of its list of one."""
+    ring = ring_new(d)
+    B = random_basis_stack(np.random.default_rng(seed), count, n)
+    with reduction._quiet():
+        reps = [alll_reduce(ComplexBasis(Bi, ring), svp.PREPROCESS_DELTA) for Bi in B]
+    stacked = svp._svp(reps)
+    assert len(stacked) == count
+    for rep, got in zip(reps, stacked):
+        assert [got] == svp._svp([rep])
+
+
 def nonzero_coords(rng, n: int) -> np.ndarray:
     """A (k, n, 2) integer array of 1-8 nonzero vectors of (a, b) pairs."""
     coords = rng.integers(-4, 5, (int(rng.integers(1, 9)), n, 2))

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alglat
+from alglat import cli
 from alglat.cli import main
 from alglat.experiments import (
     CF_CSV_HEADER,
@@ -29,6 +30,7 @@ from alglat.experiments import (
 from alglat.lattices import ComplexBasis, basis_to_json
 from alglat.reduction import alll_reduce
 from alglat.rings import ring_new
+from alglat.svp import EnumerationBudgetError
 
 RING3 = ring_new(3)
 RING5 = ring_new(5)
@@ -318,6 +320,12 @@ class TestCli:
              "basis must be square and non-empty"),
             ("reduce", "--basis", {"ring": "d=1", "n": 0, "columns": []}, [],
              "basis must be square and non-empty"),
+            ("cf-experiment", "--config", {**CONFIG, "snr_db": [True, 20]}, [],
+             "malformed config: 'snr_db'"),
+            ("reduce", "--basis", {"ring": "d=1", "n": 1, "columns": [[[True, 0]]]}, [],
+             "malformed basis file"),
+            ("cf-rate", "--channel", {"h": [[1.0, False]]}, ["--ring", "d=1", "--snr-db", "10"],
+             "malformed channel file"),
         ],
         ids=["basis-bare-number", "basis-string-pair", "channel-not-a-list", "snr-overflow",
              "config-null-n", "config-strategies-string", "config-strategies-nested",
@@ -325,7 +333,8 @@ class TestCli:
              "config-strategies-repeated", "config-strategies-empty", "config-snr-empty",
              "config-out-number", "config-out-list", "basis-n-1e400", "basis-entry-10**400",
              "basis-short-pair", "channel-entry-10**400", "channel-dict", "config-n-1e400",
-             "config-seed-1e400", "channel-empty", "basis-n-0"],
+             "config-seed-1e400", "channel-empty", "basis-n-0", "config-snr-bool",
+             "basis-entry-bool", "channel-entry-bool"],
     )
     def test_malformed_input_is_an_error(self, tmp_path, capsys, command, flag, content, extra, says):
         """Malformed files and values end in 'error: ...' and exit 1, not a
@@ -335,6 +344,32 @@ class TestCli:
         assert main([command, flag, str(path), *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and says in err
+
+    @pytest.mark.parametrize(
+        "command, name, args",
+        [
+            ("svp", "shortest_vector", []),
+            ("cf-rate", "design_relay", ["--ring", "d=5", "--snr-db", "120", "--strategy", "svp"]),
+        ],
+    )
+    def test_enumeration_budget_is_an_error(self, tmp_path, capsys, monkeypatch, command, name, args):
+        """An enumeration past its node budget escaped main as a traceback
+        (alglat cf-rate over d = 5 at 120 dB, after about a minute); the
+        search is patched here to stop at once."""
+
+        def stop(*a, **k):
+            raise EnumerationBudgetError(10, 11, 0.5)
+
+        monkeypatch.setattr(cli, name, stop)
+        path = tmp_path / "input.json"
+        if command == "svp":
+            path.write_text(json.dumps({"ring": "d=1", "n": 1, "columns": [[[1.0, 0.0]]]}))
+        else:
+            path.write_text(json.dumps({"h": [[1.0, 0.0], [0.5, -0.5]]}))
+        flag = "--basis" if command == "svp" else "--channel"
+        assert main([command, flag, str(path), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: enumeration budget of 10 nodes exceeded") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "command, flag, content, key",

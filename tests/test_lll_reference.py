@@ -60,7 +60,7 @@ def cf_shape_basis(ring, n, rng):
 
 def run_lll(B, delta, ring):
     """reduction._lll with its steps formatted as the reference's events."""
-    got = reduction._lll(B, delta, ring)
+    got = reduction._lll(B[None], delta, ring)[0]
     return got[:4] + (reduction._event_strings(got[4]),) + got[5:]
 
 
@@ -236,10 +236,10 @@ def test_lll_is_scale_invariant(ring, make, n, seed, k):
     B = make(ring, n, np.random.default_rng(seed))
     scaled = B * 2.0**k
     assume(np.array_equal(scaled * 2.0**-k, B))
-    base = reduction._lll(B, 0.99, ring)
+    base = reduction._lll(B[None], 0.99, ring)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = reduction._lll(scaled, 0.99, ring)
+        got = reduction._lll(scaled[None], 0.99, ring)[0]
     assert got[:5] + got[6:] == base[:5] + base[6:]
     assert [r.hex() for r in got[5]] == [r.hex() for r in base[5]]
 

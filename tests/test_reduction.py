@@ -676,7 +676,7 @@ def test_lll_numpy_calls_do_not_grow_with_swaps(ring, monkeypatch):
     def numpy_calls(B):
         calls = []
         monkeypatch.setattr(reduction, "np", CountingModule(np, calls))
-        swaps = reduction._lll(B, 0.99, ring)[2]
+        swaps = reduction._lll(B[None], 0.99, ring)[0][2]
         monkeypatch.setattr(reduction, "np", np)
         return calls, swaps
 

@@ -154,6 +154,19 @@ class TestArithmetic:
         e = ring.elem(np.int64(-3), np.int32(2))
         assert (e.a, e.b) == (-3, 2) and type(e.a) is int and type(e.b) is int
 
+    def test_ring_refuses_a_non_integral_d(self):
+        """ring_new(2.7) was truncated to d = 2, RingSpec(2.5) built xi =
+        1.58j, and RingSpec(True) printed as d=True."""
+        for d in (2.7, 2.5, 1.0, np.float64(3.0), "5"):
+            with pytest.raises(TypeError):
+                ring_new(d)
+            with pytest.raises(TypeError):
+                RingSpec(d)
+        for d in (5, np.int64(5), np.int32(5), np.uint8(5)):
+            for ring in (ring_new(d), RingSpec(d)):
+                assert type(ring.d) is int and ring == ring_new(5) and str(ring) == "d=5"
+        assert str(RingSpec(True)) == "d=1"
+
     @pytest.mark.parametrize("d", SAMPLE_D)
     def test_norm_multiplicative(self, d):
         ring = ring_new(d)

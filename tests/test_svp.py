@@ -244,6 +244,21 @@ class TestSuccessiveMinima:
                     assert l1 <= l2 + 1e-12
                     assert not (v1[0] * v2[1] - v1[1] * v2[0]).is_zero()
 
+    def test_nearly_dependent_basis_within_a_small_budget(self):
+        """b2 = (1 + 3 xi) b1 + 1e-3 noise over d = 5, with lambda2/lambda1 =
+        1143: the lambda2 search tested every ring multiple of the lambda1
+        witness and ran past 10^4 nodes (4.8 s with the default budget).
+        Skipping the witness's zero top pair ends it in a few nodes."""
+        rng = np.random.default_rng(3)
+        b1, noise = math.sqrt(0.5) * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        B = ComplexBasis(np.column_stack([b1, (1 + 3 * RING5.xi) * b1 + 1e-3 * noise]), RING5)
+        l1, l2, (v1, v2) = successive_minima_2d(B, max_nodes=10**4)
+        assert l2 / l1 > 1000
+        assert l1 == shortest_vector(B).norm
+        assert [(e.a, e.b) for e in v1] == [(1, 3), (-1, 0)]
+        assert [(e.a, e.b) for e in v2] == [(-4303, 2452), (-706, -334)]
+        assert not (v1[0] * v2[1] - v1[1] * v2[0]).is_zero()
+
     def test_rank_validation(self):
         B = ComplexBasis(np.eye(3, dtype=complex), RING1)
         with pytest.raises(ValueError):
