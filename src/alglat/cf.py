@@ -177,8 +177,11 @@ def cf_basis(ch: Channel, ring: RingSpec) -> ComplexBasis:
 
 def _embed_pairs(vectors, xi: complex) -> np.ndarray:
     """The C-contiguous (k, n) complex array of k vectors of n (a, b) pairs,
-    each entry a + b*xi as RingElem.embed computes it."""
-    return np.array([[complex(a) + b * xi for a, b in v] for v in vectors], dtype=complex)
+    each entry a + b*xi with the bits of RingElem.embed's complex(a) +
+    b * xi: the pairs as one float array (each int rounded once, as
+    complex() rounds it), then one stacked a + b*xi."""
+    P = np.array(vectors, dtype=float)
+    return P[..., 0] + P[..., 1] * xi
 
 
 def _rates(B: np.ndarray, U: np.ndarray) -> tuple:

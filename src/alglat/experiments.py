@@ -28,7 +28,7 @@ from .cf import (
 )
 from .lattices import ComplexBasis, _independent, volume
 from .reduction import _gauss_batch
-from .rings import FieldMorphism, RingSpec, _pair_det, morphism_new
+from .rings import FieldMorphism, RingSpec, _count, _pair_det, morphism_new
 from .svp import shortest_vector
 
 __all__ = [
@@ -213,6 +213,7 @@ def hermite_cdf(rings, trials: int, seed: int) -> dict:
     on norm-Euclidean rings, all of a ring's trials reduced as one stack, and
     from the enumeration oracle otherwise.  A ring may appear only once.
     """
+    trials = _count("trials", trials)
     if trials < 100:
         raise ValueError(f"need at least 100 trials for a meaningful CDF, got {trials}")
     rings = list(rings)
@@ -300,12 +301,7 @@ def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) 
     n relays once for all strategies, as one stack, and each distinct
     candidate matrix is scored once, on its rows of (a, b) pairs.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > _MAX_RELAYS:
-        raise ValueError(f"n must be at most {_MAX_RELAYS}, got {n}")
+    trials, n = _count("trials", trials), _count("n", n, _MAX_RELAYS)
     if not p_linear_list:
         raise ValueError("need at least one SNR point")
     strategies = _strategy_names(strategies)
@@ -335,6 +331,12 @@ def _network_trials(ring, n, p_linear_list, trials, strategies, seed, morphism) 
     return acc
 
 
+def _mean(values) -> float:
+    """float(np.mean(values)) as np.mean computes it, a float64 np.add.reduce
+    over the count, without its dispatch."""
+    return float(np.add.reduce(values, dtype=float) / len(values))
+
+
 def cf_experiment(
     ring: RingSpec,
     n: int,
@@ -353,6 +355,7 @@ def cf_experiment(
     morphism and none is supplied.  Both lists must be non-empty, and a
     strategy may appear only once.
     """
+    trials = _count("trials", trials)
     morphism = _resolve_morphism(ring, modulus)
     snr_db_list = list(snr_db_list)
     acc = _network_trials(
@@ -367,10 +370,10 @@ def cf_experiment(
                     s,
                     float(p_db),
                     trials,
-                    float(np.mean(a.rates)),
+                    _mean(a.rates),
                     float(np.std(a.rates)),
-                    float(np.mean(a.swaps)),
-                    float(np.mean(a.norms)),
+                    _mean(a.swaps),
+                    _mean(a.norms),
                     a.ring_fail / trials,
                     (a.field_fail / trials) if morphism is not None else None,
                 ]
@@ -402,6 +405,7 @@ def rank_failure_probability(
 
 
 def rank_failure_rows(ring, morphism, n, snr_db, trials, strategy, seed):
+    trials = _count("trials", trials)
     p_ring, p_field = rank_failure_probability(
         ring, morphism, n, db_to_linear(snr_db), trials, strategy, seed
     )
@@ -417,12 +421,8 @@ def dof_slope(
     seed: int = 0,
 ) -> float:
     """Least-squares slope of the mean computation rate vs log2(1 + P)."""
-    if channels_per_point < 1:
-        raise ValueError(f"channels_per_point must be >= 1, got {channels_per_point}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > _MAX_RELAYS:
-        raise ValueError(f"n must be at most {_MAX_RELAYS}, got {n}")
+    channels_per_point = _count("channels_per_point", channels_per_point)
+    n = _count("n", n, _MAX_RELAYS)
     p_grid_db = list(p_grid_db)
     if len(p_grid_db) < 2 or max(p_grid_db) - min(p_grid_db) < 30:
         raise ValueError("the SNR grid must span at least 30 dB")

@@ -40,6 +40,12 @@ agrees with a numpy R up to the last bits, and where a ratio sits on a
 rounding tie may take the other nearest element.  The refactor is numpy's
 QR of B @ U in both fields.
 
+Every QR of the package (the LLL frame of a stack, each refactor, the
+enumeration frame and the quality checks) is _r_positive: numpy's QR, then
+one stacked numpy step that scales each row of R by the phase that makes
+its diagonal real-positive, the same expression for real and complex R and
+for one matrix or a stack.
+
 A ReductionReport keeps the transform as the loop's integer coordinates,
 as lists.
 Its RingMatrix transform, its event strings and alll_reduce's quality-bound
@@ -507,49 +513,35 @@ def quaternion_rotation(r_above: complex, r_below: complex) -> np.ndarray:
     This is the matrix form of the quaternion whose complex pair is
     (conj(r_above)/s, -r_below/s); it restores triangularity after a column
     swap without refactoring.  The matrix keeps the dtype of its inputs, so
-    a real pair gives the real Givens rotation.
+    a real pair gives the real Givens rotation.  The LLL loop computes the
+    same entries inline, in Python scalar arithmetic, from the magnitudes
+    its Lovasz test already took.
     """
-    return np.array(_rotation(r_above, r_below))
-
-
-def _rotation(r_above, r_below) -> tuple:
-    """The rows of quaternion_rotation as a pair of pairs, computed in the
-    arithmetic of the inputs: Python floats or complex stay Python scalars."""
     s = math.hypot(abs(r_above), abs(r_below))
     if s == 0.0:
         raise ValueError("cannot rotate a zero column segment")
-    return (r_above.conjugate() / s, r_below.conjugate() / s), (-r_below / s, r_above / s)
-
-
-def _phase_normalize(R: np.ndarray, rows) -> None:
-    """Rescale the given rows of R so its diagonal there is real-positive.
-
-    A real row is negated when its diagonal is negative: that is the
-    complex rule's multiplication by conj(rii / |rii|) = -1.0 or 1.0, bit
-    for bit, without the division and the scaling.
-    """
-    if R.dtype.kind == "f":
-        for i in rows:
-            if R[i, i] < 0.0:
-                R[i, :] *= -1.0
-        return
-    for i in rows:
-        rii = R[i, i]
-        mag = abs(rii)
-        if mag == 0.0:
-            continue
-        R[i, :] *= np.conj(rii / mag)
+    return np.array([[r_above.conjugate() / s, r_below.conjugate() / s], [-r_below / s, r_above / s]])
 
 
 def _r_positive(B: np.ndarray) -> np.ndarray:
     """R factor of the QR decomposition of a real or complex matrix, or of
     each matrix of an (N, m, m) stack in one np.linalg.qr call, with a
     real-positive diagonal.  The stacked QR gives each matrix the bits it
-    gets alone, and _phase_normalize runs over each matrix in turn."""
+    gets alone.
+
+    One stacked step multiplies each row of R by conj(rii / |rii|) where
+    |rii| is not zero, and leaves a row with a zero (or negative-zero)
+    diagonal alone.  For a real R the phase is exactly -1.0 or 1.0, so the
+    step negates the rows whose diagonal is negative and keeps every other
+    bit.  Each row's phase reads only its own diagonal entry, so the
+    whole-stack step gives each matrix and each row what it gets alone.
+    """
     R = np.linalg.qr(B, mode="r")
-    rows = range(R.shape[-1])
-    for Ri in R[None] if R.ndim == 2 else R:
-        _phase_normalize(Ri, rows)
+    d = R.diagonal(0, -2, -1)
+    mag = np.hypot(d.real, d.imag)  # abs(rii) bit for bit; np.abs is not
+    live = mag != 0.0
+    phase = (d / np.where(live, mag, 1.0)).conj()
+    np.multiply(R, phase[..., None], out=R, where=live[..., None])
     return R
 
 
@@ -631,13 +623,14 @@ def _lll_loop(B: np.ndarray, C: list, delta: float, ring: RingSpec | None):
     refactors the loop makes no numpy call.  Size reduction is one list
     comprehension over the head of column j, and a swap exchanges two
     column references, then rotates entries j-1 and j of columns j-1..n-1
-    with _rotation's entries, zeroes the sub-diagonal entry and multiplies
-    those rows by conj(rii / |rii|) where rii is not real-positive (over Z,
-    a negation).  The two fields differ only in the rounding of a ratio
-    (math.ceil, or the ring's _quantizer, bound once per call); everything
-    else (the skip bookkeeping, the size-reduction update, the Lovasz test,
-    the swap, the stall rule, the refactor cadence, the transform and the
-    events) is one control flow.
+    with quaternion_rotation's entries (computed inline from the
+    magnitudes the Lovasz test took), zeroes the sub-diagonal entry and
+    multiplies those rows by conj(rii / |rii|) where rii is not
+    real-positive (over Z, a negation).  The two fields differ only in the
+    rounding of a ratio (math.ceil, or the ring's _quantizer, bound once
+    per call); everything else (the skip bookkeeping, the size-reduction
+    update, the Lovasz test, the swap, the stall rule, the refactor
+    cadence, the transform and the events) is one control flow.
 
     The transform U = ua + xi*ub is held packed: PA[j] = _pack(ua[j], w)
     and PB[j] = _pack(ub[j], w), so a size reduction updates column j with
@@ -649,7 +642,8 @@ def _lll_loop(B: np.ndarray, C: list, delta: float, ring: RingSpec | None):
     would not, every column is unpacked at w and its bound restarts from its
     largest entry; if the update still does not fit, the columns are
     repacked at w doubled until it does.  w starts at _PACK_WIDTH, and the
-    columns are unpacked to lists at each refactor and at the return.
+    columns are unpacked to lists at each refactor and at the return, where
+    over Z, whose PB stays zero, only PA is.
 
     The loop runs on B scaled by the power of two that puts its largest
     entry in [0.5, 1) (_pow2_normalized): the same lattice up to scale,
@@ -747,7 +741,9 @@ def _lll_loop(B: np.ndarray, C: list, delta: float, ring: RingSpec | None):
             bound[j - 1], bound[j] = bound[j], bound[j - 1]
             zero_at[j - 1], zero_at[j] = zero_at[j], zero_at[j - 1]
             C[j - 1], C[j] = col, C[j - 1]
-            (m00, m01), (m10, m11) = _rotation(r_above, r_below)
+            s_rot = math.hypot(m_above, m_below)  # quaternion_rotation's entries
+            m00, m01 = r_above.conjugate() / s_rot, r_below.conjugate() / s_rot
+            m10, m11 = -r_below / s_rot, r_above / s_rot
             tail = C[j - 1 :]
             for v in tail:
                 x, y = v[j - 1], v[j]
@@ -779,7 +775,8 @@ def _lll_loop(B: np.ndarray, C: list, delta: float, ring: RingSpec | None):
             j = max(j - 1, 1)
         else:
             j += 1
-    ua, ub = [_unpack(p, n, w) for p in PA], [_unpack(p, n, w) for p in PB]
+    ua = [_unpack(p, n, w) for p in PA]
+    ub = [[0] * n for _ in range(n)] if real else [_unpack(p, n, w) for p in PB]
     return ua, ub, swaps, size_reductions, steps, pot_ratios, stalled
 
 

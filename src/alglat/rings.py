@@ -90,6 +90,21 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
+def _count(name: str, value, most: int | None = None) -> int:
+    """A count such as a number of trials or a node budget, as a Python int
+    in [1, most].  It is taken through operator.index, as RingSpec takes d,
+    so a float raises TypeError; so does a bool, which would count as 0 or
+    1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = int(operator.index(value))
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """An imaginary quadratic integer ring Z[xi], identified by square-free d."""

@@ -41,7 +41,7 @@ from .lattices import (
     coeff_to_complex,
 )
 from .reduction import _quiet, _r_positive, _square, alll_reduce
-from .rings import RingSpec, _pair_det, _pair_mul, units
+from .rings import RingSpec, _count, _pair_det, _pair_mul, units
 
 __all__ = [
     "SvpResult",
@@ -241,15 +241,17 @@ def _map_back(coords, ring: RingSpec, c: list) -> tuple:
 
     U is a reduction's transform, given as its integer coordinates
     coords = (ua, ub) (ReductionReport.coords), and c a list of (a, b)
-    pairs; the result is a tuple of (a, b) pairs too.
+    pairs; the result is a tuple of (a, b) pairs too.  A (0, 0) pair of c
+    adds nothing, so its column of U is skipped.
     """
     s, t = ring.minpoly_coeffs
     ua, ub = coords
+    live = [(ua[j], ub[j], q) for j, q in enumerate(c) if q != (0, 0)]
     v = []
     for i in range(len(ua)):
         a = b = 0
-        for j, q in enumerate(c):
-            pa, pb = _pair_mul((ua[j][i], ub[j][i]), q, s, t)
+        for col_a, col_b, q in live:
+            pa, pb = _pair_mul((col_a[i], col_b[i]), q, s, t)
             a, b = a + pa, b + pb
         v.append((a, b))
     first = next((p for p in v if p != (0, 0)), None)
@@ -331,8 +333,9 @@ def shortest_vector(
     The basis is ALLL-reduced first, which supplies the initial enumeration
     radius, so the search only has to certify (or beat) the reduced first
     vector.  The returned coefficient is the canonical representative of its
-    unit orbit.
+    unit orbit.  max_nodes must be an integer >= 1.
     """
+    max_nodes = _count("max_nodes", max_nodes)
     with _quiet():
         rep = alll_reduce(basis, delta=PREPROCESS_DELTA)
     ((pairs, nodes),) = _svp([rep], use_symmetry, max_nodes)
@@ -350,11 +353,12 @@ def successive_minima_2d(basis: ComplexBasis, max_nodes: int = DEFAULT_NODE_BUDG
     nonzero (det = c * x2), so that search only skips the zero top pair
     (nonzero_top) and tests no leaf; a witness with a nonzero top pair has
     each leaf tested.  Of equal norms, the first visited is the witness.
-    max_nodes bounds both searches together; past it they raise
-    EnumerationBudgetError.
+    max_nodes, an integer >= 1, bounds both searches together; past it they
+    raise EnumerationBudgetError.
     """
     if basis.n != 2:
         raise ValueError("successive_minima_2d needs a rank-2 basis")
+    max_nodes = _count("max_nodes", max_nodes)
     ring = basis.ring
     with _quiet():
         rep = alll_reduce(basis, delta=PREPROCESS_DELTA)

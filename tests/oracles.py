@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 import enum_reference
-from alglat.cf import STRATEGY_ALIASES, Channel, _embed_pairs, _rates, cf_basis
+from alglat.cf import STRATEGY_ALIASES, Channel, _rates, cf_basis
 from alglat.lattices import _EXACT_TOL, ComplexBasis, RingMatrix, _times_pow2, embed
 from alglat.reduction import _quiet, alll_reduce, real_lll, reduction_epsilon
 from alglat.svp import (
@@ -355,7 +355,8 @@ def design_relays_reference(ch: Channel, ring: RingSpec, strategies, delta: floa
     (real_lll) and the enumeration on the ALLL report (_svp on a list of
     one), rates each strategy's candidates in a _rates pass of their own on
     the channel's basis, and takes first_norm as ||B a|| of the best
-    candidate, a 2-D matrix-vector product.
+    candidate, a 2-D matrix-vector product.  Each candidate entry is
+    embedded on its own, as complex(a) + b * xi.
     """
     basis = cf_basis(ch, ring)
     n = ch.n
@@ -379,7 +380,7 @@ def design_relays_reference(ch: Channel, ring: RingSpec, strategies, delta: floa
             cands = [tuple(zip(col[:n], col[n:])) for col in T.T.tolist()]
         else:
             cands = [_svp([reduced_at(PREPROCESS_DELTA)])[0][0]]
-        U = _embed_pairs(cands, ring.xi)
+        U = np.array([[complex(a) + b * ring.xi for a, b in v] for v in cands], dtype=complex)
         rates = _rates(ch._basis, U)[0]
         order = sorted(range(len(cands)), key=lambda i: -rates[i])
         first_norm = float(np.linalg.norm(basis.matrix @ U[order[0]]))

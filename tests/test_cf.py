@@ -54,6 +54,7 @@ from oracles import (
     rate_reference,
     trial_rng_reference,
 )
+from test_rings import SAMPLE_D
 
 RING1 = ring_new(1)
 RING3 = ring_new(3)
@@ -379,6 +380,33 @@ class TestExperimentOps:
         """modulus=(1.5, 2) was truncated to 1 + 2*xi."""
         with pytest.raises(TypeError):
             cf_experiment(RING1, 2, [10], 2, ["alll"], 0, modulus=(1.5, 2))
+
+    def test_harness_counts_are_integers(self, monkeypatch):
+        """cf_experiment wrote its trials argument into every row as given:
+        True ran one trial and wrote True, and np.int64(2) was written as
+        np.int64(2).  Each count is taken through operator.index, and a
+        bool or a float is refused before the first channel is drawn."""
+        (row,) = cf_experiment(RING1, 2, [10], np.int64(2), ["alll"], 0)
+        assert type(row[2]) is int and row[2] == 2
+        assert row == cf_experiment(RING1, 2, [10], 2, ["alll"], 0)[0]
+        (row,) = experiments.rank_failure_rows(
+            RING1, default_morphism(RING1), 2, 10.0, np.int64(2), "alll", 0
+        )
+        assert type(row[2]) is int
+        drawn = []
+        monkeypatch.setattr(experiments, "random_channel", lambda *args: drawn.append(args))
+        for call in (
+            lambda: cf_experiment(RING1, 2, [10], True, ["alll"], 0),
+            lambda: cf_experiment(RING1, 2, [10], 2.0, ["alll"], 0),
+            lambda: cf_experiment(RING1, True, [10], 2, ["alll"], 0),
+            lambda: rank_failure_probability(RING1, default_morphism(RING1), 2, 10.0, True),
+            lambda: dof_slope(RING1, 2, "alll", [0, 40], channels_per_point=True, seed=0),
+            lambda: dof_slope(RING1, 2.0, "alll", [0, 40], channels_per_point=2, seed=0),
+            lambda: hermite_cdf([RING1], 100.0, 0),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        assert drawn == []
 
     def test_network_loop_rejects_no_relays(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
@@ -1185,6 +1213,26 @@ def nonzero_coords(rng, n: int) -> np.ndarray:
 def _embed_pairs_of(ring, coords) -> np.ndarray:
     """The (k, n) complex array of a (k, n, 2) integer array of (a, b) pairs."""
     return cf._embed_pairs([[(int(a), int(b)) for a, b in v] for v in coords], ring.xi)
+
+
+#: coordinates around 2^53, 2^63 and 2^64, where int-to-float rounding shows
+BIG_COORDS = (2**53 + 1, -(2**53 + 3), 2**63 - 1, -(2**63), 2**64 + 2**12 + 1, 3**45)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SAMPLE_D), st.integers(1, 6), st.integers(1, 8), st.data())
+def test_embed_pairs_equals_each_entry_alone(d, k, n, data):
+    """_embed_pairs, one float array of the pairs and one stacked a + b*xi,
+    gives each entry the bits of complex(a) + b * xi (RingElem.embed), on
+    every ring and with coordinates past 2^53."""
+    xi = ring_new(d).xi
+    coord = st.integers(-4, 4) | st.integers(-(2**70), 2**70) | st.sampled_from(BIG_COORDS)
+    pairs = st.lists(st.tuples(coord, coord), min_size=n, max_size=n)
+    vectors = data.draw(st.lists(pairs, min_size=k, max_size=k))
+    got = cf._embed_pairs(vectors, xi)
+    want = np.array([[complex(a) + b * xi for a, b in v] for v in vectors], dtype=complex)
+    assert got.shape == (k, n) and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 def random_basis_stack(rng, count: int, n: int) -> np.ndarray:

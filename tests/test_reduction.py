@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lll_reference
 from alglat.cf import Channel, cf_basis, design_relay
 from alglat.lattices import MAX_CONDITION, ComplexBasis, RingMatrix, _independent, embed
 from alglat import lattices, reduction
@@ -994,3 +995,37 @@ def test_pack_round_trip(w, n, data):
     digits = data.draw(st.lists(st.integers(-top, top) | edge, min_size=n, max_size=n))
     got = reduction._unpack(reduction._pack(digits, w), n, w)
     assert type(got) is list and got == digits
+
+
+@st.composite
+def qr_inputs(draw):
+    """An (N, m, m) stack, or one m x m matrix when N is 0, real or complex,
+    with up to three columns set to zero or negative zero, and scaled by
+    2^k."""
+    N, m = draw(st.integers(0, 4)), draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (m, m) if N == 0 else (N, m, m)
+    B = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        B = B + 1j * rng.standard_normal(shape)
+    B = B * 2.0 ** draw(st.integers(-1000, 1000))
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        B[..., j] = draw(st.sampled_from((0.0, -0.0)))
+    return B
+
+
+@settings(max_examples=300, deadline=None)
+@given(qr_inputs())
+def test_r_positive_is_the_per_row_phase_fix(B):
+    """The stacked phase step of _r_positive gives, byte for byte, what
+    numpy's QR of each matrix alone followed by the per-row phase fix of
+    tests/lll_reference.py gives: each row times conj(rii / |rii|) in numpy
+    scalars, a row whose diagonal is zero or negative zero left alone."""
+    want = []
+    for Bi in B[None] if B.ndim == 2 else B:
+        R = np.linalg.qr(Bi, mode="r")
+        lll_reference._phase_normalize(R, range(R.shape[0]))
+        want.append(R)
+    got = _r_positive(B.copy())
+    assert got.dtype == B.dtype and got.shape == B.shape
+    assert got.tobytes() == np.stack(want).tobytes()

@@ -129,6 +129,27 @@ class TestShortestVector:
         with pytest.raises(EnumerationBudgetError):
             shortest_vector(B, max_nodes=3)
 
+    @pytest.mark.parametrize(
+        "budget, error", [(-5, ValueError), (0, ValueError), (1.5, TypeError), (True, TypeError)]
+    )
+    @pytest.mark.parametrize("search", (shortest_vector, successive_minima_2d))
+    def test_budget_must_be_a_positive_integer(self, monkeypatch, search, budget, error):
+        """max_nodes=-5 ran the reduction and a search, then raised
+        EnumerationBudgetError ("budget of -5 nodes exceeded after 1
+        nodes"); 1.5 was used as 1.5.  Both entries refuse such a budget
+        before the reduction runs."""
+        B = random_basis(RING1, 2, np.random.default_rng(8))
+        calls = []
+        monkeypatch.setattr(svp, "alll_reduce", lambda *args, **kw: calls.append(args))
+        with pytest.raises(error, match="max_nodes" if error is ValueError else None):
+            search(B, max_nodes=budget)
+        assert calls == []
+
+    @pytest.mark.parametrize("search", (shortest_vector, successive_minima_2d))
+    def test_budget_as_a_numpy_integer(self, search):
+        B = random_basis(RING1, 2, np.random.default_rng(8))
+        assert search(B, max_nodes=np.int64(10**6)) == search(B)
+
     def test_budget_error_reports_the_radius_reached(self):
         """The error carries the best radius the search found before it
         stopped, not the reduced basis vector it started from."""
